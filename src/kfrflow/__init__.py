@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .baselines import RwmConfig, RwmResult, rwm_run, svgd_step, ula_step
 from .config import RunConfig, parse_config, parse_grid, parse_sampler
-from .diagnostics import KsdConfig, ksd, moments, tempered_ksd_trace, velocity_oracle
+from .diagnostics import KsdConfig, ksd, moments, tempered_ksd_trace
 from .errors import CapabilityError, NumericalStabilityError
 from .flows import (
     FlowConfig,
@@ -82,6 +82,6 @@ __all__ = [
     "parse_sampler", "regularize", "run_experiment", "run_unit_time",
     "rwm_run", "sample_ot_newton", "solve_M", "split_rngs", "svgd_step",
     "sweep", "tempered_ksd_trace", "tempered_score", "target_by_name",
-    "ula_step", "velocity_oracle", "write_record_csv", "write_selection_csv",
+    "ula_step", "write_record_csv", "write_selection_csv",
     "write_sidecar",
 ]

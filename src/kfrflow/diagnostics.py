@@ -1,4 +1,4 @@
-"""Sample-quality diagnostics and brute-force oracles.
+"""Sample-quality diagnostics.
 
 Kernel Stein discrepancy (KSD) uses the Langevin Stein kernel built on the
 IMQ base kernel with fixed bandwidth (default h = 1):
@@ -14,10 +14,8 @@ with, for u = x - y and q = (1 + ||u||^2/h^2)^(-1/2),
 KSD consumes only the score of the distribution under test, so it is
 insensitive to normalizing constants.  The V-statistic is the default; the
 U-statistic (diagonal removed) is available via the config.
-
-:func:`velocity_oracle` is a deliberately naive transcription of the KFRFlow
-update (explicit loops, dense matrix inverse) used to cross-check the
-vectorized implementation; it shares no assembly code with it.
+:func:`stein_discrepancies` is the one implementation: it scores an ensemble
+against several scores in one pass over the pairs.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, NumericalStabilityError
 from .flows import tempered_score
-from .kernels import KernelSpec, median_bandwidth
+from .kernels import _pair_sq, _q_from_sq
 
 
 @dataclass(frozen=True)
@@ -43,24 +41,54 @@ class KsdConfig:
             raise ValueError(f"estimator must be 'v' or 'u', got {self.estimator!r}")
 
 
-def stein_kernel_matrix(x: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
-    """The J x J matrix k0(x_i, x_j) of the IMQ Langevin Stein kernel."""
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
-    d = x.shape[1]
-    u = x[:, None, :] - x[None, :, :]
-    d2 = np.sum(u**2, axis=-1)
-    q = (1.0 + d2 / h**2) ** -0.5
-    q3 = q**3
-    q5 = q3 * q * q
-    us_i = np.einsum("ijk,ik->ij", u, s)
-    us_j = np.einsum("ijk,jk->ij", u, s)
-    return (
-        (d / h**2) * q3
-        - (3.0 / h**4) * d2 * q5
-        + (us_i - us_j) * q3 / h**2
-        + q * (s @ s.T)
-    )
+def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None) -> list:
+    """KSD of one ensemble against each (J, d) score array in ``scores``.
+
+    The score-free parts of the Stein kernel sum are computed once.  With
+    G_i = sum_j q_ij^3 (x_i - x_j), the sum over all pairs is
+
+        (d/h^2) sum q^3 - (3/h^4) sum ||u||^2 q^5 + (2/h^2) <S, G> + <S, q S>,
+
+    since (u_ij . s_i - u_ij . s_j) summed against the symmetric q^3 gives
+    2 <S, G>; each score costs one J x J by J x d product.  The diagonal of
+    the kernel matrix, removed by the U-statistic, is d/h^2 + ||s_i||^2.
+    Overflow on far-out ensembles is left to the non-finite result, so it
+    raises no floating-point warnings.
+    """
+    cfg = cfg or KsdConfig()
+    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    J, d = x.shape
+    scores = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in scores]
+    for s in scores:
+        if s.shape != x.shape:
+            raise ValueError(f"score shape {s.shape} does not match samples {x.shape}")
+    if cfg.estimator == "u" and J < 2:
+        raise ValueError("U-statistic needs at least two samples")
+    h2 = cfg.h * cfg.h
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # centring keeps G free of cancellation far from the origin
+        xc = x - x.mean(axis=0)
+        d2 = _pair_sq(xc, xc)
+        q = _q_from_sq(d2, cfg.h)
+        q3 = q * q * q
+        d2 *= q3
+        d2 *= q
+        d2 *= q
+        base = (d / h2) * float(q3.sum()) - (3.0 / (h2 * h2)) * float(d2.sum())
+        G = q3.sum(axis=1)[:, None] * xc - q3 @ xc
+        for s in scores:
+            total = base + (2.0 / h2) * float(np.vdot(s, G)) + float(np.vdot(s, q @ s))
+            if cfg.estimator == "v":
+                total /= J * J
+                if total < -1e-10:
+                    raise NumericalStabilityError(
+                        f"KSD V-statistic {total} violates positive semidefiniteness"
+                    )
+            else:
+                total = (total - J * d / h2 - float(np.vdot(s, s))) / (J * (J - 1))
+            out.append(float(np.sqrt(max(total, 0.0))))
+    return out
 
 
 def ksd(samples, score_fn, cfg: KsdConfig | None = None) -> float:
@@ -68,24 +96,8 @@ def ksd(samples, score_fn, cfg: KsdConfig | None = None) -> float:
     score ``score_fn``."""
     if score_fn is None:
         raise CapabilityError("KSD requires the score of the tested distribution")
-    cfg = cfg or KsdConfig()
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    scores = np.atleast_2d(np.asarray(score_fn(x), dtype=np.float64))
-    if scores.shape != x.shape:
-        raise ValueError(f"score shape {scores.shape} does not match samples {x.shape}")
-    J = x.shape[0]
-    k0 = stein_kernel_matrix(x, scores, cfg.h)
-    if cfg.estimator == "v":
-        total = float(k0.sum()) / J**2
-        if total < -1e-10:
-            raise AssertionError(
-                f"V-statistic {total} violates positive semidefiniteness"
-            )
-    else:
-        if J < 2:
-            raise ValueError("U-statistic needs at least two samples")
-        total = float(k0.sum() - np.trace(k0)) / (J * (J - 1))
-    return float(np.sqrt(max(total, 0.0)))
+    return stein_discrepancies(x, [score_fn(x)], cfg)[0]
 
 
 def moments(ensemble) -> tuple:
@@ -115,40 +127,3 @@ def tempered_ksd_trace(snapshots, target, cfg: KsdConfig | None = None) -> list:
             t, x = snap
         out.append((float(t), ksd(x, lambda y: tempered_score(target, y, t), cfg)))
     return out
-
-
-def velocity_oracle(ensemble, target, spec: KernelSpec, lam: float = 0.0) -> np.ndarray:
-    """Triple-loop KFRFlow velocity with an explicit dense inverse (test oracle)."""
-
-    def k_scalar(a, b, h):
-        return (1.0 + np.sum((a - b) ** 2) / h**2) ** -0.5
-
-    def grad1_scalar(a, b, h):
-        q = k_scalar(a, b, h)
-        return -(a - b) / h**2 * q**3
-
-    x = np.asarray(getattr(ensemble, "positions", ensemble), dtype=np.float64)
-    J, d = x.shape
-    h = spec.bandwidth if spec.bandwidth is not None else median_bandwidth(x, spec.h_floor)
-    r = np.atleast_1d(np.asarray(target.log_ratio(x), dtype=np.float64))
-    c = r - r.mean()
-
-    M = np.zeros((J, J))
-    for ell in range(J):
-        for m in range(J):
-            acc = 0.0
-            for i in range(J):
-                acc += np.dot(grad1_scalar(x[i], x[ell], h), grad1_scalar(x[i], x[m], h))
-            M[ell, m] = acc / J
-    rhs = np.zeros(J)
-    for ell in range(J):
-        acc = 0.0
-        for k in range(J):
-            acc += c[k] * k_scalar(x[k], x[ell], h)
-        rhs[ell] = acc / J
-    f = np.linalg.inv(M + lam * np.eye(J)) @ rhs
-    v = np.zeros((J, d))
-    for j in range(J):
-        for ell in range(J):
-            v[j] += f[ell] * grad1_scalar(x[j], x[ell], h)
-    return v

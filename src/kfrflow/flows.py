@@ -79,7 +79,8 @@ def kfrflow_i_step(
 
     Moves each particle by Jac(K_basis)(X_j)^T s* where
     s* = -(M + lam I)^{-1} sum_k (1/J - w_k) K_basis(X_k) and w are the
-    self-normalized importance weights with exponent dt.
+    self-normalized importance weights with exponent dt; lam is raised until
+    no particle moves farther than the kernel bandwidth.
     """
     return sample_ot_newton(ensemble, target, spec, dt, lam, iters=1)
 
@@ -116,11 +117,11 @@ def sample_ot_newton(
     b = w @ ws.Kmat
     ws.b = b
 
-    def transported(s):
-        return x + (s @ ws.basis).reshape(x.shape)
+    def displacement(s):
+        return (s @ ws.basis).reshape(x.shape)
 
     def residual_parts(s):
-        ky, _, basis_y = _scaled_parts(transported(s), x, ws.h)
+        ky, _, basis_y = _scaled_parts(x + displacement(s), x, ws.h)
         return uniform @ ky - b, basis_y
 
     s = np.zeros(J)
@@ -133,8 +134,16 @@ def sample_ot_newton(
     for it in range(iters):
         jac = basis_y @ ws.basis.T / J
         if it == 0:
-            # at s = 0 the Jacobian is exactly M: symmetric definite solve
+            # at s = 0 the Jacobian is exactly M: symmetric definite solve.
+            # The map linearizes K(X_j + disp_j, .), valid only while
+            # ||disp_j|| <~ h: raise lam (kept for later iterations) until
+            # no particle moves farther.
             delta = spd_solve(jac, lam, resid)
+            disp = displacement(s - delta)
+            while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
+                lam = max(10.0 * lam, 1e-8 * float(np.trace(jac)) / J)
+                delta = spd_solve(jac, lam, resid)
+                disp = displacement(s - delta)
         else:
             if lam > 0:
                 jac = jac + lam * np.eye(J)
@@ -149,7 +158,7 @@ def sample_ot_newton(
         if iters == 1:
             # single Newton step is the definition of the transport map;
             # the divergence guard cannot trigger, skip the residual pass
-            break
+            return Ensemble(x + disp, ensemble.t + dt)
         resid, basis_y = residual_parts(s)
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:
@@ -164,7 +173,7 @@ def sample_ot_newton(
             s = best_s
             break
 
-    return Ensemble(transported(s), ensemble.t + dt)
+    return Ensemble(x + displacement(s), ensemble.t + dt)
 
 
 def tempered_score(target, x, t: float) -> np.ndarray:

@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .baselines import RwmConfig, rwm_run, svgd_step, ula_step
 from .config import RunConfig, UNIT_TIME_SAMPLERS, parse_sampler
-from .diagnostics import KsdConfig, ksd
+# perfbench/tracing.py rebinds kfrflow.harness.ksd
+from .diagnostics import KsdConfig, ksd, stein_discrepancies  # noqa: F401
 from .errors import NumericalStabilityError
 from .flows import (
     FlowConfig,
@@ -35,7 +36,6 @@ from .flows import (
     kfrflow_i_step,
     kfrflow_velocity,
     sample_ot_newton,
-    tempered_score,
 )
 from .integrators import (
     Schedule,
@@ -78,14 +78,17 @@ def _observation_steps(config: RunConfig) -> set:
 
 
 def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered):
-    ksd_target = float("nan")
+    ksd_target = ksd_temp = float("nan")
     if target.score_target is not None:
-        ksd_target = ksd(positions, target.score_target, ksd_cfg)
-    ksd_temp = float("nan")
-    if tempered and target.has_scores:
-        ksd_temp = ksd(positions, lambda y: tempered_score(target, y, t), ksd_cfg)
-    if not math.isfinite(ksd_target) and target.score_target is not None:
-        raise NumericalStabilityError("non-finite KSD", step=step)
+        # one Stein pass scores both; pi_t's score reuses the target score
+        s1 = target.score_target(positions)
+        scores = [s1]
+        if tempered and target.has_scores:
+            scores.append((1.0 - t) * target.score_reference(positions) + t * s1)
+        ksd_target, *rest = stein_discrepancies(positions, scores, ksd_cfg)
+        ksd_temp = rest[0] if rest else ksd_temp
+        if not math.isfinite(ksd_target):
+            raise NumericalStabilityError("non-finite KSD", step=step)
     mean = positions.mean(axis=0)
     var = positions.var(axis=0, ddof=1) if positions.shape[0] > 1 else np.zeros(dim)
     row = {

@@ -74,6 +74,18 @@ def _pair_diff_sq(xa: np.ndarray, xb: np.ndarray) -> tuple:
     return diff, d2
 
 
+def _pair_sq(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """||xa_i - xb_j||^2 as an (na, nb) array, summed one coordinate at a
+    time so that the (na, nb, d) difference tensor is never built."""
+    d2 = np.subtract.outer(xa[:, 0], xb[:, 0])
+    d2 *= d2
+    for a in range(1, xa.shape[1]):
+        diff = np.subtract.outer(xa[:, a], xb[:, a])
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def _q_from_sq(d2: np.ndarray, h: float) -> np.ndarray:
     out = d2 / (h * h)
     out += 1.0

@@ -14,7 +14,7 @@ import pytest
 
 from kfrflow.baselines import RwmConfig, rwm_run
 from kfrflow.config import RunConfig
-from kfrflow.diagnostics import KsdConfig, ksd, velocity_oracle
+from kfrflow.diagnostics import KsdConfig, ksd
 from kfrflow.flows import (
     FlowConfig,
     kfrd_drift,
@@ -38,7 +38,7 @@ from kfrflow.targets import (
     make_gaussian,
 )
 
-from helpers import central_diff_grad, mixed_second_trace, rel_err
+from helpers import central_diff_grad, mixed_second_trace, rel_err, velocity_oracle
 
 
 def report(criterion, ok, detail):

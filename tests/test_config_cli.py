@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kfrflow.harness import (
     sweep,
     write_record_csv,
 )
+from kfrflow.targets import TargetModel
 
 
 class TestSamplerParsing:
@@ -163,6 +165,46 @@ class TestRunExperiment:
         stable_trials = [t for t in range(2) if t not in record.unstable_trials]
         for row in record.summary:
             assert np.isfinite(row["ksd_target"]) or not stable_trials
+
+    def test_unstable_trial_raises_no_floating_point_warnings(self):
+        # the config of the test above overflows inside KSD; the non-finite
+        # result flags the trial without numpy overflow/invalid warnings
+        cfg = RunConfig(
+            target="gaussian:50,0.02", sampler="kfrflow-euler", J=8, N=6,
+            lam=0.0, seed=2, trials=2, observe_every=1,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = run_experiment(cfg)
+        assert record.unstable_trials
+        fp = [w for w in caught
+              if issubclass(w.category, RuntimeWarning) and "encountered" in str(w.message)]
+        assert fp == []
+
+    def test_negative_v_statistic_flags_only_its_trial(self, monkeypatch):
+        # seed 2 draws trial 1's reference as two particles 1e-7 apart, whose
+        # opposed scores of size 2e7 make the KSD V-statistic cancel below 0
+        def sample_reference(rng, n):
+            gap = 1e-7 if rng.random() < 0.5 else 1.0
+            return np.array([[0.0], [gap]])
+
+        def score_target(x):
+            if abs(x[1, 0] - x[0, 0]) < 1e-6:
+                return np.array([[2e7], [-2e7]])
+            return -x
+
+        target = TargetModel(
+            name="cancel", dim=1,
+            log_ratio=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
+            sample_reference=sample_reference,
+            score_reference=lambda x: -x,
+            score_target=score_target,
+        )
+        cfg = RunConfig(target="donut", sampler="kfrflow-i", J=2, N=1, seed=2, trials=2)
+        monkeypatch.setattr(RunConfig, "build_target", lambda self: target)
+        record = run_experiment(cfg)
+        assert record.unstable_trials == [1]
+        assert [(r["trial"], r["stable"]) for r in record.rows] == [(0, 1), (0, 1)]
 
     def test_rwm_sampler_records_endpoints(self):
         cfg = RunConfig(

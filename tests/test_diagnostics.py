@@ -7,17 +7,22 @@ from kfrflow.diagnostics import (
     KsdConfig,
     ksd,
     moments,
-    stein_kernel_matrix,
+    stein_discrepancies,
     tempered_ksd_trace,
-    velocity_oracle,
 )
-from kfrflow.errors import CapabilityError
+from kfrflow.errors import CapabilityError, NumericalStabilityError
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity
 from kfrflow.kernels import KernelSpec, imq_eval
 from kfrflow.particles import Ensemble
 from kfrflow.targets import make_bayesian_2d, make_gaussian
 
-from helpers import central_diff_grad, mixed_second_trace, rel_err
+from helpers import (
+    central_diff_grad,
+    mixed_second_trace,
+    rel_err,
+    stein_kernel_matrix,
+    velocity_oracle,
+)
 
 
 def stein_kernel_scalar(x, y, sx, sy, h):
@@ -47,6 +52,43 @@ class TestKsd:
             for j in range(6):
                 expected = stein_kernel_scalar(x[i], x[j], s[i], s[j], 1.0)
                 assert k0[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_pass_matches_oracle_matrix_sum(self):
+        rng = np.random.default_rng(89)
+        for J in (1, 2, 50):
+            for d in (1, 2, 20):
+                for offset in (0.0, 40.0):
+                    z = rng.standard_normal((J, d))
+                    x = z + offset
+                    # scores of a shifted Gaussian keep both statistics > 0
+                    s = 2.0 - z
+                    k0 = stein_kernel_matrix(x, s, 1.0)
+                    v = k0.sum() / J**2
+                    got = ksd(x, lambda _: s)
+                    assert got**2 == pytest.approx(v, rel=1e-12)
+                    if J < 2:
+                        continue
+                    u = (k0.sum() - np.trace(k0)) / (J * (J - 1))
+                    assert u > 0.0
+                    got = ksd(x, lambda _: s, KsdConfig(estimator="u"))
+                    assert got**2 == pytest.approx(u, rel=1e-12)
+
+    def test_several_scores_match_single_calls(self):
+        rng = np.random.default_rng(88)
+        x = rng.standard_normal((40, 3))
+        scores = [-x, 0.5 - x, np.zeros_like(x)]
+        for est in ("v", "u"):
+            cfg = KsdConfig(h=0.8, estimator=est)
+            together = stein_discrepancies(x, scores, cfg)
+            assert together == [ksd(x, lambda _, s=s: s, cfg) for s in scores]
+
+    def test_negative_v_statistic_is_numerical_error(self):
+        # two particles 1e-7 apart with opposed scores of size 2/1e-7: the
+        # Stein sum cancels to round-off, which comes out negative
+        x = np.array([[0.0], [1e-7]])
+        s = np.array([[2e7], [-2e7]])
+        with pytest.raises(NumericalStabilityError, match="semidefinite"):
+            ksd(x, lambda _: s)
 
     def test_imq_derivative_formulas_match_finite_differences(self):
         rng = np.random.default_rng(91)

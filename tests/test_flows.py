@@ -13,9 +13,12 @@ from kfrflow.flows import (
     sample_ot_newton,
     tempered_score,
 )
+from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec, imq_cross, median_bandwidth
 from kfrflow.particles import Ensemble, build_workspace, importance_weights
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
+
+from helpers import velocity_oracle
 
 
 def constant_ratio_target(dim, value=3.25):
@@ -91,8 +94,6 @@ class TestVelocity:
         assert np.allclose(vp, v[perm], rtol=1e-8, atol=1e-12)
 
     def test_small_instance_against_loop_oracle(self):
-        from kfrflow.diagnostics import velocity_oracle
-
         target = make_gaussian([1.0, -0.5], 0.5)
         rng = np.random.default_rng(44)
         e = Ensemble(rng.standard_normal((5, 2)), 0.0)
@@ -157,6 +158,28 @@ class TestImportanceStep:
         e = Ensemble(rng.standard_normal((10, 2)), 0.0)
         with pytest.warns(RuntimeWarning, match="degenerate"):
             kfrflow_i_step(e, target, KernelSpec(), 1.0, 1e-6)
+
+    def test_displacement_bounded_by_bandwidth(self):
+        # the degenerate-weights fixture asks for a 2.8 h move at lam=1e-6
+        target = make_gaussian([40.0, 0.0], 0.1)
+        rng = np.random.default_rng(48)
+        e = Ensemble(rng.standard_normal((10, 2)), 0.0)
+        h = median_bandwidth(e)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            out = kfrflow_i_step(e, target, KernelSpec(), 1.0, 1e-6)
+        moved = np.linalg.norm(out.positions - e.positions, axis=1)
+        assert 0.0 < moved.max() <= h
+
+    def test_donut_outlier_seeds_stay_on_the_ring(self):
+        # reference outliers at these seeds once threw their neighbours
+        # several bandwidths per step, to radius ~190
+        donut = make_bayesian_2d("donut")
+        spec = KernelSpec()
+        for seed in (5002, 2012):
+            ens = Ensemble(donut.sample_reference(make_rng(seed), 300), 0.0)
+            for _ in range(100):
+                ens = kfrflow_i_step(ens, donut, spec, 0.01, 1e-6)
+            assert np.linalg.norm(ens.positions, axis=1).max() < 6.0
 
 
 class TestNewtonTransport:
