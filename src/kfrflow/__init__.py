@@ -41,7 +41,6 @@ from .integrators import (
     split_rngs,
 )
 from .kernels import (
-    KernelFamily,
     KernelSpec,
     imq_eval,
     imq_grad1,
@@ -55,7 +54,6 @@ from .particles import (
     assemble_M,
     build_workspace,
     importance_weights,
-    kernel_means,
     regularize,
     solve_M,
 )
@@ -70,12 +68,12 @@ from .targets import (
 __all__ = [
     "__version__",
     "BenchResult", "CapabilityError", "Ensemble", "FlowConfig", "FlowWorkspace",
-    "KernelFamily", "KernelSpec", "KsdConfig", "NumericalStabilityError",
+    "KernelSpec", "KsdConfig", "NumericalStabilityError",
     "RunConfig", "RunRecord", "RwmConfig", "RwmResult", "Schedule",
     "SweepResult", "TargetModel",
     "ab4_step", "assemble_M", "bench_step", "build_workspace",
     "euler_maruyama_step", "euler_step", "imq_eval", "imq_grad1",
-    "importance_weights", "kernel_jacobian", "kernel_matrix", "kernel_means",
+    "importance_weights", "kernel_jacobian", "kernel_matrix",
     "kfrd_drift", "kfrflow_i_step", "kfrflow_velocity", "ksd",
     "make_bayesian_2d", "make_funnel", "make_gaussian", "make_rng",
     "median_bandwidth", "moments", "parse_config", "parse_grid",

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .kernels import KernelSpec, imq_cross, imq_cross_grad1, resolve_bandwidth
+from .kernels import KernelSpec, _pair_kernel
 from .particles import Ensemble
 
 # tuned acceptance is accepted anywhere in this window around the 23% optimum
@@ -72,11 +72,9 @@ def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float) ->
         raise ValueError(f"step_size must be > 0, got {step_size}")
     score = _require_score(target)
     x = ensemble.positions
-    J = x.shape[0]
-    h = resolve_bandwidth(spec, x)
-    kmat = imq_cross(x, x, h)
-    grads = imq_cross_grad1(x, x, h)
-    phi = (kmat @ score(x) + grads.sum(axis=0)) / J
+    _, q, G = _pair_kernel(x, x, spec)
+    # q and each G[a] are indexed [j, i]: sum over the source particles j
+    phi = (q @ score(x) + G.sum(axis=1).T) / x.shape[0]
     return Ensemble(x + step_size * phi, ensemble.t)
 
 

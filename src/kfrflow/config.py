@@ -26,7 +26,7 @@ SAMPLERS = UNIT_TIME_SAMPLERS | INFINITE_TIME_SAMPLERS
 
 
 def parse_sampler(name: str) -> tuple:
-    """Split a sampler name into (base, newton_iters or None)."""
+    """Split a sampler name into (base, Newton iteration count or None)."""
     name = name.strip().lower()
     if name.startswith("kfrflow-i-newton:"):
         iters = int(name.split(":", 1)[1])

@@ -27,33 +27,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .kernels import KernelSpec, _scaled_parts
-from .particles import Ensemble, build_workspace, importance_weights, spd_solve
+from .kernels import KernelSpec, _pair_kernel
+from .particles import (
+    Ensemble,
+    _log_ratio_values,
+    build_workspace,
+    importance_weights,
+    spd_solve,
+)
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     lam: float = 0.0
     eps: float = 0.0
-    newton_iters: int = 1
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.newton_iters < 1:
-            raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters}")
-
-
-def _log_ratio_values(target, positions) -> np.ndarray:
-    r = np.atleast_1d(np.asarray(target.log_ratio(positions), dtype=np.float64))
-    if not np.isfinite(r).all():
-        bad = np.argwhere(~np.isfinite(r)).ravel()
-        raise NumericalStabilityError(
-            f"non-finite log density ratio for particles {bad.tolist()}"
-        )
-    return r
 
 
 def kfrflow_velocity(ensemble: Ensemble, target, spec: KernelSpec, lam: float = 0.0) -> np.ndarray:
@@ -63,13 +56,13 @@ def kfrflow_velocity(ensemble: Ensemble, target, spec: KernelSpec, lam: float = 
     log ratios, then evaluates v_j = Jac(K_basis)(X_j)^T f.
     """
     ws = build_workspace(ensemble, spec)
-    J = ws.Kmat.shape[0]
+    d, J, _ = ws.G.shape
     r = _log_ratio_values(target, ensemble.positions)
     rp = r - r[0]
     c = rp - rp.mean()
     rhs = (c @ ws.Kmat) / J
     f = spd_solve(ws.M, lam, rhs)
-    return (f @ ws.basis).reshape(ensemble.positions.shape)
+    return (ws.G.reshape(d * J, J) @ f).reshape(d, J).T
 
 
 def kfrflow_i_step(
@@ -104,8 +97,9 @@ def sample_ot_newton(
             f"step beyond unit time: t={ensemble.t} + dt={dt} exceeds 1"
         )
     x = ensemble.positions
-    J = x.shape[0]
+    J, d = x.shape
     ws = build_workspace(ensemble, spec)
+    Gr = ws.G.reshape(d * J, J)
     w = importance_weights(ensemble, target, dt)
     if w.max() > 0.5:
         warnings.warn(
@@ -115,36 +109,32 @@ def sample_ot_newton(
         )
     uniform = np.full(J, 1.0 / J)
     b = w @ ws.Kmat
-    ws.b = b
 
     def displacement(s):
-        return (s @ ws.basis).reshape(x.shape)
-
-    def residual_parts(s):
-        ky, _, basis_y = _scaled_parts(x + displacement(s), x, ws.h)
-        return uniform @ ky - b, basis_y
+        return (Gr @ s).reshape(d, J).T
 
     s = np.zeros(J)
     # at s = 0 the transported ensemble is the original one, so the residual
-    # parts are exactly the workspace quantities
-    resid, basis_y = uniform @ ws.Kmat - b, ws.basis
+    # is formed from the workspace and the Jacobian is exactly M
+    resid = uniform @ ws.Kmat - b
     norm = float(np.linalg.norm(resid))
     best_s, best_norm = s, norm
     grew = 0
     for it in range(iters):
-        jac = basis_y @ ws.basis.T / J
         if it == 0:
-            # at s = 0 the Jacobian is exactly M: symmetric definite solve.
-            # The map linearizes K(X_j + disp_j, .), valid only while
-            # ||disp_j|| <~ h: raise lam (kept for later iterations) until
-            # no particle moves farther.
-            delta = spd_solve(jac, lam, resid)
+            # symmetric definite solve with M.  The map linearizes
+            # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam
+            # (kept for later iterations) until no particle moves farther.
+            delta = spd_solve(ws.M, lam, resid)
             disp = displacement(s - delta)
             while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
-                lam = max(10.0 * lam, 1e-8 * float(np.trace(jac)) / J)
-                delta = spd_solve(jac, lam, resid)
+                lam = max(10.0 * lam, 1e-8 * float(np.trace(ws.M)) / J)
+                delta = spd_solve(ws.M, lam, resid)
                 disp = displacement(s - delta)
         else:
+            # (1/J) sum_a Gy_a^T G_a, Gy the gradient blocks at the
+            # displaced points against the original basis centers
+            jac = Gy.reshape(d * J, J).T @ Gr / J
             if lam > 0:
                 jac = jac + lam * np.eye(J)
             try:
@@ -159,7 +149,8 @@ def sample_ot_newton(
             # single Newton step is the definition of the transport map;
             # the divergence guard cannot trigger, skip the residual pass
             return Ensemble(x + disp, ensemble.t + dt)
-        resid, basis_y = residual_parts(s)
+        _, ky, Gy = _pair_kernel(x + displacement(s), x, ws.h)
+        resid = uniform @ ky - b
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:
             best_norm, best_s = norm, s

@@ -303,13 +303,13 @@ def sweep(config: RunConfig, grid: dict) -> SweepResult:
     keys = [k for k in _GRID_FIELDS if k in grid]
     combos = itertools.product(*(grid[k] for k in keys)) if keys else [()]
 
-    records = []
-    for combo in combos:
-        cell = dict(zip(keys, combo))
-        cfg = dataclasses.replace(
-            config, **{_GRID_FIELDS[k]: v for k, v in cell.items()}
-        )
-        records.append((cell, run_experiment(cfg)))
+    # build (and so validate) every cell before running any
+    cells = [dict(zip(keys, combo)) for combo in combos]
+    cfgs = [
+        dataclasses.replace(config, **{_GRID_FIELDS[k]: v for k, v in cell.items()})
+        for cell in cells
+    ]
+    records = [(cell, run_experiment(cfg)) for cell, cfg in zip(cells, cfgs)]
 
     by_jn: dict = {}
     for cell, record in records:

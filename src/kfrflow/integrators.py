@@ -30,14 +30,6 @@ class Schedule:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.n_steps
-
-    @property
-    def t_grid(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) / self.n_steps
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) with a platform-stable stream.
@@ -138,7 +130,6 @@ def map_stepper(update_fn: Callable, dt: float) -> Callable:
 @dataclass
 class RunTrace:
     final: Ensemble
-    step_times_ns: np.ndarray
     n_steps: int
 
 
@@ -159,7 +150,6 @@ def run_unit_time(
     if abs(initial.t) > 1e-12:
         raise ValueError(f"initial ensemble must start at t=0, got t={initial.t}")
     n = schedule.n_steps
-    times = np.zeros(n, dtype=np.int64)
     ens = initial
     for obs in observers:
         obs(0, 0.0, ens, 0)
@@ -175,7 +165,7 @@ def run_unit_time(
             raise
         except ValueError as err:
             raise NumericalStabilityError(str(err), step=k) from err
-        times[k] = time.perf_counter_ns() - tic
+        step_ns = time.perf_counter_ns() - tic
         for obs in observers:
-            obs(k + 1, t_next, ens, int(times[k]))
-    return RunTrace(final=ens, step_times_ns=times, n_steps=n)
+            obs(k + 1, t_next, ens, step_ns)
+    return RunTrace(final=ens, n_steps=n)

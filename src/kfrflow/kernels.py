@@ -8,26 +8,23 @@ a symmetric positive definite kernel with values in (0, 1] and K(x, x) = 1.
 Batch routines take points as rows of ``(n, d)`` arrays.  Gradients are always
 taken with respect to the first argument.
 
-All batch entry points share the same low-level primitives, so quantities
-assembled through different routes (kernel matrix, gradient tensors, bandwidth)
-agree bit for bit whenever their inputs do.
+Every batch quantity comes from one pairwise primitive, :func:`_pair_kernel`:
+the kernel matrix q[i, l] = K(xa_i, xb_l) and the per-coordinate gradient
+blocks G[a, i, l] = d/dx_a K(x, xb_l) at x = xa_i, one (na, nb) block per
+coordinate.  The kernel matrix, gradient blocks and bandwidth therefore agree
+bit for bit whichever route assembles them.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class KernelFamily(enum.Enum):
-    IMQ = "imq"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth policy.
+    """Bandwidth policy of the IMQ kernel.
 
     ``bandwidth=None`` selects the median heuristic, recomputed from the
     current ensemble every time a kernel quantity is assembled; a positive
@@ -35,13 +32,10 @@ class KernelSpec:
     clamp that guards collapsed ensembles.
     """
 
-    family: KernelFamily = KernelFamily.IMQ
     bandwidth: float | None = None
     h_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.family is not KernelFamily.IMQ:
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError("fixed bandwidth must be > 0")
         if not self.h_floor > 0:
@@ -61,28 +55,19 @@ def _check_h(h) -> float:
     return h
 
 
-def _pair_diff_sq(xa: np.ndarray, xb: np.ndarray) -> tuple:
-    """(xa_i - xb_j, ||xa_i - xb_j||^2) as (na, nb, d) and (na, nb) arrays.
-
-    Computed from coordinate differences (not the expanded dot product), so
-    the result depends only on relative positions.
-    """
-    diff = xa[:, None, :] - xb[None, :, :]
-    d2 = diff[:, :, 0] * diff[:, :, 0]
-    for a in range(1, diff.shape[2]):
-        d2 += diff[:, :, a] * diff[:, :, a]
-    return diff, d2
-
-
-def _pair_sq(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+def _pair_sq(xa: np.ndarray, xb: np.ndarray, diffs=None) -> np.ndarray:
     """||xa_i - xb_j||^2 as an (na, nb) array, summed one coordinate at a
-    time so that the (na, nb, d) difference tensor is never built."""
-    d2 = np.subtract.outer(xa[:, 0], xb[:, 0])
-    d2 *= d2
-    for a in range(1, xa.shape[1]):
-        diff = np.subtract.outer(xa[:, a], xb[:, a])
-        diff *= diff
-        d2 += diff
+    time so that the (na, nb, d) difference tensor is never built.
+
+    When ``diffs`` is a (d, na, nb) array, the per-coordinate differences
+    xa_i[a] - xb_j[a] are kept in ``diffs[a]``.
+    """
+    d2 = np.zeros((xa.shape[0], xb.shape[0]))
+    for a in range(xa.shape[1]):
+        diff = np.subtract.outer(xa[:, a], xb[:, a], out=None if diffs is None else diffs[a])
+        # square in place unless the differences are kept: one (na, nb)
+        # temporary besides d2
+        d2 += np.square(diff, out=diff) if diffs is None else diff * diff
     return d2
 
 
@@ -92,36 +77,6 @@ def _q_from_sq(d2: np.ndarray, h: float) -> np.ndarray:
     np.sqrt(out, out=out)
     np.reciprocal(out, out=out)
     return out
-
-
-def _grads_from(diff: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
-    return diff * (-(q * q * q) / (h * h))[..., None]
-
-
-def _basis_major_grads(diff: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
-    """Gradient tensor in basis-major (nb, na, d) layout.
-
-    Entry [j, i, :] is grad_1 K(xa_i, xb_j); the contiguous (nb, na*d)
-    reshape makes Gram products plain matrix products.
-    """
-    scale = q * q
-    scale *= q
-    scale /= -(h * h)
-    return diff.transpose(1, 0, 2) * scale.T[:, :, None]
-
-
-def _scaled_parts(xa: np.ndarray, xb: np.ndarray, h: float) -> tuple:
-    """Kernel matrix, gradient tensor, and its basis-major matrix in one pass.
-
-    Returns (q, grads, basis) with q[i, j] = K(xa_i, xb_j),
-    grads[i, j, :] = grad_1 K(xa_i, xb_j), and basis the (nb, na*d) reshape of
-    the gradients with the basis-center index first.  ``grads`` is a view of
-    the ``basis`` memory.
-    """
-    diff, d2 = _pair_diff_sq(xa, xb)
-    q = _q_from_sq(d2, h)
-    basis3 = _basis_major_grads(diff, q, h)
-    return q, basis3.transpose(1, 0, 2), basis3.reshape(xb.shape[0], -1)
 
 
 def _median_bw_from_sq(d2: np.ndarray, h_floor: float) -> float:
@@ -147,6 +102,35 @@ def _median_bw_from_sq(d2: np.ndarray, h_floor: float) -> float:
         med = (float(np.sqrt(part[lo])) + float(np.sqrt(part[hi]))) / 2.0
     h = float(np.sqrt(med**2 / np.log(J + 1)))
     return max(h, float(h_floor))
+
+
+def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray) -> float:
+    """``spec``'s bandwidth for the ensemble whose squared distances are ``d2``."""
+    if spec.bandwidth is not None:
+        return float(spec.bandwidth)
+    return _median_bw_from_sq(d2, spec.h_floor)
+
+
+def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h) -> tuple:
+    """The pairwise primitive: (h, q, G) for the kernel between xa and xb.
+
+    q[i, l] = K(xa_i, xb_l) is (na, nb) and G[a, i, l] = d/dx_a K(x, xb_l) at
+    x = xa_i is (d, na, nb), filled one coordinate at a time from the
+    differences that the squared distances are summed from.  ``h`` is the
+    bandwidth, or a KernelSpec whose policy is applied to these pairs (then
+    xa and xb are the same ensemble).  When xa is xb, each G[a] is exactly
+    antisymmetric.
+    """
+    G = np.empty((xa.shape[1], xa.shape[0], xb.shape[0]))
+    d2 = _pair_sq(xa, xb, G)
+    if isinstance(h, KernelSpec):
+        h = _bandwidth_from_sq(h, d2)
+    q = _q_from_sq(d2, h)
+    scale = q * q
+    scale *= q
+    scale /= -(h * h)
+    G *= scale
+    return h, q, G
 
 
 def imq_eval(x, y, h) -> float:
@@ -175,34 +159,11 @@ def imq_grad1(x, y, h) -> np.ndarray:
     return -u / (h * h) * q**3
 
 
-def imq_cross(xa, xb, h) -> np.ndarray:
-    """Kernel matrix K(xa_i, xb_j) of shape (na, nb)."""
-    h = _check_h(h)
-    _, d2 = _pair_diff_sq(np.atleast_2d(xa), np.atleast_2d(xb))
-    return _q_from_sq(d2, h)
-
-
-def imq_cross_parts(xa, xb, h) -> tuple:
-    """Kernel matrix and first-argument gradient tensor in one pass.
-
-    Returns (K, T) with K[i, j] = K(xa_i, xb_j) and
-    T[i, j, :] = grad_x K(xa_i, xb_j).
-    """
-    h = _check_h(h)
-    diff, d2 = _pair_diff_sq(np.atleast_2d(xa), np.atleast_2d(xb))
-    q = _q_from_sq(d2, h)
-    return q, _grads_from(diff, q, h)
-
-
-def imq_cross_grad1(xa, xb, h) -> np.ndarray:
-    """Gradient tensor T[i, j, :] = grad_x K(xa_i, xb_j), shape (na, nb, d)."""
-    return imq_cross_parts(xa, xb, h)[1]
-
-
 def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:
     """J x J matrix with entries K(X_i, X_j); symmetric with unit diagonal."""
     x = _positions(ensemble)
-    return imq_cross(x, x, resolve_bandwidth(spec, x))
+    d2 = _pair_sq(x, x)
+    return _q_from_sq(d2, _bandwidth_from_sq(spec, d2))
 
 
 def kernel_jacobian(ensemble, spec: KernelSpec, i: int) -> np.ndarray:
@@ -215,8 +176,8 @@ def kernel_jacobian(ensemble, spec: KernelSpec, i: int) -> np.ndarray:
     J = x.shape[0]
     if not 0 <= i < J:
         raise IndexError(f"particle index {i} out of range for J={J}")
-    h = resolve_bandwidth(spec, x)
-    return imq_cross_grad1(x[i : i + 1], x, h)[0]
+    _, _, G = _pair_kernel(x[i : i + 1], x, _bandwidth_from_sq(spec, _pair_sq(x, x)))
+    return G[:, 0, :].T
 
 
 def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
@@ -229,12 +190,4 @@ def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
     x = _positions(ensemble)
     if x.shape[0] < 2:
         return float(h_floor)
-    _, d2 = _pair_diff_sq(x, x)
-    return _median_bw_from_sq(d2, h_floor)
-
-
-def resolve_bandwidth(spec: KernelSpec, ensemble) -> float:
-    """Bandwidth for the current ensemble under ``spec``'s policy."""
-    if spec.bandwidth is not None:
-        return float(spec.bandwidth)
-    return median_bandwidth(ensemble, h_floor=spec.h_floor)
+    return _median_bw_from_sq(_pair_sq(x, x), h_floor)

@@ -2,33 +2,28 @@
 
 An :class:`Ensemble` is an immutable snapshot of J particle positions in R^d
 plus the pseudo-time t of the transport.  A :class:`FlowWorkspace` gathers the
-derived quantities every update rule needs: the kernel matrix, the gradient
-tensor of the kernel basis, the Gram-type coupling matrix
+derived quantities every update rule needs: the kernel matrix, the
+per-coordinate gradient blocks G[a, i, l] = d/dx_a K(X_i, X_l) of the kernel
+basis, and the Gram-type coupling matrix
 
-    M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >,
+    M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >
+            = (1/J) sum_a (G_a^T G_a)[l, m].
 
-and the unweighted kernel mean.  M is symmetric positive semidefinite; a
-Tikhonov term lam * I makes it definite for the solves, which use a
-symmetric-definite (Cholesky) factorization.
+M is symmetric positive semidefinite; a Tikhonov term lam * I makes it
+definite for the solves, which use a symmetric-definite (Cholesky)
+factorization.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NumericalStabilityError
-from .kernels import (
-    KernelSpec,
-    _basis_major_grads,
-    _median_bw_from_sq,
-    _pair_diff_sq,
-    _q_from_sq,
-)
+from .kernels import KernelSpec, _pair_kernel
 
 
 @dataclass(frozen=True)
@@ -60,40 +55,26 @@ class Ensemble:
 
 @dataclass
 class FlowWorkspace:
-    """Per-step derived quantities, all computed at one shared bandwidth.
+    """Per-step derived quantities, all computed at one shared bandwidth ``h``.
 
-    ``grads[i, l, :]`` is grad_1 K(X_i, X_l); ``basis`` is the same tensor
-    reshaped to (J, J*d) with the basis index first, so M = basis basis^T / J.
-    ``a`` is the mean of the kernel basis over the unweighted ensemble; ``b``
-    (the weighted counterpart) is filled in by :func:`kernel_means` once
-    importance weights are known.
+    ``G`` holds the (d, J, J) gradient blocks G[a, i, l] = d/dx_a K(X_i, X_l).
+    With Gr its (d*J, J) reshape, M = Gr^T Gr / J, and the field
+    x -> Jac(K_basis)(x)^T f at the particles is the transposed (d, J)
+    reshape of Gr f.
     """
 
     h: float
     Kmat: np.ndarray
-    grads: np.ndarray
-    basis: np.ndarray = field(repr=False)
     M: np.ndarray
-    a: np.ndarray
-    b: Optional[np.ndarray] = None
+    G: np.ndarray
 
 
 def build_workspace(ensemble, spec: KernelSpec) -> FlowWorkspace:
     x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    J = x.shape[0]
-    diff, d2 = _pair_diff_sq(x, x)
-    h = spec.bandwidth if spec.bandwidth is not None else _median_bw_from_sq(d2, spec.h_floor)
-    kmat = _q_from_sq(d2, h)
-    basis3 = _basis_major_grads(diff, kmat, h)
-    basis = basis3.reshape(J, -1)
-    return FlowWorkspace(
-        h=float(h),
-        Kmat=kmat,
-        grads=basis3.transpose(1, 0, 2),
-        basis=basis,
-        M=basis @ basis.T / J,
-        a=kmat @ np.full(J, 1.0 / J),
-    )
+    J, d = x.shape
+    h, kmat, G = _pair_kernel(x, x, spec)
+    Gr = G.reshape(d * J, J)
+    return FlowWorkspace(h=float(h), Kmat=kmat, M=Gr.T @ Gr / J, G=G)
 
 
 def assemble_M(ensemble, spec: KernelSpec) -> np.ndarray:
@@ -146,6 +127,22 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
         return solve_M(regularize(M, fallback), rhs)
 
 
+def _log_ratio_values(target, positions: np.ndarray) -> np.ndarray:
+    """log(pi_1/pi_0) at the J particles, checked to be a finite (J,) vector."""
+    r = np.atleast_1d(np.asarray(target.log_ratio(positions), dtype=np.float64))
+    if r.shape != positions.shape[:1]:
+        raise ValueError(
+            f"log_ratio returned shape {r.shape} for {positions.shape[0]} "
+            f"particles; expected shape {positions.shape[:1]}"
+        )
+    if not np.isfinite(r).all():
+        bad = np.argwhere(~np.isfinite(r)).ravel()
+        raise NumericalStabilityError(
+            f"non-finite log density ratio for particles {bad.tolist()}"
+        )
+    return r
+
+
 def importance_weights(ensemble, target, dt: float) -> np.ndarray:
     """Self-normalized importance weights w_j proportional to (pi_1/pi_0)^dt.
 
@@ -157,25 +154,8 @@ def importance_weights(ensemble, target, dt: float) -> np.ndarray:
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    r = np.atleast_1d(np.asarray(target.log_ratio(x), dtype=np.float64))
-    if not np.isfinite(r).all():
-        bad = np.argwhere(~np.isfinite(r)).ravel()
-        raise NumericalStabilityError(
-            f"non-finite log density ratio for particles {bad.tolist()}"
-        )
+    r = _log_ratio_values(target, x)
     z = dt * (r - r[0])
     e = np.exp(z - z.max())
     return e / e.sum()
 
-
-def kernel_means(workspace: FlowWorkspace, weights: np.ndarray) -> tuple:
-    """Unweighted and weighted means (a, b) of the kernel basis.
-
-    a = Kmat @ (1/J, ..., 1/J)^T and b = Kmat @ weights; fills ``workspace.b``.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (workspace.Kmat.shape[0],):
-        raise ValueError("weights must be a length-J vector")
-    b = workspace.Kmat @ weights
-    workspace.b = b
-    return workspace.a, b

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kfrflow.kernels import median_bandwidth
+from kfrflow.kernels import imq_eval, imq_grad1, median_bandwidth
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -38,6 +38,30 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(float(np.linalg.norm(exact)), 1e-300)
     return float(np.linalg.norm(approx - exact)) / denom
+
+
+def basis_gradient_oracle(x, h):
+    """The (J, J*d) matrix B[l, i*d + a] = d/dx_a K(X_i, X_l), one
+    ``imq_grad1`` call per pair; the coupling matrix is M = B B^T / J."""
+    x = np.asarray(x, dtype=np.float64)
+    J, d = x.shape
+    B = np.zeros((J, J * d))
+    for ell in range(J):
+        for i in range(J):
+            B[ell, i * d : (i + 1) * d] = imq_grad1(x[i], x[ell], h)
+    return B
+
+
+def svgd_phi_oracle(x, scores, h):
+    """Loop transcription of the SVGD direction
+    phi(x_i) = (1/J) sum_j [K(X_j, x_i) s(X_j) + grad_1 K(X_j, x_i)]."""
+    x = np.asarray(x, dtype=np.float64)
+    J = x.shape[0]
+    phi = np.zeros_like(x)
+    for i in range(J):
+        for j in range(J):
+            phi[i] += imq_eval(x[j], x[i], h) * scores[j] + imq_grad1(x[j], x[i], h)
+    return phi / J
 
 
 def stein_kernel_matrix(x, scores, h):

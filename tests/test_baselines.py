@@ -9,9 +9,11 @@ from scipy.stats import norm
 from kfrflow.baselines import RwmConfig, rwm_run, svgd_step, ula_step
 from kfrflow.errors import CapabilityError
 from kfrflow.integrators import make_rng, split_rngs
-from kfrflow.kernels import KernelSpec
+from kfrflow.kernels import KernelSpec, median_bandwidth
 from kfrflow.particles import Ensemble
-from kfrflow.targets import TargetModel, make_gaussian
+from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
+
+from helpers import rel_err, svgd_phi_oracle
 
 
 class OnesRng:
@@ -34,6 +36,16 @@ class TestSvgd:
         out = svgd_step(e, g, KernelSpec(bandwidth=1.0), 0.1)
         # phi = K(x,x) * (-2) + 0 = -2; x + 0.1 * phi = 1.8
         assert out.positions[0, 0] == pytest.approx(1.8, rel=1e-15)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(79)
+        for target, J in ((make_bayesian_2d("donut"), 30), (make_gaussian(np.ones(5), 0.6), 20)):
+            x = rng.standard_normal((J, target.dim))
+            for spec in (KernelSpec(), KernelSpec(bandwidth=0.7)):
+                h = spec.bandwidth or median_bandwidth(x)
+                phi = svgd_phi_oracle(x, target.score_target(x), h)
+                out = svgd_step(Ensemble(x, 0.0), target, spec, 0.05).positions
+                assert rel_err((out - x) / 0.05, phi) <= 1e-12
 
     def test_permutation_equivariance(self):
         g = make_gaussian([1.0, -1.0], 0.7)

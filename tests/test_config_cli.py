@@ -263,6 +263,17 @@ class TestSweep:
         best = result.selection[0]
         assert best["final_ksd"] == min(cells.values())
 
+    def test_invalid_last_cell_runs_no_cell(self, monkeypatch):
+        import kfrflow.harness
+
+        calls = []
+        monkeypatch.setattr(kfrflow.harness, "run_experiment", lambda cfg: calls.append(cfg))
+        cfg = RunConfig(target="donut", sampler="kfrflow-i", J=5, N=2, trials=1)
+        # a unit-time sampler rejects T != 1: only the last cell is invalid
+        with pytest.raises(ValueError, match="unit time"):
+            sweep(cfg, {"T": [1.0, 2.0]})
+        assert len(calls) == 0
+
     def test_unknown_grid_key_rejected(self):
         cfg = RunConfig(target="donut", sampler="kfrflow-i", J=5, N=2, trials=1)
         with pytest.raises(ValueError, match="unknown sweep"):

@@ -14,7 +14,7 @@ from kfrflow.flows import (
     tempered_score,
 )
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec, imq_cross, median_bandwidth
+from kfrflow.kernels import KernelSpec, _pair_kernel, median_bandwidth
 from kfrflow.particles import Ensemble, build_workspace, importance_weights
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
 
@@ -103,6 +103,24 @@ class TestVelocity:
             v = kfrflow_velocity(e, target, spec, lam)
             vo = velocity_oracle(e, target, spec, lam)
             assert np.linalg.norm(v - vo) <= 1e-10 * (1 + np.linalg.norm(vo))
+
+
+class TestLogRatioShape:
+    def test_short_log_ratio_names_both_shapes(self):
+        rng = np.random.default_rng(45)
+        e = Ensemble(rng.standard_normal((6, 2)), 0.0)
+        short = TargetModel(
+            name="short",
+            dim=2,
+            log_ratio=lambda x: np.zeros(np.atleast_2d(x).shape[0] - 1),
+            sample_reference=lambda rng, n: rng.standard_normal((n, 2)),
+        )
+        for call in (
+            lambda: kfrflow_velocity(e, short, KernelSpec(), 1e-6),
+            lambda: importance_weights(e, short, 0.1),
+        ):
+            with pytest.raises(ValueError, match=r"\(5,\).*\(6,\)"):
+                call()
 
 
 class TestImportanceStep:
@@ -213,7 +231,7 @@ class TestNewtonTransport:
 
         def residual_after(iters):
             out = sample_ot_newton(e, donut, spec, 0.05, lam, iters=iters)
-            g = imq_cross(out.positions, x, h).mean(axis=0)
+            g = _pair_kernel(out.positions, x, h)[1].mean(axis=0)
             return np.linalg.norm(g - b)
 
         r1, r3 = residual_after(1), residual_after(3)
@@ -294,5 +312,3 @@ class TestFlowConfig:
             FlowConfig(lam=-1.0)
         with pytest.raises(ValueError):
             FlowConfig(eps=-0.5)
-        with pytest.raises(ValueError):
-            FlowConfig(newton_iters=0)

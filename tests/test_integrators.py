@@ -19,9 +19,13 @@ from kfrflow.particles import Ensemble
 
 class TestSchedule:
     def test_grid_is_exact(self):
+        e = Ensemble(np.zeros((1, 1)), 0.0)
         for n in (1, 3, 7, 64, 100):
-            s = Schedule(n)
-            grid = s.t_grid
+            times = []
+            run_unit_time(
+                e, lambda ens, k, t: ens, Schedule(n), [lambda k, t, *_: times.append(t)]
+            )
+            grid = np.asarray(times)
             assert grid[0] == 0.0
             assert grid[-1] == 1.0
             assert np.all(np.abs(grid - np.arange(n + 1) / n) < 1e-12)

@@ -7,8 +7,7 @@ import pytest
 
 from kfrflow.kernels import (
     KernelSpec,
-    imq_cross,
-    imq_cross_grad1,
+    _pair_kernel,
     imq_eval,
     imq_grad1,
     kernel_jacobian,
@@ -103,7 +102,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(4)
         xa = rng.standard_normal((4, 2))
         xb = rng.standard_normal((3, 2))
-        k = imq_cross(xa, xb, 0.8)
+        _, k, _ = _pair_kernel(xa, xb, 0.8)
         for i in range(4):
             for j in range(3):
                 assert k[i, j] == pytest.approx(imq_eval(xa[i], xb[j], 0.8), rel=1e-14)
@@ -141,10 +140,38 @@ class TestKernelJacobian:
     def test_batch_tensor_consistent(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
-        t = imq_cross_grad1(x, x, 0.75)
+        _, _, G = _pair_kernel(x, x, 0.75)
         spec = KernelSpec(bandwidth=0.75)
         for i in range(4):
-            assert np.array_equal(t[i], kernel_jacobian(x, spec, i))
+            assert np.array_equal(G[:, i, :].T, kernel_jacobian(x, spec, i))
+
+
+class TestPairKernel:
+    def test_blocks_match_pointwise_gradient(self):
+        rng = np.random.default_rng(10)
+        xa = rng.standard_normal((4, 3))
+        xb = rng.standard_normal((5, 3))
+        h, q, G = _pair_kernel(xa, xb, 0.9)
+        assert h == 0.9 and q.shape == (4, 5) and G.shape == (3, 4, 5)
+        for i in range(4):
+            for ell in range(5):
+                assert rel_err(G[:, i, ell], imq_grad1(xa[i], xb[ell], 0.9)) < 1e-14
+
+    def test_blocks_exactly_antisymmetric_on_one_ensemble(self):
+        rng = np.random.default_rng(11)
+        for J, d in ((1, 1), (2, 2), (30, 5)):
+            x = rng.standard_normal((J, d)) * 3.0
+            _, q, G = _pair_kernel(x, x, KernelSpec())
+            assert np.array_equal(q, q.T)
+            for a in range(d):
+                assert np.array_equal(G[a], -G[a].T)
+
+    def test_spec_policy_resolved_on_the_pairs(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((9, 2))
+        assert _pair_kernel(x, x, KernelSpec())[0] == median_bandwidth(x)
+        assert _pair_kernel(x, x, KernelSpec(bandwidth=0.4))[0] == 0.4
+        assert _pair_kernel(np.ones((3, 2)), np.ones((3, 2)), KernelSpec())[0] == 1e-6
 
 
 class TestMedianBandwidth:

@@ -1,5 +1,6 @@
 """Ensemble state, coupling-matrix assembly, solves, and importance weights."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,13 @@ from kfrflow.particles import (
     assemble_M,
     build_workspace,
     importance_weights,
-    kernel_means,
     regularize,
     solve_M,
     spd_solve,
 )
 from kfrflow.targets import make_gaussian
+
+from helpers import basis_gradient_oracle, rel_err
 
 
 def brute_force_M(x, h):
@@ -243,15 +245,20 @@ class TestImportanceWeights:
 
 
 class TestKernelMeans:
+    """The kernel means a = (1/J) 1^T K and b = w^T K that KFRFlow-I forms
+    from the workspace."""
+
     def test_uniform_weights_equalize(self):
         rng = np.random.default_rng(32)
-        ws = build_workspace(rng.standard_normal((7, 2)), KernelSpec())
-        a, b = kernel_means(ws, np.full(7, 1.0 / 7))
+        x = rng.standard_normal((7, 2))
+        ws = build_workspace(x, KernelSpec())
+        w = importance_weights(x, make_gaussian([1.0, 0.0], 0.5), 0.0)
+        a, b = np.full(7, 1.0 / 7) @ ws.Kmat, w @ ws.Kmat
         assert np.array_equal(a, b)
 
     def test_single_particle(self):
         ws = build_workspace(np.zeros((1, 2)), KernelSpec(bandwidth=1.0))
-        a, b = kernel_means(ws, np.ones(1))
+        a, b = np.full(1, 1.0) @ ws.Kmat, np.ones(1) @ ws.Kmat
         assert np.array_equal(a, np.ones(1))
         assert np.array_equal(b, np.ones(1))
 
@@ -261,16 +268,18 @@ class TestKernelMeans:
         spec = KernelSpec(bandwidth=1.2)
         ws = build_workspace(x, spec)
         w = rng.dirichlet(np.ones(6))
-        _, b = kernel_means(ws, w)
+        b = w @ ws.Kmat
         expected = np.zeros(6)
         for ell in range(6):
             expected[ell] = sum(w[j] * imq_eval(x[j], x[ell], 1.2) for j in range(6))
         assert np.allclose(b, expected, atol=1e-13)
 
     def test_rejects_bad_shape(self):
-        ws = build_workspace(np.zeros((3, 1)), KernelSpec(bandwidth=1.0))
+        # weights come from the log ratio, which must have one value per particle
+        target = make_gaussian([0.0], 1.0)
+        four = dataclasses.replace(target, log_ratio=lambda x: np.zeros(4))
         with pytest.raises(ValueError):
-            kernel_means(ws, np.ones(4))
+            importance_weights(np.zeros((3, 1)), four, 0.1)
 
 
 class TestWorkspace:
@@ -287,5 +296,19 @@ class TestWorkspace:
 
     def test_unweighted_mean_is_row_mean(self):
         rng = np.random.default_rng(35)
-        ws = build_workspace(rng.standard_normal((5, 2)), KernelSpec())
-        assert np.allclose(ws.a, ws.Kmat.mean(axis=0), rtol=1e-14)
+        x = rng.standard_normal((5, 2))
+        ws = build_workspace(x, KernelSpec())
+        a = np.full(5, 1.0 / 5) @ ws.Kmat
+        expected = [np.mean([imq_eval(x[j], x[ell], ws.h) for j in range(5)]) for ell in range(5)]
+        assert np.allclose(a, ws.Kmat.mean(axis=0), rtol=1e-14)
+        assert np.allclose(a, expected, rtol=1e-14)
+
+    def test_M_matches_gradient_oracle(self):
+        rng = np.random.default_rng(36)
+        for J in (1, 2, 50):
+            for d in (1, 2, 20):
+                x = rng.standard_normal((J, d))
+                ws = build_workspace(x, KernelSpec())
+                B = basis_gradient_oracle(x, ws.h)
+                assert rel_err(ws.M, B @ B.T / J) <= 1e-13, (J, d)
+                assert ws.G.shape == (d, J, J)
