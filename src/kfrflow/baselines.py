@@ -66,7 +66,8 @@ def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float) ->
     """One Stein variational gradient descent update with the IMQ kernel.
 
     phi(x) = (1/J) sum_j [ K(X_j, x) grad log pi_1(X_j) + grad_1 K(X_j, x) ],
-    bandwidth from the per-step median heuristic.
+    bandwidth from the per-step median heuristic.  The ensemble time
+    advances by the step size.
     """
     if not step_size > 0:
         raise ValueError(f"step_size must be > 0, got {step_size}")
@@ -75,7 +76,7 @@ def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float) ->
     _, q, G = _pair_kernel(x, x, spec)
     # q and each G[a] are indexed [j, i]: sum over the source particles j
     phi = (q @ score(x) + G.sum(axis=1).T) / x.shape[0]
-    return Ensemble(x + step_size * phi, ensemble.t)
+    return Ensemble(x + step_size * phi, ensemble.t + step_size)
 
 
 def ula_step(
@@ -85,6 +86,7 @@ def ula_step(
 
     X_j <- X_j + step * grad log pi_1(X_j) + sqrt(2 step) * xi_j with one RNG
     stream per chain, so chains never interact through the noise either.
+    The ensemble time advances by the step size.
     """
     if not step_size > 0:
         raise ValueError(f"step_size must be > 0, got {step_size}")
@@ -94,7 +96,7 @@ def ula_step(
         raise ValueError(f"need one RNG stream per chain: {len(rngs)} vs J={x.shape[0]}")
     xi = np.stack([rng.standard_normal(x.shape[1]) for rng in rngs])
     new = x + step_size * score(x) + np.sqrt(2.0 * step_size) * xi
-    return Ensemble(new, ensemble.t)
+    return Ensemble(new, ensemble.t + step_size)
 
 
 def _log_target(target):

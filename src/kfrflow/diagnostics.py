@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .flows import tempered_score
 from .kernels import _pair_sq, _q_from_sq
 
 
@@ -98,32 +97,3 @@ def ksd(samples, score_fn, cfg: KsdConfig | None = None) -> float:
         raise CapabilityError("KSD requires the score of the tested distribution")
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     return stein_discrepancies(x, [score_fn(x)], cfg)[0]
-
-
-def moments(ensemble) -> tuple:
-    """Sample mean and unbiased sample covariance of an ensemble."""
-    x = np.asarray(getattr(ensemble, "positions", ensemble), dtype=np.float64)
-    if x.shape[0] < 2:
-        raise ValueError("covariance undefined for fewer than two particles")
-    mean = x.mean(axis=0)
-    cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
-    return mean, cov
-
-
-def tempered_ksd_trace(snapshots, target, cfg: KsdConfig | None = None) -> list:
-    """KSD of each snapshot against the geometric mixture at its time.
-
-    ``snapshots`` is an iterable of (t, positions) pairs or of Ensembles.
-    """
-    if not target.has_scores:
-        raise CapabilityError(
-            f"target {target.name!r} does not provide scores for tempered KSD"
-        )
-    out = []
-    for snap in snapshots:
-        if hasattr(snap, "positions"):
-            t, x = snap.t, snap.positions
-        else:
-            t, x = snap
-        out.append((float(t), ksd(x, lambda y: tempered_score(target, y, t), cfg)))
-    return out

@@ -17,3 +17,7 @@ class NumericalStabilityError(RuntimeError):
             message = f"step {step}: {message}"
         super().__init__(message)
         self.step = step
+
+
+class NonFiniteStateError(NumericalStabilityError, ValueError):
+    """Particle coordinates went non-finite: a blow-up, and an invalid value."""

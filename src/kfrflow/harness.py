@@ -2,9 +2,11 @@
 
 Every run is fully determined by (config, seed): trial seeds are
 seed + trial_index, per-chain streams are spawned from the trial stream, and
-rows are assembled in (trial, step) order.  Unstable trials (any non-finite
-coordinate or diagnostic, or a failed solve) keep their rows up to the
-failure, are flagged, and are excluded from the cross-trial summary.
+rows are assembled in (trial, step) order.  A trial is unstable when it raises
+:class:`NumericalStabilityError`: a non-finite coordinate, velocity, log
+ratio or diagnostic, or a failed solve.  Unstable trials keep their rows up to
+the failure, are flagged, and are excluded from the cross-trial summary.
+Every other error (a target returning the wrong shape, say) propagates.
 
 Results serialize to one CSV per run plus a JSON sidecar echoing the resolved
 config.  Set the environment variable ``KFRFLOW_WORKERS`` to run trials
@@ -40,7 +42,6 @@ from .flows import (
 from .integrators import (
     Schedule,
     make_rng,
-    map_stepper,
     run_unit_time,
     sde_stepper,
     velocity_stepper,
@@ -69,12 +70,6 @@ class RunRecord:
         if not self.summary:
             return float("nan")
         return self.summary[-1]["ksd_target"]
-
-
-def _observation_steps(config: RunConfig) -> set:
-    steps = set(range(0, config.N + 1, config.observe_every))
-    steps.update((0, config.N))
-    return steps
 
 
 def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered):
@@ -108,34 +103,28 @@ def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered):
 
 
 def _make_stepper(base, iters, config, target, spec, rng):
+    """The sampler's update as a stepper ``step(ens) -> Ensemble``."""
     dt = config.dt
     lam, eps = config.lam, config.eps
-    if base == "kfrflow-euler":
+    if base in ("kfrflow-euler", "kfrflow-ab4"):
         return velocity_stepper(
-            lambda e: kfrflow_velocity(e, target, spec, lam), dt, "euler"
+            lambda e: kfrflow_velocity(e, target, spec, lam), dt,
+            base.removeprefix("kfrflow-"),
         )
-    if base == "kfrflow-ab4":
-        return velocity_stepper(
-            lambda e: kfrflow_velocity(e, target, spec, lam), dt, "ab4"
-        )
-    if base == "kfrflow-i":
-        return map_stepper(
-            lambda e, dt_: kfrflow_i_step(e, target, spec, dt_, lam), dt
-        )
-    if base == "kfrflow-i-newton":
-        return map_stepper(
-            lambda e, dt_: sample_ot_newton(e, target, spec, dt_, lam, iters), dt
-        )
+    if base in ("kfrflow-i", "kfrflow-i-newton"):
+        if (iters or 1) == 1:  # one Newton step is the KFRFlow-I map
+            return lambda e: kfrflow_i_step(e, target, spec, dt, lam)
+        return lambda e: sample_ot_newton(e, target, spec, dt, lam, iters)
     if base == "kfrd":
         cfg = FlowConfig(lam=lam, eps=eps)
         return sde_stepper(
             lambda e: kfrd_drift(e, target, spec, cfg, e.t), dt, rng
         )
     if base == "svgd":
-        return lambda e, k, t_next: svgd_step(e, target, spec, dt)
+        return lambda e: svgd_step(e, target, spec, dt)
     if base == "ula":
         chain_rngs = rng.spawn(config.J)
-        return lambda e, k, t_next: ula_step(e, target, dt, chain_rngs)
+        return lambda e: ula_step(e, target, dt, chain_rngs)
     raise ValueError(f"no stepper for sampler {base!r}")
 
 
@@ -145,53 +134,37 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     ksd_cfg = KsdConfig(h=1.0, estimator=config.ksd_estimator)
     base, iters = parse_sampler(config.sampler)
     rng = make_rng(config.seed + trial)
-    dim = target.dim
     x0 = target.sample_reference(rng, config.J)
-    obs_steps = _observation_steps(config)
+    obs_steps = set(range(0, config.N + 1, config.observe_every)) | {0, config.N}
     tempered = base in UNIT_TIME_SAMPLERS
     rows = []
 
-    if base.startswith("rwm-"):
-        rows.append(_row(dim, trial, 0, 0.0, x0, 0, ksd_cfg, target, tempered))
-        rcfg = RwmConfig(
-            steps=config.N, n_samples=config.J, mode=base.removeprefix("rwm-")
-        )
-        tic = time.perf_counter_ns()
-        try:
+    def observe(k, t, positions, step_ns):
+        if k in obs_steps:
+            rows.append(_row(target.dim, trial, k, t, positions, step_ns,
+                             ksd_cfg, target, tempered))
+
+    try:
+        if base.startswith("rwm-"):
+            observe(0, 0.0, x0, 0)
+            rcfg = RwmConfig(
+                steps=config.N, n_samples=config.J, mode=base.removeprefix("rwm-")
+            )
+            tic = time.perf_counter_ns()
             result = rwm_run(target, rcfg, rng)
             elapsed = time.perf_counter_ns() - tic
-            rows.append(
-                _row(
-                    dim, trial, config.N, 1.0, result.samples,
-                    elapsed // config.N, ksd_cfg, target, tempered,
-                )
+            observe(config.N, 1.0, result.samples, elapsed // config.N)
+        else:
+            run_unit_time(
+                Ensemble(x0, 0.0), _make_stepper(base, iters, config, target, spec, rng),
+                Schedule(config.N), [lambda k, t, ens, ns: observe(k, t, ens.positions, ns)],
+                total_time=config.T,
             )
-        except (NumericalStabilityError, ValueError):
-            return _flag_unstable(rows), False
-        return rows, True
-
-    def observer(k, t, ens, step_ns):
-        if k in obs_steps:
-            rows.append(
-                _row(dim, trial, k, t, ens.positions, step_ns,
-                     ksd_cfg, target, tempered)
-            )
-
-    stepper = _make_stepper(base, iters, config, target, spec, rng)
-    try:
-        run_unit_time(
-            Ensemble(x0, 0.0), stepper, Schedule(config.N), [observer],
-            total_time=config.T,
-        )
     except NumericalStabilityError:
-        return _flag_unstable(rows), False
+        for row in rows:
+            row["stable"] = 0
+        return rows, False
     return rows, True
-
-
-def _flag_unstable(rows):
-    for row in rows:
-        row["stable"] = 0
-    return rows
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
@@ -351,7 +324,12 @@ class BenchResult:
 
 
 def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResult:
-    """Median wall time of one ensemble update, from a fixed warmed-up state."""
+    """Median wall time of one ensemble update, from a fixed warmed-up state.
+
+    Every call steps the same initial ensemble; stateful steppers keep their
+    state, so after the three default warm-up calls kfrflow-ab4 times the
+    Adams-Bashforth update.
+    """
     base, iters = parse_sampler(config.sampler)
     if base.startswith("rwm-"):
         raise ValueError("bench_step does not support rwm samplers")
@@ -362,10 +340,10 @@ def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResul
     stepper = _make_stepper(base, iters, config, target, spec, rng)
 
     for _ in range(warmup):
-        stepper(ens, 0, config.dt)
+        stepper(ens)
     times = []
     for _ in range(max(int(reps), 30)):
         tic = time.perf_counter_ns()
-        stepper(ens, 0, config.dt)
+        stepper(ens)
         times.append(time.perf_counter_ns() - tic)
     return BenchResult(median_ns=int(np.median(times)), times_ns=times)

@@ -1,5 +1,9 @@
 """Time-stepping drivers: explicit Euler, fourth-order Adams-Bashforth, and
-Euler-Maruyama, plus the unit-time schedule and seeded RNG streams.
+Euler-Maruyama steppers, the unit-time loop, and seeded RNG streams.
+
+A stepper is any callable ``step(ensemble) -> Ensemble`` that advances the
+ensemble by one step; it keeps whatever state it needs (AB4 its velocity
+history, the SDE its noise stream).
 
 Grid times are always computed as (step index) * (T / N) rather than by
 repeated addition, so the final time is exactly T and intermediate times carry
@@ -36,15 +40,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
     Identical seeds produce identical draw sequences across runs and
     platforms; trial seeds are derived as base seed + trial index, and
-    per-chain streams come from :func:`split_rngs`.
+    per-chain streams are spawned from the trial stream.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
-def split_rngs(seed: int, n: int) -> list:
-    """n independent child streams of a seed (SeedSequence spawn)."""
-    children = np.random.SeedSequence(int(seed)).spawn(n)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
 def _finite_velocity(v) -> np.ndarray:
@@ -54,75 +52,47 @@ def _finite_velocity(v) -> np.ndarray:
     return v
 
 
-def euler_step(ensemble: Ensemble, velocity_fn: Callable, dt: float) -> Ensemble:
-    """X <- X + dt * v(X)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    v = _finite_velocity(velocity_fn(ensemble))
-    return Ensemble(ensemble.positions + dt * v, ensemble.t + dt)
-
-
-def ab4_step(history: Sequence[np.ndarray], ensemble: Ensemble, dt: float) -> Ensemble:
-    """Fourth-order Adams-Bashforth step.
-
-    ``history`` holds the last four velocities, newest first: v(t), v(t-dt),
-    v(t-2dt), v(t-3dt).  X <- X + (dt/24)(55 v0 - 59 v1 + 37 v2 - 9 v3).
-    """
-    if len(history) < 4:
-        raise RuntimeError(
-            "Adams-Bashforth driver bug: need 4 stored velocities, "
-            f"got {len(history)}"
-        )
-    combo = sum(c * np.asarray(h) for c, h in zip(AB4_COEFFS, history))
-    return Ensemble(ensemble.positions + (dt / 24.0) * combo, ensemble.t + dt)
-
-
-def euler_maruyama_step(
-    ensemble: Ensemble, drift_fn: Callable, dt: float, rng: np.random.Generator
-) -> Ensemble:
-    """X <- X + dt * drift(X) + coeff * sqrt(dt) * xi, xi ~ N(0, I).
-
-    ``drift_fn`` returns (drift rows, diffusion coefficient).  With a zero
-    coefficient this reproduces :func:`euler_step` exactly.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    drift, coeff = drift_fn(ensemble)
-    drift = _finite_velocity(drift)
-    xi = rng.standard_normal(ensemble.positions.shape)
-    new = ensemble.positions + dt * drift + (coeff * np.sqrt(dt)) * xi
-    return Ensemble(new, ensemble.t + dt)
-
-
 def velocity_stepper(velocity_fn: Callable, dt: float, method: str = "euler") -> Callable:
-    """Stateful stepper for an ODE flow; AB4 warms up with three Euler steps."""
+    """Stepper ``step(ens) -> Ensemble`` for an ODE flow.
+
+    Euler: X <- X + dt v(X).  Fourth-order Adams-Bashforth over the last four
+    velocities, newest first: X <- X + (dt/24)(55 v0 - 59 v1 + 37 v2 - 9 v3);
+    the stepper stores them and takes Euler steps until it has four.
+    """
     if method not in ("euler", "ab4"):
         raise ValueError(f"unknown method {method!r}")
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     history: list = []
 
-    def step(ensemble: Ensemble, k: int, t_next: float) -> Ensemble:
+    def step(ensemble: Ensemble) -> Ensemble:
         v = _finite_velocity(velocity_fn(ensemble))
         history.insert(0, v)
         del history[4:]
-        if method == "ab4" and k >= 3:
-            return ab4_step(history, ensemble, dt)
-        return euler_step(ensemble, lambda _: v, dt)
+        if method == "ab4" and len(history) == 4:
+            combo = sum(c * h for c, h in zip(AB4_COEFFS, history))
+            return Ensemble(ensemble.positions + (dt / 24.0) * combo, ensemble.t + dt)
+        return Ensemble(ensemble.positions + dt * v, ensemble.t + dt)
 
     return step
 
 
 def sde_stepper(drift_fn: Callable, dt: float, rng: np.random.Generator) -> Callable:
-    def step(ensemble: Ensemble, k: int, t_next: float) -> Ensemble:
-        return euler_maruyama_step(ensemble, drift_fn, dt, rng)
+    """Euler-Maruyama stepper: X <- X + dt drift(X) + coeff sqrt(dt) xi.
 
-    return step
+    ``drift_fn`` returns (drift rows, diffusion coefficient) and xi ~ N(0, I)
+    is drawn from ``rng``.  With a zero coefficient each step equals the
+    Euler step of :func:`velocity_stepper` bit for bit.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
 
-
-def map_stepper(update_fn: Callable, dt: float) -> Callable:
-    """Stepper for discrete-time transport maps (KFRFlow-I and friends)."""
-
-    def step(ensemble: Ensemble, k: int, t_next: float) -> Ensemble:
-        return update_fn(ensemble, dt)
+    def step(ensemble: Ensemble) -> Ensemble:
+        drift, coeff = drift_fn(ensemble)
+        drift = _finite_velocity(drift)
+        xi = rng.standard_normal(ensemble.positions.shape)
+        new = ensemble.positions + dt * drift + (coeff * np.sqrt(dt)) * xi
+        return Ensemble(new, ensemble.t + dt)
 
     return step
 
@@ -130,7 +100,6 @@ def map_stepper(update_fn: Callable, dt: float) -> Callable:
 @dataclass
 class RunTrace:
     final: Ensemble
-    n_steps: int
 
 
 def run_unit_time(
@@ -142,10 +111,14 @@ def run_unit_time(
 ) -> RunTrace:
     """Apply N steps and invoke observers at every grid time, 0 and T included.
 
-    Observers are called as ``observer(step_index, t, ensemble, step_time_ns)``
-    with ``step_time_ns = 0`` for the initial state.  Any step failure is
-    re-raised with the step index attached; rows already collected by the
-    observers survive.
+    ``stepper`` is any callable ``step(ensemble) -> Ensemble``; the result is
+    placed at the grid time.  Observers are called as
+    ``observer(step_index, t, ensemble, step_time_ns)`` with
+    ``step_time_ns = 0`` for the initial state.  A
+    :class:`NumericalStabilityError` from a step (non-finite state, velocity
+    or log ratio, or a failed solve) is re-raised with the step index
+    attached; rows already collected by the observers survive.  Every other
+    error propagates unchanged.
     """
     if abs(initial.t) > 1e-12:
         raise ValueError(f"initial ensemble must start at t=0, got t={initial.t}")
@@ -157,15 +130,12 @@ def run_unit_time(
         t_next = (k + 1) * total_time / n
         tic = time.perf_counter_ns()
         try:
-            stepped = stepper(ens, k, t_next)
-            ens = Ensemble(stepped.positions, t_next)
+            ens = Ensemble(stepper(ens).positions, t_next)
         except NumericalStabilityError as err:
             if err.step is None:
                 raise NumericalStabilityError(str(err), step=k) from err
             raise
-        except ValueError as err:
-            raise NumericalStabilityError(str(err), step=k) from err
         step_ns = time.perf_counter_ns() - tic
         for obs in observers:
             obs(k + 1, t_next, ens, step_ns)
-    return RunTrace(final=ens, n_steps=n)
+    return RunTrace(final=ens)

@@ -166,20 +166,6 @@ def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:
     return _q_from_sq(d2, _bandwidth_from_sq(spec, d2))
 
 
-def kernel_jacobian(ensemble, spec: KernelSpec, i: int) -> np.ndarray:
-    """Jacobian of the basis map x -> (K(x, X_1), ..., K(x, X_J)) at X_i.
-
-    Row j is grad_x K(x, X_j) evaluated at x = X_i, so the result has shape
-    (J, d).
-    """
-    x = _positions(ensemble)
-    J = x.shape[0]
-    if not 0 <= i < J:
-        raise IndexError(f"particle index {i} out of range for J={J}")
-    _, _, G = _pair_kernel(x[i : i + 1], x, _bandwidth_from_sq(spec, _pair_sq(x, x)))
-    return G[:, 0, :].T
-
-
 def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
     """Median-heuristic bandwidth h = sqrt(med^2 / log(J+1)).
 

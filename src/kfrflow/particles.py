@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import NumericalStabilityError
+from .errors import NonFiniteStateError, NumericalStabilityError
 from .kernels import KernelSpec, _pair_kernel
 
 
@@ -37,7 +37,9 @@ class Ensemble:
             raise ValueError(f"positions must be a (J, d) array, got {pos.shape}")
         if not np.isfinite(pos).all():
             bad = np.argwhere(~np.isfinite(pos).all(axis=1)).ravel()
-            raise ValueError(f"non-finite coordinates for particles {bad.tolist()}")
+            raise NonFiniteStateError(
+                f"non-finite coordinates for particles {bad.tolist()}"
+            )
         t = float(self.t)
         if not np.isfinite(t) or t < -1e-15:
             raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -77,54 +79,38 @@ def build_workspace(ensemble, spec: KernelSpec) -> FlowWorkspace:
     return FlowWorkspace(h=float(h), Kmat=kmat, M=Gr.T @ Gr / J, G=G)
 
 
-def assemble_M(ensemble, spec: KernelSpec) -> np.ndarray:
-    """The J x J coupling matrix M at ``spec``'s bandwidth policy."""
-    return build_workspace(ensemble, spec).M
-
-
-def regularize(M: np.ndarray, lam: float) -> np.ndarray:
-    """Tikhonov regularization M + lam * I."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    out = np.array(M, dtype=np.float64, copy=True)
-    if lam > 0:
-        out[np.diag_indices_from(out)] += lam
-    return out
-
-
-def solve_M(Mreg: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve Mreg x = rhs by Cholesky factorization (Mreg must be SPD)."""
-    try:
-        chol = np.linalg.cholesky(Mreg)
-    except np.linalg.LinAlgError as err:
-        raise NumericalStabilityError(
-            "coupling matrix is not positive definite; increase the "
-            "regularization lambda"
-        ) from err
-    y = solve_triangular(chol, rhs, lower=True)
-    return solve_triangular(chol, y, lower=True, trans=1)
-
-
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (M + lam I) x = rhs with a one-shot fallback regularization.
+    """Solve (M + lam I) x = rhs by Cholesky, with a one-shot fallback.
 
     If factorization fails at the user's lam, retries once with
     lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second failure raises
     :class:`NumericalStabilityError`.
     """
-    try:
-        return solve_M(regularize(M, lam), rhs)
-    except NumericalStabilityError:
-        fallback = max(lam, 1e-8 * float(np.trace(M)) / M.shape[0])
-        if fallback <= lam:
-            raise
-        warnings.warn(
-            f"coupling-matrix solve failed at lambda={lam:g}; "
-            f"retrying with lambda={fallback:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return solve_M(regularize(M, fallback), rhs)
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    for retry in (False, True):
+        Mreg = np.array(M, dtype=np.float64, copy=True)
+        if lam > 0:
+            Mreg[np.diag_indices_from(Mreg)] += lam
+        try:
+            chol = np.linalg.cholesky(Mreg)
+            break
+        except np.linalg.LinAlgError as err:
+            fallback = max(lam, 1e-8 * float(np.trace(M)) / M.shape[0])
+            if retry or fallback <= lam:
+                raise NumericalStabilityError(
+                    "coupling matrix is not positive definite; increase the "
+                    "regularization lambda"
+                ) from err
+            warnings.warn(
+                f"coupling-matrix solve failed at lambda={lam:g}; "
+                f"retrying with lambda={fallback:g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            lam = fallback
+    y = solve_triangular(chol, rhs, lower=True)
+    return solve_triangular(chol, y, lower=True, trans=1)
 
 
 def _log_ratio_values(target, positions: np.ndarray) -> np.ndarray:

@@ -24,9 +24,9 @@ from kfrflow.flows import (
 from kfrflow.harness import bench_step
 from kfrflow.integrators import (
     Schedule,
-    euler_maruyama_step,
     make_rng,
     run_unit_time,
+    sde_stepper,
     velocity_stepper,
 )
 from kfrflow.kernels import KernelSpec, imq_eval, imq_grad1
@@ -267,8 +267,8 @@ class TestCriterion7Kfrd:
             rng = make_rng(17)
             ens = Ensemble(donut.sample_reference(rng, 30), 0.0)
             cfg = FlowConfig(lam=lam, eps=0.0)
-            stepper = lambda e, k, t: euler_maruyama_step(
-                e, lambda en: kfrd_drift(en, donut, spec, cfg, en.t), 1.0 / n, rng
+            stepper = sde_stepper(
+                lambda en: kfrd_drift(en, donut, spec, cfg, en.t), 1.0 / n, rng
             )
             return run_unit_time(ens, stepper, Schedule(n)).final.positions
 
@@ -290,8 +290,8 @@ class TestCriterion7Kfrd:
         def one_trial(trial):
             rng = make_rng(70 + trial)
             ens = Ensemble(funnel.sample_reference(rng, 100), 0.0)
-            stepper = lambda e, k, t: euler_maruyama_step(
-                e, lambda en: kfrd_drift(en, funnel, spec, cfg, en.t), 0.01, rng
+            stepper = sde_stepper(
+                lambda en: kfrd_drift(en, funnel, spec, cfg, en.t), 0.01, rng
             )
             trace = run_unit_time(ens, stepper, Schedule(100))
             final = trace.final.positions

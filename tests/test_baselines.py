@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from kfrflow.baselines import RwmConfig, rwm_run, svgd_step, ula_step
 from kfrflow.errors import CapabilityError
-from kfrflow.integrators import make_rng, split_rngs
+from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec, median_bandwidth
 from kfrflow.particles import Ensemble
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
@@ -106,8 +106,8 @@ class TestUla:
         g = make_gaussian([0.0, 0.0], 1.0)
         rng = np.random.default_rng(82)
         x = rng.standard_normal((5, 2))
-        rngs_a = split_rngs(3, 5)
-        rngs_b = split_rngs(3, 5)
+        rngs_a = make_rng(3).spawn(5)
+        rngs_b = make_rng(3).spawn(5)
         rngs_b[0] = make_rng(999)  # replace chain 0's stream
         a = ula_step(Ensemble(x, 0.0), g, 0.01, rngs_a).positions
         b = ula_step(Ensemble(x, 0.0), g, 0.01, rngs_b).positions
@@ -116,7 +116,7 @@ class TestUla:
 
     def test_long_run_stationary_variance(self):
         g = make_gaussian([0.0], 1.0)
-        rngs = split_rngs(11, 200)
+        rngs = make_rng(11).spawn(200)
         e = Ensemble(make_rng(12).standard_normal((200, 1)), 0.0)
         pooled = []
         for k in range(10_000):
@@ -129,7 +129,7 @@ class TestUla:
     def test_wrong_stream_count_rejected(self):
         g = make_gaussian([0.0], 1.0)
         with pytest.raises(ValueError, match="per chain"):
-            ula_step(Ensemble(np.zeros((3, 1)), 0.0), g, 0.01, split_rngs(0, 2))
+            ula_step(Ensemble(np.zeros((3, 1)), 0.0), g, 0.01, make_rng(0).spawn(2))
 
 
 class TestRwm:

@@ -1,21 +1,29 @@
 """Configuration parsing, the experiment harness, serialization, and the CLI."""
 
+import dataclasses
+import inspect
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from kfrflow.cli import main
-from kfrflow.config import RunConfig, parse_config, parse_grid, parse_sampler
+from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
+from kfrflow.errors import NumericalStabilityError
 from kfrflow.harness import (
+    _make_stepper,
     bench_step,
     run_experiment,
     sweep,
     write_record_csv,
 )
-from kfrflow.targets import TargetModel
+from kfrflow.integrators import make_rng
+from kfrflow.kernels import KernelSpec
+from kfrflow.particles import Ensemble
+from kfrflow.targets import TargetModel, target_by_name
 
 
 class TestSamplerParsing:
@@ -206,6 +214,40 @@ class TestRunExperiment:
         assert record.unstable_trials == [1]
         assert [(r["trial"], r["stable"]) for r in record.rows] == [(0, 1), (0, 1)]
 
+    @pytest.mark.parametrize("sampler", ["kfrflow-i", "kfrflow-euler"])
+    def test_short_log_ratio_raises_instead_of_flagging(self, monkeypatch, sampler):
+        # a log ratio with J-1 values is a fault of the target, not a
+        # numerical blow-up: it must not be filed as "unstable at step 0"
+        donut = target_by_name("donut")
+        short = dataclasses.replace(donut, log_ratio=lambda x: donut.log_ratio(x)[1:])
+        cfg = RunConfig(target="donut", sampler=sampler, J=6, N=4, lam=1e-3, seed=3, trials=2)
+        monkeypatch.setattr(RunConfig, "build_target", lambda self: short)
+        with pytest.raises(
+            ValueError, match=re.escape("shape (5,) for 6 particles; expected shape (6,)")
+        ) as info:
+            run_experiment(cfg)
+        assert not isinstance(info.value, NumericalStabilityError)
+        assert "step 0" not in str(info.value)
+
+    def test_rwm_score_shape_error_raises(self, monkeypatch):
+        # the target's score returns J-1 rows for the final ensemble only
+        donut = target_by_name("donut")
+        calls = []
+
+        def score_target(x):
+            calls.append(x.shape)
+            s = donut.score_target(x)
+            return s if len(calls) == 1 else s[:-1]
+
+        target = dataclasses.replace(donut, score_target=score_target)
+        cfg = RunConfig(target="donut", sampler="rwm-parallel", J=6, N=5, seed=3, trials=1)
+        monkeypatch.setattr(RunConfig, "build_target", lambda self: target)
+        with pytest.raises(
+            ValueError, match=re.escape("score shape (5, 2) does not match samples (6, 2)")
+        ):
+            run_experiment(cfg)
+        assert calls == [(6, 2), (6, 2)]
+
     def test_rwm_sampler_records_endpoints(self):
         cfg = RunConfig(
             target="butterfly", sampler="rwm-parallel", J=30, N=20,
@@ -326,6 +368,33 @@ class TestBench:
         )
         ula = RunConfig(target="donut", sampler="ula", J=400, N=100, T=2.0, trials=1)
         assert bench_step(ula).median_ns < bench_step(kfr).median_ns
+
+
+STEPPER_SAMPLERS = sorted(s for s in SAMPLERS if not s.startswith("rwm-")) + [
+    "kfrflow-i-newton:3"
+]
+
+
+class TestStepperShape:
+    @pytest.mark.parametrize("sampler", STEPPER_SAMPLERS)
+    def test_one_argument_stepper_advances_by_dt(self, sampler):
+        base, iters = parse_sampler(sampler)
+        cfg = RunConfig(
+            target="donut", sampler=sampler, J=12, N=10, lam=1e-3, eps=0.1, seed=4, trials=1
+        )
+        target = cfg.build_target()
+        rng = make_rng(cfg.seed)
+        step = _make_stepper(base, iters, cfg, target, KernelSpec(), rng)
+        assert len(inspect.signature(step).parameters) == 1
+        ens = Ensemble(target.sample_reference(rng, cfg.J), 0.5)
+        out = step(ens)
+        assert isinstance(out, Ensemble)
+        assert out.t == ens.t + cfg.dt
+        assert out.positions.shape == ens.positions.shape
+        # every call steps the same ensemble and stateful steppers keep their
+        # state, so on kfrflow-ab4 the timed calls after the 3 warm-up calls
+        # are Adams-Bashforth updates (each used to be an Euler step at k = 0)
+        assert bench_step(cfg, reps=30).median_ns > 0
 
 
 class TestCli:

@@ -1,20 +1,15 @@
-"""Kernel Stein discrepancy, moments, tempered traces, and the loop oracle."""
+"""Kernel Stein discrepancy, row moments, tempered KSD, and the loop oracle."""
 
 import numpy as np
 import pytest
 
-from kfrflow.diagnostics import (
-    KsdConfig,
-    ksd,
-    moments,
-    stein_discrepancies,
-    tempered_ksd_trace,
-)
+from kfrflow.diagnostics import KsdConfig, ksd, stein_discrepancies
 from kfrflow.errors import CapabilityError, NumericalStabilityError
-from kfrflow.flows import kfrflow_i_step, kfrflow_velocity
+from kfrflow.flows import kfrflow_i_step, kfrflow_velocity, tempered_score
+from kfrflow.harness import _row
 from kfrflow.kernels import KernelSpec, imq_eval
 from kfrflow.particles import Ensemble
-from kfrflow.targets import make_bayesian_2d, make_gaussian
+from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
 
 from helpers import (
     central_diff_grad,
@@ -146,27 +141,46 @@ class TestKsd:
             KsdConfig(estimator="w")
 
 
+def bare_target(dim):
+    """A target without scores, so a harness row computes no KSD."""
+    return TargetModel(
+        name="bare",
+        dim=dim,
+        log_ratio=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
+        sample_reference=lambda rng, n: rng.standard_normal((n, dim)),
+    )
+
+
+def row_moments(x):
+    """The mean and variance columns that the harness writes for ``x``."""
+    d = x.shape[1]
+    row = _row(d, 0, 0, 0.0, x, 0, KsdConfig(), bare_target(d), False)
+    return (np.array([row[f"mean_{a + 1}"] for a in range(d)]),
+            np.array([row[f"var_{a + 1}"] for a in range(d)]))
+
+
+def tempered_ksd(x, target, t):
+    """KSD of ``x`` against the geometric mixture at time t."""
+    return ksd(x, lambda y: tempered_score(target, y, t))
+
+
 class TestMoments:
     def test_two_point_hand_values(self):
-        mean, cov = moments(np.array([[-1.0], [1.0]]))
+        mean, var = row_moments(np.array([[-1.0], [1.0]]))
         assert mean[0] == 0.0
-        assert cov[0, 0] == 2.0
+        assert var[0] == 2.0
 
     def test_repeated_point_zero_covariance(self):
-        mean, cov = moments(np.full((4, 2), 1.5))
+        mean, var = row_moments(np.full((4, 2), 1.5))
         assert np.array_equal(mean, [1.5, 1.5])
-        assert np.array_equal(cov, np.zeros((2, 2)))
+        assert np.array_equal(var, np.zeros(2))
 
     def test_monte_carlo_standard_normal(self):
         rng = np.random.default_rng(95)
         x = rng.standard_normal((10_000, 2))
-        mean, cov = moments(x)
+        mean, var = row_moments(x)
         assert np.all(np.abs(mean) < 0.05)
-        assert np.all(np.abs(np.diag(cov) - 1.0) < 0.05)
-
-    def test_single_particle_rejected(self):
-        with pytest.raises(ValueError, match="covariance"):
-            moments(np.zeros((1, 3)))
+        assert np.all(np.abs(var - 1.0) < 0.05)
 
 
 class TestTemperedTrace:
@@ -174,8 +188,7 @@ class TestTemperedTrace:
         g = make_gaussian(np.zeros(2), 1.0)
         rng = np.random.default_rng(96)
         x = rng.standard_normal((40, 2))
-        trace = tempered_ksd_trace([(0.0, x), (0.5, x), (1.0, x)], g)
-        vals = [v for _, v in trace]
+        vals = [tempered_ksd(x, g, t) for t in (0.0, 0.5, 1.0)]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
@@ -183,9 +196,7 @@ class TestTemperedTrace:
         donut = make_bayesian_2d("donut")
         rng = np.random.default_rng(97)
         x = rng.standard_normal((50, 2))
-        trace = tempered_ksd_trace([(0.0, x)], donut)
-        t0, val = trace[0]
-        assert t0 == 0.0
+        val = tempered_ksd(x, donut, 0.0)
         assert val == pytest.approx(ksd(x, lambda z: -z), rel=1e-12)
         assert val > 0.0  # nonzero at finite ensemble size
 
@@ -200,33 +211,25 @@ class TestTemperedTrace:
             ens = kfrflow_i_step(ens, donut, spec, 1.0 / n, 1e-6)
             ens = Ensemble(ens.positions, (k + 1) / n)
             snapshots.append((ens.t, ens.positions))
-        trace = tempered_ksd_trace(snapshots, donut)
+        trace = [tempered_ksd(x, donut, t) for t, x in snapshots]
         assert len(trace) == n + 1
-        assert all(np.isfinite(v) for _, v in trace)
+        assert all(np.isfinite(v) for v in trace)
 
     def test_accepts_ensembles(self):
-        g = make_gaussian(np.zeros(1), 1.0)
+        # a harness row scores the ensemble against pi_t at the row's time
+        g = make_gaussian(np.zeros(1), 1.5)
         e = Ensemble(np.array([[0.1], [0.4]]), 0.25)
-        trace = tempered_ksd_trace([e], g)
-        assert trace[0][0] == 0.25
+        row = _row(1, 0, 0, e.t, e.positions, 0, KsdConfig(), g, True)
+        assert row["t"] == 0.25
+        assert row["ksd_tempered"] == pytest.approx(tempered_ksd(e.positions, g, 0.25), rel=1e-12)
 
     def test_missing_scores_rejected(self):
-        from kfrflow.targets import TargetModel
-
-        bare = TargetModel(
-            name="bare",
-            dim=1,
-            log_ratio=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
-            sample_reference=lambda rng, n: rng.standard_normal((n, 1)),
-        )
         with pytest.raises(CapabilityError):
-            tempered_ksd_trace([(0.0, np.zeros((2, 1)))], bare)
+            tempered_ksd(np.zeros((2, 1)), bare_target(1), 0.0)
 
 
 class TestVelocityOracle:
     def test_constant_ratio_gives_zero(self):
-        from kfrflow.targets import TargetModel
-
         const = TargetModel(
             name="const",
             dim=2,

@@ -6,12 +6,9 @@ import pytest
 from kfrflow.errors import NumericalStabilityError
 from kfrflow.integrators import (
     Schedule,
-    ab4_step,
-    euler_maruyama_step,
-    euler_step,
     make_rng,
     run_unit_time,
-    split_rngs,
+    sde_stepper,
     velocity_stepper,
 )
 from kfrflow.particles import Ensemble
@@ -23,7 +20,7 @@ class TestSchedule:
         for n in (1, 3, 7, 64, 100):
             times = []
             run_unit_time(
-                e, lambda ens, k, t: ens, Schedule(n), [lambda k, t, *_: times.append(t)]
+                e, lambda ens: ens, Schedule(n), [lambda k, t, *_: times.append(t)]
             )
             grid = np.asarray(times)
             assert grid[0] == 0.0
@@ -35,58 +32,64 @@ class TestSchedule:
             Schedule(0)
 
 
+def euler(e, velocity_fn, dt):
+    """One step of a fresh Euler velocity stepper."""
+    return velocity_stepper(velocity_fn, dt)(e)
+
+
 class TestEulerStep:
     def test_zero_velocity(self):
         e = Ensemble(np.arange(6.0).reshape(3, 2), 0.0)
-        out = euler_step(e, lambda _: np.zeros((3, 2)), 0.1)
+        out = euler(e, lambda _: np.zeros((3, 2)), 0.1)
         assert np.array_equal(out.positions, e.positions)
         assert out.t == pytest.approx(0.1)
 
     def test_constant_velocity_exact_displacement(self):
         e = Ensemble(np.zeros((2, 2)), 0.0)
         c = np.array([[1.0, -2.0], [0.5, 0.25]])
-        out = euler_step(e, lambda _: c, 0.1)
+        out = euler(e, lambda _: c, 0.1)
         assert np.array_equal(out.positions, 0.1 * c)
 
     def test_linear_velocity(self):
         e = Ensemble(np.array([[1.0]]), 0.0)
-        out = euler_step(e, lambda ens: -ens.positions, 0.5)
+        out = euler(e, lambda ens: -ens.positions, 0.5)
         assert out.positions[0, 0] == 0.5
 
     def test_non_finite_velocity_raises(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
         with pytest.raises(NumericalStabilityError, match="velocity"):
-            euler_step(e, lambda _: np.array([[np.nan]]), 0.1)
+            euler(e, lambda _: np.array([[np.nan]]), 0.1)
 
     def test_bad_dt(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
         with pytest.raises(ValueError):
-            euler_step(e, lambda _: np.zeros((1, 1)), 0.0)
+            euler(e, lambda _: np.zeros((1, 1)), 0.0)
 
 
 class TestAb4Step:
+    @staticmethod
+    def fourth_step(velocity_fn, ensembles, dt):
+        """The result of an AB4 stepper's fourth call, on ensembles[3]; the
+        first three calls (Euler warm-up) store the velocities at ensembles[:3]."""
+        step = velocity_stepper(velocity_fn, dt, "ab4")
+        for e in ensembles[:3]:
+            step(e)
+        return step(ensembles[3])
+
     def test_equal_history_reduces_to_euler(self):
         e = Ensemble(np.ones((2, 3)), 0.0)
         v = np.full((2, 3), 0.7)
-        out = ab4_step([v, v, v, v], e, 0.05)
+        out = self.fourth_step(lambda _: v, [e] * 4, 0.05)
         # (55 - 59 + 37 - 9)/24 = 1
         assert np.allclose(out.positions, e.positions + 0.05 * v, rtol=1e-14)
-
-    def test_insufficient_history_is_driver_bug(self):
-        e = Ensemble(np.zeros((1, 1)), 0.0)
-        with pytest.raises(RuntimeError, match="driver bug"):
-            ab4_step([np.zeros((1, 1))] * 3, e, 0.1)
 
     def test_exact_for_cubic_velocity(self):
         # dx/dt = 4 t^3 has solution x = t^4; one AB4 step from t=0.3 with
         # dt=0.1 must hit 0.4^4 to roundoff
         dt = 0.1
         t = 0.3
-        hist = [
-            np.array([[4.0 * (t - k * dt) ** 3]]) for k in range(4)
-        ]
-        e = Ensemble(np.array([[t**4]]), t)
-        out = ab4_step(hist, e, dt)
+        ensembles = [Ensemble(np.array([[s**4]]), s) for s in (0.0, 0.1, 0.2, t)]
+        out = self.fourth_step(lambda ens: np.array([[4.0 * ens.t**3]]), ensembles, dt)
         assert out.positions[0, 0] == pytest.approx((t + dt) ** 4, rel=1e-13)
 
     def test_beats_euler_on_decay_ode(self):
@@ -97,8 +100,8 @@ class TestAb4Step:
         def global_error(method):
             e = Ensemble(np.array([[1.0]]), 0.0)
             stepper = velocity_stepper(lambda ens: -ens.positions, dt, method)
-            for k in range(n):
-                e = stepper(e, k, (k + 1) * dt)
+            for _ in range(n):
+                e = stepper(e)
             return abs(e.positions[0, 0] - np.exp(-1.0))
 
         assert global_error("ab4") * 10 <= global_error("euler")
@@ -114,21 +117,21 @@ class TestEulerMaruyama:
         x = rng.standard_normal((5, 2))
         v = rng.standard_normal((5, 2))
         e = Ensemble(x, 0.0)
-        em = euler_maruyama_step(e, lambda ens: (v, 0.0), 0.05, make_rng(1))
-        eu = euler_step(e, lambda ens: v, 0.05)
+        em = sde_stepper(lambda ens: (v, 0.0), 0.05, make_rng(1))(e)
+        eu = euler(e, lambda ens: v, 0.05)
         assert np.array_equal(em.positions, eu.positions)
 
     def test_increment_variance(self):
         rng = make_rng(2)
         e = Ensemble(np.zeros((10_000, 1)), 0.0)
-        out = euler_maruyama_step(e, self.drift_zero(np.sqrt(2.0)), 0.01, rng)
+        out = sde_stepper(self.drift_zero(np.sqrt(2.0)), 0.01, rng)(e)
         var = out.positions.var()
         assert abs(var - 0.02) < 0.002  # rel err < 10%
 
     def test_fixed_seed_reproducible(self):
         e = Ensemble(np.zeros((50, 2)), 0.0)
-        a = euler_maruyama_step(e, self.drift_zero(1.0), 0.1, make_rng(42))
-        b = euler_maruyama_step(e, self.drift_zero(1.0), 0.1, make_rng(42))
+        a = sde_stepper(self.drift_zero(1.0), 0.1, make_rng(42))(e)
+        b = sde_stepper(self.drift_zero(1.0), 0.1, make_rng(42))(e)
         assert np.array_equal(a.positions, b.positions)
 
 
@@ -136,7 +139,7 @@ class TestRunUnitTime:
     def test_single_zero_step(self):
         e = Ensemble(np.ones((4, 1)), 0.0)
         seen = []
-        stepper = lambda ens, k, t: Ensemble(ens.positions, t)
+        stepper = lambda ens: Ensemble(ens.positions, ens.t)
         trace = run_unit_time(e, stepper, Schedule(1), [lambda *a: seen.append(a[0])])
         assert seen == [0, 1]
         assert np.array_equal(trace.final.positions, e.positions)
@@ -145,7 +148,7 @@ class TestRunUnitTime:
     def test_observer_count_and_final_time(self):
         e = Ensemble(np.zeros((2, 2)), 0.0)
         count = [0]
-        stepper = lambda ens, k, t: ens
+        stepper = lambda ens: ens
         trace = run_unit_time(
             e, stepper, Schedule(100), [lambda *a: count.__setitem__(0, count[0] + 1)]
         )
@@ -155,35 +158,54 @@ class TestRunUnitTime:
     def test_requires_time_zero_start(self):
         e = Ensemble(np.zeros((1, 1)), 0.5)
         with pytest.raises(ValueError, match="t=0"):
-            run_unit_time(e, lambda ens, k, t: ens, Schedule(2))
+            run_unit_time(e, lambda ens: ens, Schedule(2))
 
     def test_step_error_carries_index(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
 
-        def stepper(ens, k, t):
-            if k == 3:
+        calls = []
+
+        def stepper(ens):
+            calls.append(ens.t)
+            if len(calls) == 4:
                 raise NumericalStabilityError("boom")
             return ens
 
         with pytest.raises(NumericalStabilityError, match="step 3"):
             run_unit_time(e, stepper, Schedule(10))
 
+    def test_other_step_errors_propagate_unchanged(self):
+        # only numerical failures are attributed to a step; a ValueError (a
+        # fault in the caller or the target) is not re-filed as one
+        e = Ensemble(np.zeros((1, 1)), 0.0)
+
+        def stepper(ens):
+            raise ValueError("log_ratio returned shape (0,)")
+
+        with pytest.raises(ValueError, match=r"^log_ratio returned shape \(0,\)$") as info:
+            run_unit_time(e, stepper, Schedule(3))
+        assert not isinstance(info.value, NumericalStabilityError)
+
     def test_blowup_positions_flagged_with_step(self):
         from types import SimpleNamespace
 
         e = Ensemble(np.zeros((1, 1)), 0.0)
 
-        def stepper(ens, k, t):
-            pos = ens.positions + (np.inf if k == 2 else 1.0)
+        calls = []
+
+        def stepper(ens):
+            calls.append(ens.t)
+            pos = ens.positions + (np.inf if len(calls) == 3 else 1.0)
             return SimpleNamespace(positions=pos)
 
-        with pytest.raises(NumericalStabilityError, match="step 2"):
+        with pytest.raises(NumericalStabilityError, match="step 2") as info:
             run_unit_time(e, stepper, Schedule(4))
+        assert "non-finite coordinates" in str(info.value)
 
     def test_total_time_rescales_grid(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
         times = []
-        stepper = lambda ens, k, t: ens
+        stepper = lambda ens: ens
         run_unit_time(e, stepper, Schedule(4), [lambda k, t, *_: times.append(t)], total_time=2.0)
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
@@ -200,8 +222,8 @@ class TestRngStreams:
         )
 
     def test_split_streams_independent_and_reproducible(self):
-        a = [g.standard_normal(3) for g in split_rngs(7, 4)]
-        b = [g.standard_normal(3) for g in split_rngs(7, 4)]
+        a = [g.standard_normal(3) for g in make_rng(7).spawn(4)]
+        b = [g.standard_normal(3) for g in make_rng(7).spawn(4)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         assert not np.array_equal(a[0], a[1])

@@ -10,11 +10,8 @@ from kfrflow.errors import NumericalStabilityError
 from kfrflow.kernels import KernelSpec, imq_eval, imq_grad1
 from kfrflow.particles import (
     Ensemble,
-    assemble_M,
     build_workspace,
     importance_weights,
-    regularize,
-    solve_M,
     spd_solve,
 )
 from kfrflow.targets import make_gaussian
@@ -58,12 +55,16 @@ class TestEnsemble:
             Ensemble(np.zeros((1, 1)), -0.1)
 
 
+def assemble_M(x, spec):
+    return build_workspace(x, spec).M
+
+
 class TestAssembleM:
     def test_single_particle_is_zero(self):
         M = assemble_M(np.zeros((1, 2)), KernelSpec(bandwidth=1.0))
         assert np.array_equal(M, np.zeros((1, 1)))
         with pytest.raises(NumericalStabilityError):
-            solve_M(M, np.zeros(1))
+            spd_solve(M, 0.0, np.zeros(1))
 
     def test_matches_brute_force_two_particles(self):
         x = np.array([[0.0], [1.0]])
@@ -94,45 +95,52 @@ class TestAssembleM:
 
 
 class TestRegularize:
+    """spd_solve solves with M + lam I, leaving M itself untouched."""
+
     def test_zero_lambda_is_identity(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        out = regularize(M, 0.0)
-        assert np.array_equal(out, M)
-        assert out is not M
+        before = M.copy()
+        rhs = np.array([1.0, -1.0])
+        out = spd_solve(M, 0.0, rhs)
+        assert np.allclose(M @ out, rhs, rtol=1e-14)
+        assert np.array_equal(M, before)
 
     def test_zero_matrix(self):
-        out = regularize(np.zeros((3, 3)), 0.1)
-        assert np.array_equal(out, 0.1 * np.eye(3))
+        M = np.zeros((3, 3))
+        out = spd_solve(M, 0.1, np.array([1.0, 2.0, 3.0]))
+        assert np.allclose(out, np.array([10.0, 20.0, 30.0]), rtol=1e-14)
+        assert np.array_equal(M, np.zeros((3, 3)))
 
     def test_eigenvalues_shift_by_lambda(self):
         rng = np.random.default_rng(23)
         A = rng.standard_normal((5, 5))
         M = A @ A.T
         lam = 0.37
-        before = np.linalg.eigvalsh(M)
-        after = np.linalg.eigvalsh(regularize(M, lam))
-        assert np.allclose(after, before + lam, rtol=1e-10, atol=1e-10)
+        before, vecs = np.linalg.eigh(M)
+        # each eigenvector of M is scaled by 1 / (eigenvalue + lam)
+        after = np.array([vecs[:, i] @ spd_solve(M, lam, vecs[:, i]) for i in range(5)])
+        assert np.allclose(1.0 / after, before + lam, rtol=1e-10, atol=1e-10)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            regularize(np.eye(2), -1e-3)
+            spd_solve(np.eye(2), -1e-3, np.ones(2))
 
 
 class TestSolveM:
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(solve_M(np.eye(3), rhs), rhs, rtol=1e-15)
+        assert np.allclose(spd_solve(np.eye(3), 0.0, rhs), rhs, rtol=1e-15)
 
     def test_scaled_identity(self):
         rhs = np.full(4, 4.0)
-        assert np.allclose(solve_M(2.0 * np.eye(4), rhs), np.full(4, 2.0), rtol=1e-15)
+        assert np.allclose(spd_solve(2.0 * np.eye(4), 0.0, rhs), np.full(4, 2.0), rtol=1e-15)
 
     def test_against_dense_inverse(self):
         rng = np.random.default_rng(24)
         A = rng.standard_normal((8, 8))
         M = A @ A.T + 0.5 * np.eye(8)
         rhs = rng.standard_normal(8)
-        x = solve_M(M, rhs)
+        x = spd_solve(M, 0.0, rhs)
         assert np.linalg.norm(x - np.linalg.inv(M) @ rhs) / np.linalg.norm(x) < 1e-8
 
     def test_residual_contract(self):
@@ -141,12 +149,13 @@ class TestSolveM:
             A = rng.standard_normal((10, 10))
             M = A @ A.T + 0.1 * np.eye(10)
             rhs = rng.standard_normal(10)
-            x = solve_M(M, rhs)
+            x = spd_solve(M, 0.0, rhs)
             assert np.linalg.norm(M @ x - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
     def test_non_pd_raises(self):
+        # indefinite with zero trace, so the fallback lambda is 0 and no retry runs
         with pytest.raises(NumericalStabilityError, match="lambda"):
-            solve_M(np.diag([1.0, 0.0]), np.ones(2))
+            spd_solve(np.diag([1.0, -1.0]), 0.0, np.ones(2))
 
     def test_fallback_regularization_warns(self):
         M = np.diag([1.0, 0.0])  # singular, nonzero trace
@@ -292,7 +301,7 @@ class TestWorkspace:
         ws = build_workspace(x, spec)
         assert ws.h == median_bandwidth(x)
         assert np.array_equal(ws.Kmat, kernel_matrix(x, spec))
-        assert np.array_equal(ws.M, assemble_M(x, spec))
+        assert np.array_equal(ws.M, build_workspace(x, spec).M)
 
     def test_unweighted_mean_is_row_mean(self):
         rng = np.random.default_rng(35)

@@ -1,0 +1,41 @@
+"""The public surface: ``kfrflow.__all__`` and the README's library example."""
+
+import re
+from pathlib import Path
+
+import kfrflow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# what the command line, the benchmark under perfbench/ and the README use;
+# everything else is reached through its submodule
+PUBLIC = [
+    "__version__",
+    "CapabilityError", "Ensemble", "KernelSpec", "KsdConfig",
+    "NumericalStabilityError", "RunConfig", "Schedule",
+    "bench_step", "build_workspace", "kernel_matrix", "kfrflow_i_step", "ksd",
+    "make_funnel", "make_gaussian", "make_rng", "median_bandwidth",
+    "parse_config", "parse_grid", "run_experiment", "run_unit_time", "sweep",
+    "target_by_name", "write_record_csv", "write_selection_csv",
+    "write_sidecar",
+]
+
+
+def test_all_is_the_agreed_list():
+    assert sorted(kfrflow.__all__) == sorted(PUBLIC)
+    assert len(set(kfrflow.__all__)) == len(kfrflow.__all__)
+
+
+def test_every_public_name_resolves():
+    for name in kfrflow.__all__:
+        assert hasattr(kfrflow, name), name
+
+
+def test_readme_library_import_resolves():
+    found = re.findall(r"^from kfrflow import \(([^)]*)\)", README.read_text(), re.M)
+    assert found
+    for body in found:
+        names = [n.strip() for n in body.split(",") if n.strip()]
+        namespace: dict = {}
+        exec(f"from kfrflow import ({', '.join(names)})", namespace)
+        assert set(names) <= set(kfrflow.__all__)
