@@ -7,6 +7,13 @@ mode (one chain of N*J steps, keep the last J states) and a "parallel" mode
 (J chains of N steps, keep each chain's last state), matching the
 equal-total-budget comparison protocol, and tunes its isotropic Gaussian
 proposal to a 23% acceptance rate before measuring.
+
+Parallel chains advance together: each step is one batched (J, d)
+log-target call and a masked accept.  Each chain still draws its proposals
+and uniforms from its own stream, in the order a single chain draws them,
+so the samples and accept counts equal those of running the chains one
+after another.  The pre-drawn proposals and uniforms hold 8*N*J*(d+1)
+bytes (4.8 MB at J=1000, N=200, d=2).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .kernels import KernelSpec, _pair_kernel
-from .particles import Ensemble
+from .particles import Ensemble, _log_ratio_rows
 
 # tuned acceptance is accepted anywhere in this window around the 23% optimum
 ACCEPTANCE_WINDOW = (0.20, 0.26)
@@ -102,7 +109,8 @@ def ula_step(
 def _log_target(target):
     def lt(x):
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return -0.5 * np.sum(x2**2, axis=1) + np.atleast_1d(target.log_ratio(x2))
+        # -inf is a valid zero-density value here: that proposal is rejected
+        return -0.5 * np.sum(x2**2, axis=1) + _log_ratio_rows(target, x2)
 
     return lt
 
@@ -125,6 +133,35 @@ def _mh_chain(lt, x0, n_steps, std, rng, keep_last=1):
         if n_steps - k <= keep_last:
             tail.append(x.copy())
     return np.asarray(tail), accepts
+
+
+def _lockstep_chains(lt, x0, n_steps, std, rngs):
+    """J Metropolis chains from the rows of x0, advanced together.
+
+    Chain j draws from rngs[j] exactly what _mh_chain would, so its final
+    state and the exact total accept count equal those of J sequential
+    _mh_chain runs; each step makes one (J, d) log-target call.
+    """
+    J, d = x0.shape
+    steps = np.empty((n_steps, J, d))
+    logu = np.empty((n_steps, J))
+    for j, rng in enumerate(rngs):
+        steps[:, j] = rng.standard_normal((n_steps, d)) * std
+        logu[:, j] = np.log(rng.random(n_steps))
+    x = x0.copy()
+    lx = lt(x)
+    accepts = 0
+    # a chain at zero density meets -inf - -inf = nan, which rejects silently
+    # in _mh_chain's float arithmetic; keep numpy as quiet
+    with np.errstate(invalid="ignore"):
+        for k in range(n_steps):
+            prop = x + steps[k]
+            lp = lt(prop)
+            accept = logu[k] < lp - lx
+            x = np.where(accept[:, None], prop, x)
+            lx = np.where(accept, lp, lx)
+            accepts += int(np.count_nonzero(accept))
+    return x, accepts
 
 
 def rwm_run(target, config: RwmConfig, rng: np.random.Generator) -> RwmResult:
@@ -165,14 +202,8 @@ def rwm_run(target, config: RwmConfig, rng: np.random.Generator) -> RwmResult:
     else:
         chain_rngs = rng.spawn(J)
         inits = rng.standard_normal((J, d))
-        rows = []
-        total_acc = 0
-        for j in range(J):
-            tail, acc = _mh_chain(lt, inits[j], N, std, chain_rngs[j])
-            rows.append(tail[-1])
-            total_acc += acc
-        samples = np.asarray(rows)
-        measure_acc = total_acc / (N * J)
+        samples, acc = _lockstep_chains(lt, inits, N, std, chain_rngs)
+        measure_acc = acc / (N * J)
     return RwmResult(
         samples=samples,
         proposal_std=std,

@@ -113,14 +113,20 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(chol, y, lower=True, trans=1)
 
 
-def _log_ratio_values(target, positions: np.ndarray) -> np.ndarray:
-    """log(pi_1/pi_0) at the J particles, checked to be a finite (J,) vector."""
+def _log_ratio_rows(target, positions: np.ndarray) -> np.ndarray:
+    """log(pi_1/pi_0) at the n rows of positions, checked to be an (n,) vector."""
     r = np.atleast_1d(np.asarray(target.log_ratio(positions), dtype=np.float64))
     if r.shape != positions.shape[:1]:
         raise ValueError(
             f"log_ratio returned shape {r.shape} for {positions.shape[0]} "
             f"particles; expected shape {positions.shape[:1]}"
         )
+    return r
+
+
+def _log_ratio_values(target, positions: np.ndarray) -> np.ndarray:
+    """log(pi_1/pi_0) at the J particles, checked to be a finite (J,) vector."""
+    r = _log_ratio_rows(target, positions)
     if not np.isfinite(r).all():
         bad = np.argwhere(~np.isfinite(r)).ravel()
         raise NumericalStabilityError(

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain
 from kfrflow.kernels import imq_eval, imq_grad1, median_bandwidth
 
 
@@ -124,3 +125,33 @@ def velocity_oracle(ensemble, target, spec, lam=0.0):
         for ell in range(J):
             v[j] += f[ell] * grad1_scalar(x[j], x[ell], h)
     return v
+
+
+def rwm_parallel_oracle(target, config, rng):
+    """Parallel-mode ``rwm_run`` with its chains run one after another: the
+    tuning loop, then one ``_mh_chain`` per chain on its own spawned stream.
+    Returns ``(samples, measure_acceptance, proposal_std, tune_acceptance)``;
+    it emits no tuning warning."""
+    lt = _log_target(target)
+    d = target.dim
+    std = config.proposal_std
+    x = rng.standard_normal(d)
+    acc_rate = float("nan")
+    for _ in range(config.tune_rounds):
+        tail, acc = _mh_chain(lt, x, config.tune_batch, std, rng)
+        x = tail[-1]
+        acc_rate = acc / config.tune_batch
+        if ACCEPTANCE_WINDOW[0] <= acc_rate <= ACCEPTANCE_WINDOW[1]:
+            break
+        std *= float(np.exp(acc_rate - config.target_acceptance))
+
+    J, N = config.n_samples, config.steps
+    chain_rngs = rng.spawn(J)
+    inits = rng.standard_normal((J, d))
+    rows = []
+    total_acc = 0
+    for j in range(J):
+        tail, acc = _mh_chain(lt, inits[j], N, std, chain_rngs[j])
+        rows.append(tail[-1])
+        total_acc += acc
+    return np.asarray(rows), total_acc / (N * J), std, acc_rate

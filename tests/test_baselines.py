@@ -1,5 +1,6 @@
 """Baseline samplers: SVGD, parallel ULA, random walk Metropolis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from kfrflow.errors import CapabilityError
 from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec, median_bandwidth
 from kfrflow.particles import Ensemble
-from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
+from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian, target_by_name
 
-from helpers import rel_err, svgd_phi_oracle
+from helpers import rel_err, rwm_parallel_oracle, svgd_phi_oracle
 
 
 class OnesRng:
@@ -132,6 +133,16 @@ class TestUla:
             ula_step(Ensemble(np.zeros((3, 1)), 0.0), g, 0.01, make_rng(0).spawn(2))
 
 
+def assert_equals_sequential(target, cfg, seed):
+    """Parallel ``rwm_run`` equals its chains run one by one, bit for bit."""
+    result = rwm_run(target, cfg, make_rng(seed))
+    samples, acc, std, tune_acc = rwm_parallel_oracle(target, cfg, make_rng(seed))
+    assert np.array_equal(result.samples, samples)
+    assert result.measure_acceptance == acc
+    assert (result.proposal_std, result.tune_acceptance) == (std, tune_acc)
+    return result
+
+
 class TestRwm:
     def test_tuner_grows_vanishing_proposal(self):
         g = make_gaussian([0.0], 1.0)  # target is N(0,1) itself
@@ -193,6 +204,47 @@ class TestRwm:
         with pytest.warns(RuntimeWarning, match="tuning"):
             result = rwm_run(g, cfg, make_rng(26))
         assert 0.0 <= result.measure_acceptance < 0.05
+
+    @pytest.mark.parametrize("name", ["donut", "funnel:20"])
+    def test_parallel_equals_sequential_chains(self, name):
+        cfg = RwmConfig(steps=50, n_samples=200)
+        result = assert_equals_sequential(target_by_name(name), cfg, 27)
+        assert result.tuned
+
+    def test_parallel_equals_sequential_chains_when_rejecting(self):
+        # every chain starts far out in the tail of N(0, 0.01^2) and a
+        # std-1000 proposal almost never lands back in it
+        g = target_by_name("gaussian:0,0.01")
+        cfg = RwmConfig(steps=50, n_samples=200, proposal_std=1000.0, tune_rounds=1)
+        with pytest.warns(RuntimeWarning, match="tuning"):
+            result = assert_equals_sequential(g, cfg, 28)
+        assert result.measure_acceptance < 0.05
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_density_proposals_are_rejected(self):
+        # log ratio -inf on the left half-line: chains starting there sit at
+        # -inf until a proposal reaches x >= 0, and none ever steps back
+        g = make_gaussian([0.0], 1.0)
+        half = dataclasses.replace(
+            g, log_ratio=lambda x: np.where(x[:, 0] < 0, -np.inf, g.log_ratio(x))
+        )
+        result = assert_equals_sequential(half, RwmConfig(steps=30, n_samples=100), 29)
+        assert (result.samples[:, 0] >= 0).mean() > 0.9
+
+    def test_parallel_measurement_batches_all_chains(self):
+        donut = target_by_name("donut")
+        shapes = []
+
+        def log_ratio(x):
+            shapes.append(x.shape)
+            return donut.log_ratio(x)
+
+        J, N = 30, 20
+        cfg = RwmConfig(steps=N, n_samples=J)
+        result = rwm_run(dataclasses.replace(donut, log_ratio=log_ratio), cfg, make_rng(30))
+        tune_calls = result.tune_rounds_used * (cfg.tune_batch + 1)
+        assert shapes[:tune_calls] == [(1, 2)] * tune_calls
+        assert shapes[tune_calls:] == [(J, 2)] * (N + 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,21 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert calls == [(6, 2), (6, 2)]
 
+    def test_rwm_single_value_log_ratio_raises(self, monkeypatch):
+        # one value per call is right for a tuning row, wrong for the batch
+        # of J chains, where it would broadcast to every chain
+        donut = target_by_name("donut")
+        target = dataclasses.replace(donut, log_ratio=lambda x: donut.log_ratio(x)[:1])
+        cfg = RunConfig(target="donut", sampler="rwm-parallel", J=6, N=5, seed=3, trials=1)
+        monkeypatch.setattr(RunConfig, "build_target", lambda self: target)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "log_ratio returned shape (1,) for 6 particles; expected shape (6,)"
+            ),
+        ):
+            run_experiment(cfg)
+
     def test_rwm_sampler_records_endpoints(self):
         cfg = RunConfig(
             target="butterfly", sampler="rwm-parallel", J=30, N=20,
