@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .kernels import KernelSpec, _pair_kernel
+from .kernels import KernelSpec, _grad_apply, _pair_kernel
 from .particles import Ensemble, _log_ratio_rows
 
 # tuned acceptance is accepted anywhere in this window around the 23% optimum
@@ -80,9 +80,9 @@ def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float) ->
         raise ValueError(f"step_size must be > 0, got {step_size}")
     score = _require_score(target)
     x = ensemble.positions
-    _, q, G = _pair_kernel(x, x, spec)
-    # q and each G[a] are indexed [j, i]: sum over the source particles j
-    phi = (q @ score(x) + G.sum(axis=1).T) / x.shape[0]
+    _, q, s = _pair_kernel(x, x, spec)
+    # q is symmetric and grad_1 K(X_j, X_i) = -grad_1 K(X_i, X_j)
+    phi = (q @ score(x) - _grad_apply(x, x, s, 1.0)) / x.shape[0]
     return Ensemble(x + step_size * phi, ensemble.t + step_size)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,8 +70,9 @@ class RunConfig:
             raise ValueError(
                 f"sampler {self.sampler!r} runs in unit time; T={self.T} rejected"
             )
-        if self.lam < 0 or self.eps < 0:
-            raise ValueError("lambda and epsilon must be >= 0")
+        for key, value in (("lambda", self.lam), ("epsilon", self.eps)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.observe_every < 1:

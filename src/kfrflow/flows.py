@@ -21,13 +21,14 @@ unknown normalizing constants -- cannot affect any update.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .kernels import KernelSpec, _pair_kernel
+from .kernels import KernelSpec, _grad_apply, _grad_gram, _pair_kernel
 from .particles import (
     Ensemble,
     _log_ratio_values,
@@ -43,10 +44,9 @@ class FlowConfig:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        for key, value in (("lam", self.lam), ("eps", self.eps)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
 def kfrflow_velocity(ensemble: Ensemble, target, spec: KernelSpec, lam: float = 0.0) -> np.ndarray:
@@ -55,14 +55,14 @@ def kfrflow_velocity(ensemble: Ensemble, target, spec: KernelSpec, lam: float = 
     Solves (M + lam I) f = (1/J) sum_k c_k K_basis(X_k) with c the centered
     log ratios, then evaluates v_j = Jac(K_basis)(X_j)^T f.
     """
+    x = ensemble.positions
     ws = build_workspace(ensemble, spec)
-    d, J, _ = ws.G.shape
-    r = _log_ratio_values(target, ensemble.positions)
+    r = _log_ratio_values(target, x)
     rp = r - r[0]
     c = rp - rp.mean()
-    rhs = (c @ ws.Kmat) / J
+    rhs = (c @ ws.Kmat) / x.shape[0]
     f = spd_solve(ws.M, lam, rhs)
-    return (ws.G.reshape(d * J, J) @ f).reshape(d, J).T
+    return _grad_apply(x, x, ws.s, f)
 
 
 def kfrflow_i_step(
@@ -97,9 +97,8 @@ def sample_ot_newton(
             f"step beyond unit time: t={ensemble.t} + dt={dt} exceeds 1"
         )
     x = ensemble.positions
-    J, d = x.shape
+    J = x.shape[0]
     ws = build_workspace(ensemble, spec)
-    Gr = ws.G.reshape(d * J, J)
     w = importance_weights(ensemble, target, dt)
     if w.max() > 0.5:
         warnings.warn(
@@ -109,9 +108,6 @@ def sample_ot_newton(
         )
     uniform = np.full(J, 1.0 / J)
     b = w @ ws.Kmat
-
-    def displacement(s):
-        return (Gr @ s).reshape(d, J).T
 
     s = np.zeros(J)
     # at s = 0 the transported ensemble is the original one, so the residual
@@ -126,15 +122,14 @@ def sample_ot_newton(
             # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam
             # (kept for later iterations) until no particle moves farther.
             delta = spd_solve(ws.M, lam, resid)
-            disp = displacement(s - delta)
+            disp = _grad_apply(x, x, ws.s, s - delta)
             while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
                 lam = max(10.0 * lam, 1e-8 * float(np.trace(ws.M)) / J)
                 delta = spd_solve(ws.M, lam, resid)
-                disp = displacement(s - delta)
+                disp = _grad_apply(x, x, ws.s, s - delta)
         else:
-            # (1/J) sum_a Gy_a^T G_a, Gy the gradient blocks at the
-            # displaced points against the original basis centers
-            jac = Gy.reshape(d * J, J).T @ Gr / J
+            # the Jacobian at the displaced points y of the last iterate
+            jac = _grad_gram(x, ws.s, y, sy)
             if lam > 0:
                 jac = jac + lam * np.eye(J)
             try:
@@ -149,7 +144,8 @@ def sample_ot_newton(
             # single Newton step is the definition of the transport map;
             # the divergence guard cannot trigger, skip the residual pass
             return Ensemble(x + disp, ensemble.t + dt)
-        _, ky, Gy = _pair_kernel(x + displacement(s), x, ws.h)
+        y = x + _grad_apply(x, x, ws.s, s)
+        _, ky, sy = _pair_kernel(y, x, ws.h)
         resid = uniform @ ky - b
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:
@@ -164,7 +160,7 @@ def sample_ot_newton(
             s = best_s
             break
 
-    return Ensemble(x + displacement(s), ensemble.t + dt)
+    return Ensemble(x + _grad_apply(x, x, ws.s, s), ensemble.t + dt)
 
 
 def tempered_score(target, x, t: float) -> np.ndarray:

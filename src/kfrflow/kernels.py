@@ -1,18 +1,15 @@
-"""Inverse multiquadric (IMQ) kernel evaluations, gradients, and bandwidth selection.
+"""Inverse multiquadric (IMQ) kernel matrices, gradient products, and bandwidth selection.
 
-The kernel is
+The kernel is K(x, y) = (1 + ||x - y||^2 / h^2)^(-1/2), h > 0: symmetric
+positive definite, with values in (0, 1] and K(x, x) = 1.  Batch routines take
+points as rows of ``(n, d)`` arrays; gradients are taken with respect to the
+first argument.
 
-    K(x, y) = (1 + ||x - y||^2 / h^2)^(-1/2),    h > 0,
-
-a symmetric positive definite kernel with values in (0, 1] and K(x, x) = 1.
-Batch routines take points as rows of ``(n, d)`` arrays.  Gradients are always
-taken with respect to the first argument.
-
-Every batch quantity comes from one pairwise primitive, :func:`_pair_kernel`:
-the kernel matrix q[i, l] = K(xa_i, xb_l) and the per-coordinate gradient
-blocks G[a, i, l] = d/dx_a K(x, xb_l) at x = xa_i, one (na, nb) block per
-coordinate.  The kernel matrix, gradient blocks and bandwidth therefore agree
-bit for bit whichever route assembles them.
+Every batch quantity comes from one pairwise primitive, :func:`_pair_kernel`,
+which gives q[i, l] = K(xa_i, xb_l) and s = -q^3 / h^2, so that
+grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l].  Every product with the
+gradients is :func:`_grad_apply` or :func:`_grad_gram`; no (d, J, J) array
+leaves this module.
 """
 
 from __future__ import annotations
@@ -20,6 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# _grad_gram multiplies gradient blocks (d J^3 flops, d + 1 J x J arrays)
+# below this dimension and squared distances (3 J^3 flops, 3 arrays) from it
+# on; at d = 1 the distance form misses the 1e-10 oracle bound of criterion 4.
+_DISTANCE_GRAM_MIN_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -48,31 +50,19 @@ def _positions(ensemble) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _check_h(h) -> float:
-    h = float(h)
-    if not h > 0:
-        raise ValueError(f"bandwidth must be > 0, got {h}")
-    return h
-
-
-def _pair_sq(xa: np.ndarray, xb: np.ndarray, diffs=None) -> np.ndarray:
+def _pair_sq(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """||xa_i - xb_j||^2 as an (na, nb) array, summed one coordinate at a
-    time so that the (na, nb, d) difference tensor is never built.
-
-    When ``diffs`` is a (d, na, nb) array, the per-coordinate differences
-    xa_i[a] - xb_j[a] are kept in ``diffs[a]``.
-    """
+    time in one reused buffer: no (na, nb, d) difference tensor is built."""
     d2 = np.zeros((xa.shape[0], xb.shape[0]))
+    diff = np.empty_like(d2)
     for a in range(xa.shape[1]):
-        diff = np.subtract.outer(xa[:, a], xb[:, a], out=None if diffs is None else diffs[a])
-        # square in place unless the differences are kept: one (na, nb)
-        # temporary besides d2
-        d2 += np.square(diff, out=diff) if diffs is None else diff * diff
+        np.subtract.outer(xa[:, a], xb[:, a], out=diff)
+        d2 += np.square(diff, out=diff)
     return d2
 
 
-def _q_from_sq(d2: np.ndarray, h: float) -> np.ndarray:
-    out = d2 / (h * h)
+def _q_from_sq(d2: np.ndarray, h: float, out=None) -> np.ndarray:
+    out = np.divide(d2, h * h, out=out)
     out += 1.0
     np.sqrt(out, out=out)
     np.reciprocal(out, out=out)
@@ -83,23 +73,19 @@ def _median_bw_from_sq(d2: np.ndarray, h_floor: float) -> float:
     """Bandwidth from the squared-distance matrix of an ensemble.
 
     med is the exact median of the J(J-1)/2 pairwise distances (for an even
-    count, the average of the two middle ones); h = sqrt(med^2 / log(J+1)),
-    clamped below by h_floor.
+    count, the average of the two middle ones), read from the strict upper
+    triangle; h = sqrt(med^2 / log(J+1)), clamped below by h_floor.
     """
     J = d2.shape[0]
     if J < 2:
         return float(h_floor)
-    # order statistics of the full matrix map onto the pair multiset: the
-    # flattened array holds J diagonal zeros plus every pair value twice
-    flat = d2.reshape(-1)
-    m = J * (J - 1) // 2
-    k = m // 2
-    if m % 2:
-        med = float(np.sqrt(np.partition(flat, J + 2 * k)[J + 2 * k]))
+    pairs = np.concatenate([d2[i, i + 1 :] for i in range(J - 1)])
+    k = pairs.size // 2
+    if pairs.size % 2:
+        med = float(np.sqrt(np.partition(pairs, k)[k]))
     else:
-        lo, hi = J + 2 * (k - 1), J + 2 * k
-        part = np.partition(flat, (lo, hi))
-        med = (float(np.sqrt(part[lo])) + float(np.sqrt(part[hi]))) / 2.0
+        part = np.partition(pairs, (k - 1, k))
+        med = (float(np.sqrt(part[k - 1])) + float(np.sqrt(part[k]))) / 2.0
     h = float(np.sqrt(med**2 / np.log(J + 1)))
     return max(h, float(h_floor))
 
@@ -112,58 +98,82 @@ def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray) -> float:
 
 
 def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h) -> tuple:
-    """The pairwise primitive: (h, q, G) for the kernel between xa and xb.
-
-    q[i, l] = K(xa_i, xb_l) is (na, nb) and G[a, i, l] = d/dx_a K(x, xb_l) at
-    x = xa_i is (d, na, nb), filled one coordinate at a time from the
-    differences that the squared distances are summed from.  ``h`` is the
-    bandwidth, or a KernelSpec whose policy is applied to these pairs (then
-    xa and xb are the same ensemble).  When xa is xb, each G[a] is exactly
-    antisymmetric.
-    """
-    G = np.empty((xa.shape[1], xa.shape[0], xb.shape[0]))
-    d2 = _pair_sq(xa, xb, G)
+    """The pairwise primitive: (h, q, s) with q[i, l] = K(xa_i, xb_l) and
+    s = -q^3 / h^2, so that grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l].
+    ``h`` is the bandwidth, or a KernelSpec whose policy is applied to these
+    pairs (then xa and xb are the same ensemble)."""
+    d2 = _pair_sq(xa, xb)
     if isinstance(h, KernelSpec):
         h = _bandwidth_from_sq(h, d2)
-    q = _q_from_sq(d2, h)
-    scale = q * q
-    scale *= q
-    scale /= -(h * h)
-    G *= scale
-    return h, q, G
+    q = _q_from_sq(d2, h, out=d2)
+    s = q * q
+    s *= q
+    s /= -(h * h)
+    return h, q, s
 
 
-def imq_eval(x, y, h) -> float:
-    """Evaluate K(x, y) = (1 + ||x-y||^2/h^2)^(-1/2)."""
-    h = _check_h(h)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    r2 = np.sum((x - y) ** 2)
-    return float(1.0 / np.sqrt(1.0 + r2 / (h * h)))
+def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (d, na, nb) gradient blocks G[a, i, l] = d/dx_a K(x, xb_l) at
+    x = xa_i, for s from ``_pair_kernel(xa, xb, h)``.  When xa is xb, each
+    G[a] is exactly antisymmetric."""
+    G = np.empty((xa.shape[1],) + s.shape)
+    for a in range(xa.shape[1]):
+        np.subtract.outer(xa[:, a], xb[:, a], out=G[a])
+        G[a] *= s
+    return G
 
 
-def imq_grad1(x, y, h) -> np.ndarray:
-    """Gradient of K with respect to the first argument.
+def _grad_apply(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, f) -> np.ndarray:
+    """sum_l grad_1 K(xa_i, xb_l) f_l = xa_i (s f)_i - (s (xb o f))_i as an
+    (na, d) array, for s from ``_pair_kernel(xa, xb, h)`` and f an (nb,)
+    vector or a scalar.  Both point sets are shifted to xb's mean, which keeps
+    the difference free of cancellation far from the origin; overflow on a
+    far-out ensemble is left to the non-finite result."""
+    c = xb.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.broadcast_to(f, xb.shape[:1])[:, None]
+        sf = s @ np.hstack((f, (xb - c) * f))
+        return (xa - c) * sf[:, :1] - sf[:, 1:]
 
-    grad_x K(x, y) = -(x - y)/h^2 * (1 + ||x-y||^2/h^2)^(-3/2)
-    """
-    h = _check_h(h)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    u = x - y
-    q = 1.0 / np.sqrt(1.0 + np.sum(u * u) / (h * h))
-    return -u / (h * h) * q**3
+
+def _grad_gram(x: np.ndarray, s: np.ndarray, y=None, sy=None) -> np.ndarray:
+    """(1/J) sum_i grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) as a J x J array,
+    for s from ``_pair_kernel(x, x, h)``: the coupling matrix M without y, the
+    transport Newton Jacobian at displaced points y (sy from
+    ``_pair_kernel(y, x, h)``) with it.  From ``_DISTANCE_GRAM_MIN_DIM`` on,
+    D[i, l] = ||x_i - x_l||^2 and (x_i - x_l).(x_i - x_m) = (D_il + D_im -
+    D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s and,
+    with Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
+    jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s - D o (sy^T s)) / (2J)."""
+    J, d = x.shape
+    if d < _DISTANCE_GRAM_MIN_DIM:
+        Gr = _grad_blocks(x, x, s).reshape(d * J, J)
+        Gy = Gr if y is None else _grad_blocks(y, x, sy).reshape(d * J, J)
+        out = Gy.T @ Gr  # for M one operand twice: a symmetric rank-k update
+        out /= J
+        return out
+    D = _pair_sq(x, x)
+    if y is None:
+        P = s.T @ s  # s.T @ s, not s @ s: numpy sends it to syrk
+        P *= D
+        D *= s
+        T = D @ s
+        out = np.add(T, T.T, out=D)  # D o s is spent: reuse its buffer
+        out -= P
+    else:
+        Dy = _pair_sq(y, x)
+        Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
+        out = sy.T @ (Dy * s) + (D * sy).T @ s
+        out -= D * (sy.T @ s)
+    out /= 2 * J
+    return out
 
 
 def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:
     """J x J matrix with entries K(X_i, X_j); symmetric with unit diagonal."""
     x = _positions(ensemble)
     d2 = _pair_sq(x, x)
-    return _q_from_sq(d2, _bandwidth_from_sq(spec, d2))
+    return _q_from_sq(d2, _bandwidth_from_sq(spec, d2), out=d2)
 
 
 def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
@@ -174,6 +184,4 @@ def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
     the floor (e.g. a collapsed ensemble).
     """
     x = _positions(ensemble)
-    if x.shape[0] < 2:
-        return float(h_floor)
     return _median_bw_from_sq(_pair_sq(x, x), h_floor)

@@ -2,12 +2,11 @@
 
 An :class:`Ensemble` is an immutable snapshot of J particle positions in R^d
 plus the pseudo-time t of the transport.  A :class:`FlowWorkspace` gathers the
-derived quantities every update rule needs: the kernel matrix, the
-per-coordinate gradient blocks G[a, i, l] = d/dx_a K(X_i, X_l) of the kernel
-basis, and the Gram-type coupling matrix
+derived quantities every update rule needs: the kernel matrix, the gradient
+scale s of the kernel basis (grad_1 K(X_i, X_l) = (X_i - X_l) s[i, l]), and
+the Gram-type coupling matrix
 
-    M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >
-            = (1/J) sum_a (G_a^T G_a)[l, m].
+    M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >.
 
 M is symmetric positive semidefinite; a Tikhonov term lam * I makes it
 definite for the solves, which use a symmetric-definite (Cholesky)
@@ -16,6 +15,7 @@ factorization.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import KernelSpec, _pair_kernel
+from .kernels import KernelSpec, _grad_gram, _pair_kernel
 
 
 @dataclass(frozen=True)
@@ -57,26 +57,20 @@ class Ensemble:
 
 @dataclass
 class FlowWorkspace:
-    """Per-step derived quantities, all computed at one shared bandwidth ``h``.
-
-    ``G`` holds the (d, J, J) gradient blocks G[a, i, l] = d/dx_a K(X_i, X_l).
-    With Gr its (d*J, J) reshape, M = Gr^T Gr / J, and the field
-    x -> Jac(K_basis)(x)^T f at the particles is the transposed (d, J)
-    reshape of Gr f.
-    """
+    """Per-step derived quantities, all computed at one shared bandwidth ``h``;
+    ``s`` is the gradient scale of :func:`kernels._pair_kernel`, and each
+    array is J x J whatever d is."""
 
     h: float
     Kmat: np.ndarray
     M: np.ndarray
-    G: np.ndarray
+    s: np.ndarray
 
 
 def build_workspace(ensemble, spec: KernelSpec) -> FlowWorkspace:
     x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    J, d = x.shape
-    h, kmat, G = _pair_kernel(x, x, spec)
-    Gr = G.reshape(d * J, J)
-    return FlowWorkspace(h=float(h), Kmat=kmat, M=Gr.T @ Gr / J, G=G)
+    h, kmat, s = _pair_kernel(x, x, spec)
+    return FlowWorkspace(h=float(h), Kmat=kmat, M=_grad_gram(x, s), s=s)
 
 
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -86,8 +80,8 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
     lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second failure raises
     :class:`NumericalStabilityError`.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     for retry in (False, True):
         Mreg = np.array(M, dtype=np.float64, copy=True)
         if lam > 0:

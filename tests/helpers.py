@@ -3,7 +3,40 @@
 import numpy as np
 
 from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain
-from kfrflow.kernels import imq_eval, imq_grad1, median_bandwidth
+from kfrflow.kernels import median_bandwidth
+
+
+def _check_h(h) -> float:
+    h = float(h)
+    if not h > 0:
+        raise ValueError(f"bandwidth must be > 0, got {h}")
+    return h
+
+
+def imq_eval(x, y, h) -> float:
+    """Evaluate K(x, y) = (1 + ||x-y||^2/h^2)^(-1/2)."""
+    h = _check_h(h)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    r2 = np.sum((x - y) ** 2)
+    return float(1.0 / np.sqrt(1.0 + r2 / (h * h)))
+
+
+def imq_grad1(x, y, h) -> np.ndarray:
+    """Gradient of K with respect to the first argument.
+
+    grad_x K(x, y) = -(x - y)/h^2 * (1 + ||x-y||^2/h^2)^(-3/2)
+    """
+    h = _check_h(h)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    u = x - y
+    q = 1.0 / np.sqrt(1.0 + np.sum(u * u) / (h * h))
+    return -u / (h * h) * q**3
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -41,15 +74,18 @@ def rel_err(approx, exact):
     return float(np.linalg.norm(approx - exact)) / denom
 
 
-def basis_gradient_oracle(x, h):
-    """The (J, J*d) matrix B[l, i*d + a] = d/dx_a K(X_i, X_l), one
-    ``imq_grad1`` call per pair; the coupling matrix is M = B B^T / J."""
+def basis_gradient_oracle(x, h, y=None):
+    """The (J, J*d) matrix B[l, i*d + a] = d/dx_a K(y_i, X_l), one
+    ``imq_grad1`` call per pair, with evaluation points y defaulting to the
+    basis centers x.  The coupling matrix is M = B B^T / J, and the transport
+    Newton Jacobian at displaced points y is B(y) B(x)^T / J."""
     x = np.asarray(x, dtype=np.float64)
+    y = x if y is None else np.asarray(y, dtype=np.float64)
     J, d = x.shape
     B = np.zeros((J, J * d))
     for ell in range(J):
         for i in range(J):
-            B[ell, i * d : (i + 1) * d] = imq_grad1(x[i], x[ell], h)
+            B[ell, i * d : (i + 1) * d] = imq_grad1(y[i], x[ell], h)
     return B
 
 

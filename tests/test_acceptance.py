@@ -29,7 +29,7 @@ from kfrflow.integrators import (
     sde_stepper,
     velocity_stepper,
 )
-from kfrflow.kernels import KernelSpec, imq_eval, imq_grad1
+from kfrflow.kernels import KernelSpec
 from kfrflow.particles import Ensemble
 from kfrflow.targets import (
     TargetModel,
@@ -38,7 +38,14 @@ from kfrflow.targets import (
     make_gaussian,
 )
 
-from helpers import central_diff_grad, mixed_second_trace, rel_err, velocity_oracle
+from helpers import (
+    central_diff_grad,
+    imq_eval,
+    imq_grad1,
+    mixed_second_trace,
+    rel_err,
+    velocity_oracle,
+)
 
 
 def report(criterion, ok, detail):

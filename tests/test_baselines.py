@@ -40,8 +40,12 @@ class TestSvgd:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(79)
-        for target, J in ((make_bayesian_2d("donut"), 30), (make_gaussian(np.ones(5), 0.6), 20)):
-            x = rng.standard_normal((J, target.dim))
+        for target, J, offset in (
+            (make_bayesian_2d("donut"), 30, 0.0),
+            (make_gaussian(np.ones(5), 0.6), 20, 0.0),
+            (make_gaussian(np.full(20, 40.0), 0.6), 20, 40.0),
+        ):
+            x = rng.standard_normal((J, target.dim)) + offset
             for spec in (KernelSpec(), KernelSpec(bandwidth=0.7)):
                 h = spec.bandwidth or median_bandwidth(x)
                 phi = svgd_phi_oracle(x, target.score_target(x), h)

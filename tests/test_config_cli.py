@@ -93,6 +93,13 @@ class TestIniParsing:
         with pytest.raises(ValueError, match="missing required"):
             parse_config(None, {"target": "donut"})
 
+    def test_non_finite_lambda_or_epsilon_rejected(self):
+        run = {"target": "donut", "sampler": "kfrflow-i", "J": 30, "N": 10}
+        for key in ("lambda", "epsilon"):
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    parse_config(None, {**run, key: value})
+
     def test_grid_section(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(

@@ -7,12 +7,13 @@ from kfrflow.diagnostics import KsdConfig, ksd, stein_discrepancies
 from kfrflow.errors import CapabilityError, NumericalStabilityError
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity, tempered_score
 from kfrflow.harness import _row
-from kfrflow.kernels import KernelSpec, imq_eval
+from kfrflow.kernels import KernelSpec
 from kfrflow.particles import Ensemble
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
 
 from helpers import (
     central_diff_grad,
+    imq_eval,
     mixed_second_trace,
     rel_err,
     stein_kernel_matrix,

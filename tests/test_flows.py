@@ -94,15 +94,20 @@ class TestVelocity:
         assert np.allclose(vp, v[perm], rtol=1e-8, atol=1e-12)
 
     def test_small_instance_against_loop_oracle(self):
-        target = make_gaussian([1.0, -0.5], 0.5)
         rng = np.random.default_rng(44)
-        e = Ensemble(rng.standard_normal((5, 2)), 0.0)
-        # fixed moderate bandwidth keeps the unregularized system solvable
+        cases = (
+            # fixed moderate bandwidth keeps the unregularized system solvable
+            (make_gaussian([1.0, -0.5], 0.5), rng.standard_normal((5, 2)), (0.0, 1e-3)),
+            # d = 20 far from the origin: the distance-only Gram matrix
+            (make_gaussian(np.full(20, 40.0), 0.5), rng.standard_normal((8, 20)) + 40.0, (1e-3,)),
+        )
         spec = KernelSpec(bandwidth=0.5)
-        for lam in (0.0, 1e-3):
-            v = kfrflow_velocity(e, target, spec, lam)
-            vo = velocity_oracle(e, target, spec, lam)
-            assert np.linalg.norm(v - vo) <= 1e-10 * (1 + np.linalg.norm(vo))
+        for target, x, lams in cases:
+            e = Ensemble(x, 0.0)
+            for lam in lams:
+                v = kfrflow_velocity(e, target, spec, lam)
+                vo = velocity_oracle(e, target, spec, lam)
+                assert np.linalg.norm(v - vo) <= 1e-10 * (1 + np.linalg.norm(vo))
 
 
 class TestLogRatioShape:
@@ -312,3 +317,7 @@ class TestFlowConfig:
             FlowConfig(lam=-1.0)
         with pytest.raises(ValueError):
             FlowConfig(eps=-0.5)
+        for key in ("lam", "eps"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    FlowConfig(**{key: value})

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from scipy.spatial.distance import pdist
+
 from kfrflow.kernels import (
     KernelSpec,
+    _grad_blocks,
+    _grad_gram,
     _pair_kernel,
-    imq_eval,
-    imq_grad1,
     kernel_matrix,
     median_bandwidth,
 )
 
-from helpers import central_diff_grad, rel_err
+from helpers import basis_gradient_oracle, central_diff_grad, imq_eval, imq_grad1, rel_err
 
 
 class TestImqEval:
@@ -110,8 +112,8 @@ class TestKernelMatrix:
 def jacobian(x, h, i):
     """Jacobian of the basis map x -> (K(x, X_1), ..., K(x, X_J)) at X_i:
     row j is grad_x K(x, X_j) at x = X_i, read from the gradient blocks."""
-    _, _, G = _pair_kernel(x, x, h)
-    return G[:, i, :].T
+    _, _, s = _pair_kernel(x, x, h)
+    return _grad_blocks(x, x, s)[:, i, :].T
 
 
 class TestKernelJacobian:
@@ -141,7 +143,8 @@ class TestKernelJacobian:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
         for i in range(4):
-            _, _, row = _pair_kernel(x[i : i + 1], x, 0.75)
+            _, _, s = _pair_kernel(x[i : i + 1], x, 0.75)
+            row = _grad_blocks(x[i : i + 1], x, s)
             assert np.array_equal(row[:, 0, :].T, jacobian(x, 0.75, i))
 
 
@@ -150,7 +153,8 @@ class TestPairKernel:
         rng = np.random.default_rng(10)
         xa = rng.standard_normal((4, 3))
         xb = rng.standard_normal((5, 3))
-        h, q, G = _pair_kernel(xa, xb, 0.9)
+        h, q, s = _pair_kernel(xa, xb, 0.9)
+        G = _grad_blocks(xa, xb, s)
         assert h == 0.9 and q.shape == (4, 5) and G.shape == (3, 4, 5)
         for i in range(4):
             for ell in range(5):
@@ -160,7 +164,8 @@ class TestPairKernel:
         rng = np.random.default_rng(11)
         for J, d in ((1, 1), (2, 2), (30, 5)):
             x = rng.standard_normal((J, d)) * 3.0
-            _, q, G = _pair_kernel(x, x, KernelSpec())
+            _, q, s = _pair_kernel(x, x, KernelSpec())
+            G = _grad_blocks(x, x, s)
             assert np.array_equal(q, q.T)
             for a in range(d):
                 assert np.array_equal(G[a], -G[a].T)
@@ -171,6 +176,20 @@ class TestPairKernel:
         assert _pair_kernel(x, x, KernelSpec())[0] == median_bandwidth(x)
         assert _pair_kernel(x, x, KernelSpec(bandwidth=0.4))[0] == 0.4
         assert _pair_kernel(np.ones((3, 2)), np.ones((3, 2)), KernelSpec())[0] == 1e-6
+
+
+class TestGradGram:
+    def test_newton_jacobian_at_displaced_points_matches_oracle(self):
+        # both routes: stacked blocks at d = 2, squared distances at d = 20
+        rng = np.random.default_rng(13)
+        J = 30
+        for d in (2, 20):
+            x = rng.standard_normal((J, d)) + 40.0
+            y = x + 0.3 * rng.standard_normal((J, d))
+            h, _, s = _pair_kernel(x, x, KernelSpec())
+            _, _, sy = _pair_kernel(y, x, h)
+            expected = basis_gradient_oracle(x, h, y) @ basis_gradient_oracle(x, h).T / J
+            assert rel_err(_grad_gram(x, s, y, sy), expected) <= 1e-13, d
 
 
 class TestMedianBandwidth:
@@ -194,6 +213,16 @@ class TestMedianBandwidth:
         x = rng.standard_normal((9, 3))
         h = median_bandwidth(x)
         assert median_bandwidth(2.5 * x) == pytest.approx(2.5 * h, rel=1e-12)
+
+    def test_matches_pdist_median(self):
+        # odd and even pair counts J (J - 1) / 2
+        rng = np.random.default_rng(14)
+        for J in (2, 3, 4, 5, 6, 50, 51, 300):
+            for d in (1, 2, 5, 20):
+                x = rng.standard_normal((J, d)) + 7.0
+                med = float(np.median(pdist(x)))
+                expected = max(float(np.sqrt(med**2 / np.log(J + 1))), 1e-6)
+                assert median_bandwidth(x) == expected, (J, d)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)

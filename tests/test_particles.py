@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kfrflow.errors import NumericalStabilityError
-from kfrflow.kernels import KernelSpec, imq_eval, imq_grad1
+from kfrflow.kernels import KernelSpec
 from kfrflow.particles import (
     Ensemble,
     build_workspace,
@@ -16,7 +16,7 @@ from kfrflow.particles import (
 )
 from kfrflow.targets import make_gaussian
 
-from helpers import basis_gradient_oracle, rel_err
+from helpers import basis_gradient_oracle, imq_eval, imq_grad1, rel_err
 
 
 def brute_force_M(x, h):
@@ -124,6 +124,9 @@ class TestRegularize:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             spd_solve(np.eye(2), -1e-3, np.ones(2))
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                spd_solve(np.eye(2), lam, np.ones(2))
 
 
 class TestSolveM:
@@ -315,9 +318,12 @@ class TestWorkspace:
     def test_M_matches_gradient_oracle(self):
         rng = np.random.default_rng(36)
         for J in (1, 2, 50):
-            for d in (1, 2, 20):
-                x = rng.standard_normal((J, d))
-                ws = build_workspace(x, KernelSpec())
-                B = basis_gradient_oracle(x, ws.h)
-                assert rel_err(ws.M, B @ B.T / J) <= 1e-13, (J, d)
-                assert ws.G.shape == (d, J, J)
+            for d in (1, 2, 3, 4, 20):
+                for offset in (0.0, 40.0):
+                    x = rng.standard_normal((J, d)) + offset
+                    ws = build_workspace(x, KernelSpec())
+                    B = basis_gradient_oracle(x, ws.h)
+                    assert rel_err(ws.M, B @ B.T / J) <= 1e-13, (J, d, offset)
+                    # memory stays O(J^2) whatever d is
+                    for value in vars(ws).values():
+                        assert not isinstance(value, np.ndarray) or value.size <= J * J
