@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .kernels import KernelSpec, _grad_apply, _grad_gram, _pair_kernel
+from .kernels import (
+    _DISTANCE_GRAM_MIN_DIM,
+    KernelSpec,
+    _grad_apply,
+    _grad_gram,
+    _kernel_from_sq,
+    _pair_sq,
+)
 from .particles import (
     Ensemble,
     _log_ratio_values,
@@ -108,6 +115,8 @@ def sample_ot_newton(
         )
     uniform = np.full(J, 1.0 / J)
     b = w @ ws.Kmat
+    # the distance-form Jacobians of later iterations all read ||x_i - x_m||^2
+    D = _pair_sq(x, x) if iters > 1 and x.shape[1] >= _DISTANCE_GRAM_MIN_DIM else None
 
     s = np.zeros(J)
     # at s = 0 the transported ensemble is the original one, so the residual
@@ -129,7 +138,7 @@ def sample_ot_newton(
                 disp = _grad_apply(x, x, ws.s, s - delta)
         else:
             # the Jacobian at the displaced points y of the last iterate
-            jac = _grad_gram(x, ws.s, y, sy)
+            jac = _grad_gram(x, ws.s, y, sy, D=D, Dy=Dy)
             if lam > 0:
                 jac = jac + lam * np.eye(J)
             try:
@@ -145,7 +154,8 @@ def sample_ot_newton(
             # the divergence guard cannot trigger, skip the residual pass
             return Ensemble(x + disp, ensemble.t + dt)
         y = x + _grad_apply(x, x, ws.s, s)
-        _, ky, sy = _pair_kernel(y, x, ws.h)
+        Dy = _pair_sq(y, x)  # kept for the next Jacobian
+        _, ky, sy = _kernel_from_sq(Dy, ws.h)
         resid = uniform @ ky - b
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:

@@ -10,6 +10,12 @@ which gives q[i, l] = K(xa_i, xb_l) and s = -q^3 / h^2, so that
 grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l].  Every product with the
 gradients is :func:`_grad_apply` or :func:`_grad_gram`; no (d, J, J) array
 leaves this module.
+
+The squared distances under all of them come from :func:`_pair_sq`, which
+sums the coordinates in order, exactly as ``scipy.spatial.distance.pdist``
+does, so bandwidths and kernel values match it bit for bit.  Within one
+workspace that pass is made once: the bandwidth, q and, from
+``_DISTANCE_GRAM_MIN_DIM`` on, the Gram matrix all read the same D.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ import numpy as np
 # _grad_gram multiplies gradient blocks (d J^3 flops, d + 1 J x J arrays)
 # below this dimension and squared distances (3 J^3 flops, 3 arrays) from it
 # on; at d = 1 the distance form misses the 1e-10 oracle bound of criterion 4.
+# The distance form reuses the D that the kernel of the same step was built
+# from, so a workspace makes one pair pass at every d.
 _DISTANCE_GRAM_MIN_DIM = 3
+
+# elements of one (d, rows, cols) difference block of _pair_sq: 512 KB, which
+# stays in cache while it is squared and reduced
+_PAIR_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -51,13 +63,30 @@ def _positions(ensemble) -> np.ndarray:
 
 
 def _pair_sq(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """||xa_i - xb_j||^2 as an (na, nb) array, summed one coordinate at a
-    time in one reused buffer: no (na, nb, d) difference tensor is built."""
-    d2 = np.zeros((xa.shape[0], xb.shape[0]))
-    diff = np.empty_like(d2)
-    for a in range(xa.shape[1]):
-        np.subtract.outer(xa[:, a], xb[:, a], out=diff)
-        d2 += np.square(diff, out=diff)
+    """||xa_i - xb_l||^2 as an (na, nb) array.
+
+    Rows go in blocks of at most ``_PAIR_BLOCK`` differences, each reduced
+    over its leading coordinate axis, which adds the coordinates in order:
+    the sum of scipy's pdist and cdist, bit for bit.  When xa is xb only the
+    upper triangle is computed and each strip is mirrored below the diagonal;
+    (a - b)^2 == (b - a)^2 keeps the result exactly symmetric."""
+    (na, d), nb = xa.shape, xb.shape[0]
+    sym = xa is xb
+    at = np.ascontiguousarray(xa.T)
+    bt = at if sym else np.ascontiguousarray(xb.T)
+    d2 = np.empty((na, nb))
+    buf = np.empty(min(d * na * nb, max(_PAIR_BLOCK, d * nb)))
+    i0 = 0
+    while i0 < na:
+        c0 = i0 if sym else 0
+        i1 = min(na, i0 + max(1, _PAIR_BLOCK // max(1, d * (nb - c0))))
+        blk = buf[: d * (i1 - i0) * (nb - c0)].reshape(d, i1 - i0, nb - c0)
+        np.subtract(at[:, i0:i1, None], bt[:, None, c0:], out=blk)
+        np.square(blk, out=blk)
+        np.add.reduce(blk, axis=0, out=d2[i0:i1, c0:])
+        if sym:
+            d2[i1:, i0:i1] = d2[i0:i1, i1:].T
+        i0 = i1
     return d2
 
 
@@ -103,9 +132,16 @@ def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h) -> tuple:
     ``h`` is the bandwidth, or a KernelSpec whose policy is applied to these
     pairs (then xa and xb are the same ensemble)."""
     d2 = _pair_sq(xa, xb)
+    return _kernel_from_sq(d2, h, out=d2)
+
+
+def _kernel_from_sq(d2: np.ndarray, h, out=None) -> tuple:
+    """:func:`_pair_kernel` from the squared distances ``d2 = _pair_sq(xa,
+    xb)``; q is written to ``out``, which is d2 itself once nothing else
+    reads the distances."""
     if isinstance(h, KernelSpec):
         h = _bandwidth_from_sq(h, d2)
-    q = _q_from_sq(d2, h, out=d2)
+    q = _q_from_sq(d2, h, out=out)
     s = q * q
     s *= q
     s /= -(h * h)
@@ -136,7 +172,7 @@ def _grad_apply(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, f) -> np.ndarray:
         return (xa - c) * sf[:, :1] - sf[:, 1:]
 
 
-def _grad_gram(x: np.ndarray, s: np.ndarray, y=None, sy=None) -> np.ndarray:
+def _grad_gram(x: np.ndarray, s: np.ndarray, y=None, sy=None, D=None, Dy=None) -> np.ndarray:
     """(1/J) sum_i grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) as a J x J array,
     for s from ``_pair_kernel(x, x, h)``: the coupling matrix M without y, the
     transport Newton Jacobian at displaced points y (sy from
@@ -144,7 +180,11 @@ def _grad_gram(x: np.ndarray, s: np.ndarray, y=None, sy=None) -> np.ndarray:
     D[i, l] = ||x_i - x_l||^2 and (x_i - x_l).(x_i - x_m) = (D_il + D_im -
     D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s and,
     with Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
-    jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s - D o (sy^T s)) / (2J)."""
+    jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s - D o (sy^T s)) / (2J).
+    A caller that holds D = ``_pair_sq(x, x)`` or Dy = ``_pair_sq(y, x)``
+    passes it instead of a second pass (below ``_DISTANCE_GRAM_MIN_DIM``
+    neither is read); M spends D's buffer, the Jacobian spends Dy's and leaves
+    D intact."""
     J, d = x.shape
     if d < _DISTANCE_GRAM_MIN_DIM:
         Gr = _grad_blocks(x, x, s).reshape(d * J, J)
@@ -152,7 +192,8 @@ def _grad_gram(x: np.ndarray, s: np.ndarray, y=None, sy=None) -> np.ndarray:
         out = Gy.T @ Gr  # for M one operand twice: a symmetric rank-k update
         out /= J
         return out
-    D = _pair_sq(x, x)
+    if D is None:
+        D = _pair_sq(x, x)
     if y is None:
         P = s.T @ s  # s.T @ s, not s @ s: numpy sends it to syrk
         P *= D
@@ -161,12 +202,26 @@ def _grad_gram(x: np.ndarray, s: np.ndarray, y=None, sy=None) -> np.ndarray:
         out = np.add(T, T.T, out=D)  # D o s is spent: reuse its buffer
         out -= P
     else:
-        Dy = _pair_sq(y, x)
+        if Dy is None:
+            Dy = _pair_sq(y, x)
         Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
-        out = sy.T @ (Dy * s) + (D * sy).T @ s
+        Dy *= s
+        out = sy.T @ Dy + (D * sy).T @ s
         out -= D * (sy.T @ s)
     out /= 2 * J
     return out
+
+
+def _kernel_gram(x: np.ndarray, spec: KernelSpec) -> tuple:
+    """(h, q, s) of ``_pair_kernel(x, x, spec)`` and M = ``_grad_gram(x, s)``
+    from one pair pass."""
+    D = _pair_sq(x, x)
+    if x.shape[1] < _DISTANCE_GRAM_MIN_DIM:
+        h, q, s = _kernel_from_sq(D, spec, out=D)
+        return h, q, s, _grad_gram(x, s)
+    # the distance form of M reads D too, so q gets its own buffer
+    h, q, s = _kernel_from_sq(D, spec)
+    return h, q, s, _grad_gram(x, s, D=D)
 
 
 def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import KernelSpec, _grad_gram, _pair_kernel
+from .kernels import KernelSpec, _kernel_gram
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class FlowWorkspace:
 
 def build_workspace(ensemble, spec: KernelSpec) -> FlowWorkspace:
     x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    h, kmat, s = _pair_kernel(x, x, spec)
-    return FlowWorkspace(h=float(h), Kmat=kmat, M=_grad_gram(x, s), s=s)
+    h, kmat, s, M = _kernel_gram(x, spec)
+    return FlowWorkspace(h=float(h), Kmat=kmat, M=M, s=s)
 
 
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:

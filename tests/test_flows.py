@@ -4,6 +4,7 @@ the stochastic drift."""
 import numpy as np
 import pytest
 
+from kfrflow import flows, kernels
 from kfrflow.errors import CapabilityError
 from kfrflow.flows import (
     FlowConfig,
@@ -16,7 +17,7 @@ from kfrflow.flows import (
 from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec, _pair_kernel, median_bandwidth
 from kfrflow.particles import Ensemble, build_workspace, importance_weights
-from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
+from kfrflow.targets import TargetModel, make_bayesian_2d, make_funnel, make_gaussian
 
 from helpers import velocity_oracle
 
@@ -248,6 +249,49 @@ class TestNewtonTransport:
         e = Ensemble(np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
             sample_ot_newton(e, donut, KernelSpec(), 0.1, 0.0, iters=0)
+
+
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """Every _pair_sq call made through the modules that measure pairs."""
+    calls = []
+    real = kernels._pair_sq
+
+    def counted(xa, xb):
+        calls.append((xa.shape, xb.shape))
+        return real(xa, xb)
+
+    for module in (kernels, flows):
+        monkeypatch.setattr(module, "_pair_sq", counted)
+    return calls
+
+
+class TestPairPasses:
+    """Each step measures the pairs of its ensemble once."""
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_workspace_makes_one_pass(self, pair_passes, d):
+        x = np.random.default_rng(60).standard_normal((40, d))
+        ws = build_workspace(x, KernelSpec())
+        assert len(pair_passes) == 1
+        if d >= kernels._DISTANCE_GRAM_MIN_DIM:
+            # the shared D gives the M of a fresh pass bit for bit
+            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.s))
+
+    def test_importance_step_makes_one_pass(self, pair_passes):
+        e = Ensemble(np.random.default_rng(61).standard_normal((40, 20)), 0.0)
+        kfrflow_i_step(e, make_funnel(20), KernelSpec(), 0.1, 1e-3)
+        assert len(pair_passes) == 1
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_newton_reuses_its_pair_matrices(self, pair_passes, d):
+        # the workspace, the centres' D once for the distance-form Jacobians,
+        # and one pass per displaced iterate: the last one feeds the
+        # divergence guard
+        iters = 3
+        e = Ensemble(np.random.default_rng(62).standard_normal((40, d)), 0.0)
+        sample_ot_newton(e, make_funnel(d), KernelSpec(), 0.1, 1e-3, iters=iters)
+        assert len(pair_passes) == 1 + (d >= kernels._DISTANCE_GRAM_MIN_DIM) + iters
 
 
 class TestTemperedScore:

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from kfrflow.kernels import (
     KernelSpec,
     _grad_blocks,
     _grad_gram,
     _pair_kernel,
+    _pair_sq,
     kernel_matrix,
     median_bandwidth,
 )
@@ -178,6 +179,35 @@ class TestPairKernel:
         assert _pair_kernel(np.ones((3, 2)), np.ones((3, 2)), KernelSpec())[0] == 1e-6
 
 
+class TestPairSq:
+    """_pair_sq sums the coordinates in cdist's order, so it matches it with ==."""
+
+    @pytest.mark.parametrize("J", [1, 2, 7, 300, 1001])
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 64])
+    def test_bitwise_equal_to_cdist(self, J, d):
+        # J = 1001 and d = 64 take several row blocks with a ragged last one
+        rng = np.random.default_rng(1000 * J + d)
+        x = rng.standard_normal((J, d)) + 40.0
+        y = rng.standard_normal((J + 3, d))
+        wide = rng.standard_normal((2 * J, d + 1))
+        cases = {
+            "symmetric": (x, x),
+            "equal copy": (x, x.copy()),
+            "cross": (y, x),
+            "F-order": (np.asfortranarray(x),) * 2,
+            "strided": (wide[::2, 1:],) * 2,
+        }
+        for name, (xa, xb) in cases.items():
+            got = _pair_sq(xa, xb)
+            assert np.array_equal(got, cdist(xa, xb, "sqeuclidean")), name
+            if xa is xb:
+                assert np.array_equal(got, got.T), name
+                assert not np.diagonal(got).any(), name
+
+    def test_empty_dimension_gives_zero_distances(self):
+        assert np.array_equal(_pair_sq(np.empty((3, 0)), np.empty((2, 0))), np.zeros((3, 2)))
+
+
 class TestGradGram:
     def test_newton_jacobian_at_displaced_points_matches_oracle(self):
         # both routes: stacked blocks at d = 2, squared distances at d = 20
@@ -190,6 +220,19 @@ class TestGradGram:
             _, _, sy = _pair_kernel(y, x, h)
             expected = basis_gradient_oracle(x, h, y) @ basis_gradient_oracle(x, h).T / J
             assert rel_err(_grad_gram(x, s, y, sy), expected) <= 1e-13, d
+
+    def test_passed_distances_give_the_same_bits(self):
+        # D and Dy handed over by the caller replace the second pair pass
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((40, 20))
+        y = x + 0.3 * rng.standard_normal((40, 20))
+        h, _, s = _pair_kernel(x, x, KernelSpec())
+        _, _, sy = _pair_kernel(y, x, h)
+        D = _pair_sq(x, x)
+        jac = _grad_gram(x, s, y, sy, D=D, Dy=_pair_sq(y, x))
+        assert np.array_equal(jac, _grad_gram(x, s, y, sy))
+        assert np.array_equal(D, _pair_sq(x, x))  # the Jacobian leaves D intact
+        assert np.array_equal(_grad_gram(x, s, D=D), _grad_gram(x, s))
 
 
 class TestMedianBandwidth:

@@ -1,6 +1,9 @@
 """The public surface: ``kfrflow.__all__`` and the README's library example."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import kfrflow
@@ -39,3 +42,13 @@ def test_readme_library_import_resolves():
         namespace: dict = {}
         exec(f"from kfrflow import ({', '.join(names)})", namespace)
         assert set(names) <= set(kfrflow.__all__)
+
+
+def test_import_leaves_scipy_spatial_out():
+    # scipy.spatial costs about 9 MB of resident memory on import, which every
+    # kfrflow run would carry; the library measures pairs itself
+    code = "import sys, kfrflow, kfrflow.cli; print('scipy.spatial' in sys.modules)"
+    src = str(Path(kfrflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
