@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .kernels import _pair_sq, _q_from_sq
+from .kernels import _pair_sq, _q_from_sq, _scratch
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class KsdConfig:
             raise ValueError(f"estimator must be 'v' or 'u', got {self.estimator!r}")
 
 
-def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None) -> list:
+def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None) -> list:
     """KSD of one ensemble against each (J, d) score array in ``scores``.
 
     The score-free parts of the Stein kernel sum are computed once.  With
@@ -52,7 +52,9 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None) -> list:
     2 <S, G>; each score costs one J x J by J x d product.  The diagonal of
     the kernel matrix, removed by the U-statistic, is d/h^2 + ||s_i||^2.
     Overflow on far-out ensembles is left to the non-finite result, so it
-    raises no floating-point warnings.
+    raises no floating-point warnings.  Given a trial's buffer pool (see
+    :mod:`kfrflow.kernels`), the J x J arrays borrow its ``"D"``, ``"q"`` and
+    ``"s"``, which are dead between steps.
     """
     cfg = cfg or KsdConfig()
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -68,9 +70,10 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         # centring keeps G free of cancellation far from the origin
         xc = x - x.mean(axis=0)
-        d2 = _pair_sq(xc, xc)
-        q = _q_from_sq(d2, cfg.h)
-        q3 = q * q * q
+        d2 = _pair_sq(xc, xc, pool)
+        q = _q_from_sq(d2, cfg.h, out=_scratch(pool, "q", d2.shape))
+        q3 = np.multiply(q, q, out=_scratch(pool, "s", d2.shape))
+        q3 *= q
         d2 *= q3
         d2 *= q
         d2 *= q

@@ -17,6 +17,11 @@ particles (KFRD additionally needs scores).  The log-ratio vector is pivoted
 on its first entry before centering or exponentiation, which realizes in
 floating point the algebraic fact that constant shifts of the log ratio --
 unknown normalizing constants -- cannot affect any update.
+
+Every rule takes an optional trailing ``pool``, the trial's buffer pool of
+:mod:`kfrflow.kernels`: the workspace and the solve of a step then live in
+its buffers, and the result (a new ensemble, velocity or drift) never does.
+Newton iterations beyond the first allocate their own arrays.
 """
 
 from __future__ import annotations
@@ -56,24 +61,26 @@ class FlowConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
-def kfrflow_velocity(ensemble: Ensemble, target, spec: KernelSpec, lam: float = 0.0) -> np.ndarray:
+def kfrflow_velocity(
+    ensemble: Ensemble, target, spec: KernelSpec, lam: float = 0.0, pool=None
+) -> np.ndarray:
     """KFRFlow velocity, one (J, d) row per particle.
 
     Solves (M + lam I) f = (1/J) sum_k c_k K_basis(X_k) with c the centered
     log ratios, then evaluates v_j = Jac(K_basis)(X_j)^T f.
     """
     x = ensemble.positions
-    ws = build_workspace(ensemble, spec)
+    ws = build_workspace(ensemble, spec, pool=pool)
     r = _log_ratio_values(target, x)
     rp = r - r[0]
     c = rp - rp.mean()
     rhs = (c @ ws.Kmat) / x.shape[0]
-    f = spd_solve(ws.M, lam, rhs)
+    f = spd_solve(ws.M, lam, rhs, pool=pool)
     return _grad_apply(x, x, ws.s, f)
 
 
 def kfrflow_i_step(
-    ensemble: Ensemble, target, spec: KernelSpec, dt: float, lam: float = 0.0
+    ensemble: Ensemble, target, spec: KernelSpec, dt: float, lam: float = 0.0, pool=None
 ) -> Ensemble:
     """One KFRFlow-I update: the single-Newton transport map from t to t+dt.
 
@@ -82,11 +89,17 @@ def kfrflow_i_step(
     self-normalized importance weights with exponent dt; lam is raised until
     no particle moves farther than the kernel bandwidth.
     """
-    return sample_ot_newton(ensemble, target, spec, dt, lam, iters=1)
+    return sample_ot_newton(ensemble, target, spec, dt, lam, iters=1, pool=pool)
 
 
 def sample_ot_newton(
-    ensemble: Ensemble, target, spec: KernelSpec, dt: float, lam: float = 0.0, iters: int = 1
+    ensemble: Ensemble,
+    target,
+    spec: KernelSpec,
+    dt: float,
+    lam: float = 0.0,
+    iters: int = 1,
+    pool=None,
 ) -> Ensemble:
     """Newton iteration for the sample-equivalence condition G(s) = b.
 
@@ -105,7 +118,7 @@ def sample_ot_newton(
         )
     x = ensemble.positions
     J = x.shape[0]
-    ws = build_workspace(ensemble, spec)
+    ws = build_workspace(ensemble, spec, pool=pool)
     w = importance_weights(ensemble, target, dt)
     if w.max() > 0.5:
         warnings.warn(
@@ -116,6 +129,7 @@ def sample_ot_newton(
     uniform = np.full(J, 1.0 / J)
     b = w @ ws.Kmat
     # the distance-form Jacobians of later iterations all read ||x_i - x_m||^2
+    # (a fresh pass: the pool's D holds M)
     D = _pair_sq(x, x) if iters > 1 and x.shape[1] >= _DISTANCE_GRAM_MIN_DIM else None
 
     s = np.zeros(J)
@@ -130,11 +144,11 @@ def sample_ot_newton(
             # symmetric definite solve with M.  The map linearizes
             # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam
             # (kept for later iterations) until no particle moves farther.
-            delta = spd_solve(ws.M, lam, resid)
+            delta = spd_solve(ws.M, lam, resid, pool=pool)
             disp = _grad_apply(x, x, ws.s, s - delta)
             while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
                 lam = max(10.0 * lam, 1e-8 * float(np.trace(ws.M)) / J)
-                delta = spd_solve(ws.M, lam, resid)
+                delta = spd_solve(ws.M, lam, resid, pool=pool)
                 disp = _grad_apply(x, x, ws.s, s - delta)
         else:
             # the Jacobian at the displaced points y of the last iterate
@@ -188,14 +202,14 @@ def tempered_score(target, x, t: float) -> np.ndarray:
 
 
 def kfrd_drift(
-    ensemble: Ensemble, target, spec: KernelSpec, cfg: FlowConfig, t: float
+    ensemble: Ensemble, target, spec: KernelSpec, cfg: FlowConfig, t: float, pool=None
 ) -> tuple:
     """Drift rows and diffusion coefficient of the KFRD SDE.
 
     drift_j = v_j + eps * grad log pi_t(X_j), diffusion sqrt(2 eps).  With
     eps = 0 this is exactly the KFRFlow ODE.
     """
-    v = kfrflow_velocity(ensemble, target, spec, cfg.lam)
+    v = kfrflow_velocity(ensemble, target, spec, cfg.lam, pool=pool)
     if cfg.eps > 0:
         v = v + cfg.eps * tempered_score(target, ensemble.positions, t)
     return v, float(np.sqrt(2.0 * cfg.eps))

@@ -11,6 +11,10 @@ Every other error (a target returning the wrong shape, say) propagates.
 Results serialize to one CSV per run plus a JSON sidecar echoing the resolved
 config.  Set the environment variable ``KFRFLOW_WORKERS`` to run trials
 concurrently; the output is identical to a sequential run.
+
+Each kfrflow trial creates one buffer pool (:mod:`kfrflow.kernels`) that its
+steps and its KSD observations share, so no step allocates its J x J arrays
+again; trials never share a pool.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .integrators import (
     sde_stepper,
     velocity_stepper,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _BufferPool
 from .particles import Ensemble
 
 SCHEMA_VERSION = 1
@@ -72,7 +76,7 @@ class RunRecord:
         return self.summary[-1]["ksd_target"]
 
 
-def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered):
+def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered, pool=None):
     ksd_target = ksd_temp = float("nan")
     if target.score_target is not None:
         # one Stein pass scores both; pi_t's score reuses the target score
@@ -80,7 +84,7 @@ def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered):
         scores = [s1]
         if tempered and target.has_scores:
             scores.append((1.0 - t) * target.score_reference(positions) + t * s1)
-        ksd_target, *rest = stein_discrepancies(positions, scores, ksd_cfg)
+        ksd_target, *rest = stein_discrepancies(positions, scores, ksd_cfg, pool=pool)
         ksd_temp = rest[0] if rest else ksd_temp
         if not math.isfinite(ksd_target):
             raise NumericalStabilityError("non-finite KSD", step=step)
@@ -102,23 +106,24 @@ def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered):
     return row
 
 
-def _make_stepper(base, iters, config, target, spec, rng):
-    """The sampler's update as a stepper ``step(ens) -> Ensemble``."""
+def _make_stepper(base, iters, config, target, spec, rng, pool=None):
+    """The sampler's update as a stepper ``step(ens) -> Ensemble``; the
+    kfrflow samplers work in the buffer pool ``pool``."""
     dt = config.dt
     lam, eps = config.lam, config.eps
     if base in ("kfrflow-euler", "kfrflow-ab4"):
         return velocity_stepper(
-            lambda e: kfrflow_velocity(e, target, spec, lam), dt,
+            lambda e: kfrflow_velocity(e, target, spec, lam, pool=pool), dt,
             base.removeprefix("kfrflow-"),
         )
     if base in ("kfrflow-i", "kfrflow-i-newton"):
         if (iters or 1) == 1:  # one Newton step is the KFRFlow-I map
-            return lambda e: kfrflow_i_step(e, target, spec, dt, lam)
-        return lambda e: sample_ot_newton(e, target, spec, dt, lam, iters)
+            return lambda e: kfrflow_i_step(e, target, spec, dt, lam, pool=pool)
+        return lambda e: sample_ot_newton(e, target, spec, dt, lam, iters, pool=pool)
     if base == "kfrd":
         cfg = FlowConfig(lam=lam, eps=eps)
         return sde_stepper(
-            lambda e: kfrd_drift(e, target, spec, cfg, e.t), dt, rng
+            lambda e: kfrd_drift(e, target, spec, cfg, e.t, pool=pool), dt, rng
         )
     if base == "svgd":
         return lambda e: svgd_step(e, target, spec, dt)
@@ -137,12 +142,16 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     x0 = target.sample_reference(rng, config.J)
     obs_steps = set(range(0, config.N + 1, config.observe_every)) | {0, config.N}
     tempered = base in UNIT_TIME_SAMPLERS
+    # only the kfrflow steps work in a pool; the baselines keep fresh arrays
+    # (a pool held across rwm_run raised its peak, and SVGD's step allocates
+    # its own)
+    pool = _BufferPool() if tempered else None
     rows = []
 
     def observe(k, t, positions, step_ns):
         if k in obs_steps:
             rows.append(_row(target.dim, trial, k, t, positions, step_ns,
-                             ksd_cfg, target, tempered))
+                             ksd_cfg, target, tempered, pool))
 
     try:
         if base.startswith("rwm-"):
@@ -156,7 +165,8 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
             observe(config.N, 1.0, result.samples, elapsed // config.N)
         else:
             run_unit_time(
-                Ensemble(x0, 0.0), _make_stepper(base, iters, config, target, spec, rng),
+                Ensemble(x0, 0.0),
+                _make_stepper(base, iters, config, target, spec, rng, pool),
                 Schedule(config.N), [lambda k, t, ens, ns: observe(k, t, ens.positions, ns)],
                 total_time=config.T,
             )
@@ -328,7 +338,8 @@ def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResul
 
     Every call steps the same initial ensemble; stateful steppers keep their
     state, so after the three default warm-up calls kfrflow-ab4 times the
-    Adams-Bashforth update.
+    Adams-Bashforth update.  The steps share one buffer pool, as in a trial,
+    so the timed steps run with it warm.
     """
     base, iters = parse_sampler(config.sampler)
     if base.startswith("rwm-"):
@@ -337,7 +348,7 @@ def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResul
     spec = KernelSpec(bandwidth=config.bandwidth, h_floor=config.h_floor)
     rng = make_rng(config.seed)
     ens = Ensemble(target.sample_reference(rng, config.J), 0.0)
-    stepper = _make_stepper(base, iters, config, target, spec, rng)
+    stepper = _make_stepper(base, iters, config, target, spec, rng, _BufferPool())
 
     for _ in range(warmup):
         stepper(ens)

@@ -10,7 +10,12 @@ the Gram-type coupling matrix
 
 M is symmetric positive semidefinite; a Tikhonov term lam * I makes it
 definite for the solves, which use a symmetric-definite (Cholesky)
-factorization.
+factorization written over a copy of M + lam I.
+
+Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in it: M in
+``"D"``, the kernel matrix in ``"q"``, s in ``"s"``, and :func:`spd_solve`
+factors M + lam I in the first J x J of ``"G"``, which is dead once M is
+formed.  The workspace is valid until the pool's next use.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import solve_triangular
 
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import KernelSpec, _kernel_gram
+from .kernels import KernelSpec, _kernel_gram, _scratch
 
 
 @dataclass(frozen=True)
@@ -67,30 +73,41 @@ class FlowWorkspace:
     s: np.ndarray
 
 
-def build_workspace(ensemble, spec: KernelSpec) -> FlowWorkspace:
+def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
     x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    h, kmat, s, M = _kernel_gram(x, spec)
+    h, kmat, s, M = _kernel_gram(x, spec, pool)
     return FlowWorkspace(h=float(h), Kmat=kmat, M=M, s=s)
 
 
-def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
+def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarray:
     """Solve (M + lam I) x = rhs by Cholesky, with a one-shot fallback.
 
-    If factorization fails at the user's lam, retries once with
-    lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second failure raises
-    :class:`NumericalStabilityError`.
+    M + lam I is copied to the pool's ``"G"`` (a fresh array without a pool)
+    and overwritten there by its lower Cholesky factor L, which the two
+    triangular solves read in place; M itself is left untouched.  If
+    factorization fails at the user's lam, retries once with
+    lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second failure, or a
+    non-finite factor, raises :class:`NumericalStabilityError`.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    M = np.asarray(M, dtype=np.float64)
+    J = M.shape[0]
     for retry in (False, True):
-        Mreg = np.array(M, dtype=np.float64, copy=True)
+        chol = _scratch(pool, "G", M.shape)
+        np.copyto(chol, M)
         if lam > 0:
-            Mreg[np.diag_indices_from(Mreg)] += lam
+            chol.ravel()[:: J + 1] += lam
         try:
-            chol = np.linalg.cholesky(Mreg)
+            # np.linalg.cholesky's gufunc, given its input as out=, writes
+            # the factor over it.  Unlike scipy's dpotrf it runs on numpy's
+            # BLAS threads, not scipy's separate OpenBLAS pool, which stalls
+            # against numpy's when both have threads
+            with np.errstate(invalid="raise"):
+                _umath_linalg.cholesky_lo(chol, out=chol, signature="d->d")
             break
-        except np.linalg.LinAlgError as err:
-            fallback = max(lam, 1e-8 * float(np.trace(M)) / M.shape[0])
+        except FloatingPointError as err:
+            fallback = max(lam, 1e-8 * float(np.trace(M)) / J)
             if retry or fallback <= lam:
                 raise NumericalStabilityError(
                     "coupling matrix is not positive definite; increase the "
@@ -103,8 +120,12 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
                 stacklevel=2,
             )
             lam = fallback
-    y = solve_triangular(chol, rhs, lower=True)
-    return solve_triangular(chol, y, lower=True, trans=1)
+    # a NaN in M passes the factorization's pivot test and leaves a NaN on
+    # the diagonal
+    if not np.isfinite(chol.diagonal()).all():
+        raise NumericalStabilityError("non-finite coupling matrix")
+    y = solve_triangular(chol, rhs, lower=True, check_finite=False)
+    return solve_triangular(chol, y, lower=True, trans=1, check_finite=False)
 
 
 def _log_ratio_rows(target, positions: np.ndarray) -> np.ndarray:

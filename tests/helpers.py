@@ -74,6 +74,12 @@ def rel_err(approx, exact):
     return float(np.linalg.norm(approx - exact)) / denom
 
 
+def timeless_rows(rows):
+    """CSV rows without their wall-clock column, as text, so that equal bits
+    (NaN included) compare equal."""
+    return [{k: repr(v) for k, v in r.items() if k != "step_time_ns"} for r in rows]
+
+
 def basis_gradient_oracle(x, h, y=None):
     """The (J, J*d) matrix B[l, i*d + a] = d/dx_a K(y_i, X_l), one
     ``imq_grad1`` call per pair, with evaluation points y defaulting to the

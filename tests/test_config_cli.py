@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kfrflow import harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
 from kfrflow.errors import NumericalStabilityError
@@ -24,6 +26,8 @@ from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec
 from kfrflow.particles import Ensemble
 from kfrflow.targets import TargetModel, target_by_name
+
+from helpers import timeless_rows
 
 
 class TestSamplerParsing:
@@ -281,17 +285,49 @@ class TestRunExperiment:
         assert [r["step"] for r in rows] == [0, 20]
 
     def test_worker_pool_matches_sequential(self, monkeypatch):
-        cfg = RunConfig(
-            target="donut", sampler="kfrd", J=15, N=5, lam=1e-6, eps=0.3,
-            seed=11, trials=3, observe_every=5,
-        )
-        sequential = run_experiment(cfg)
+        # each trial's buffer pool is its own, so threads change no bit
+        cfgs = [
+            RunConfig(
+                target="donut", sampler="kfrd", J=15, N=5, lam=1e-6, eps=0.3,
+                seed=11, trials=3, observe_every=5,
+            ),
+        ] + [
+            RunConfig(
+                target="donut", sampler=sampler, J=150, N=6, lam=1e-6,
+                seed=12, trials=4, observe_every=1,
+            )
+            for sampler in ("kfrflow-i", "kfrflow-ab4")
+        ]
+        for cfg in cfgs:
+            monkeypatch.delenv("KFRFLOW_WORKERS", raising=False)
+            sequential = run_experiment(cfg)
+            monkeypatch.setenv("KFRFLOW_WORKERS", "2")
+            pooled = run_experiment(cfg)
+            assert sequential.rows, cfg.sampler
+            assert timeless_rows(sequential.rows) == timeless_rows(pooled.rows), cfg.sampler
+
+    def test_trials_share_no_buffer(self, monkeypatch):
+        pools = []
+
+        class RecordedPool(kernels._BufferPool):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+        monkeypatch.setattr(harness, "_BufferPool", RecordedPool)
         monkeypatch.setenv("KFRFLOW_WORKERS", "2")
-        pooled = run_experiment(cfg)
-        for a, b in zip(sequential.rows, pooled.rows):
-            assert a["ksd_target"] == b["ksd_target"]
-            assert a["mean_1"] == b["mean_1"]
-            assert a["var_1"] == b["var_1"]
+        cfg = RunConfig(
+            target="donut", sampler="kfrflow-i", J=40, N=4, seed=14, trials=3,
+            observe_every=1,
+        )
+        run_experiment(cfg)
+        assert len(pools) == 3
+        buffers = [list(p._flat.items()) for p in pools]
+        assert all(buffers)
+        for i, first in enumerate(buffers):
+            for second in buffers[i + 1 :]:
+                for (na, a), (nb, b) in itertools.product(first, second):
+                    assert not np.shares_memory(a, b), (na, nb)
 
     def test_ula_and_svgd_run(self):
         for sampler in ("ula", "svgd"):

@@ -257,9 +257,9 @@ def pair_passes(monkeypatch):
     calls = []
     real = kernels._pair_sq
 
-    def counted(xa, xb):
+    def counted(xa, xb, pool=None):
         calls.append((xa.shape, xb.shape))
-        return real(xa, xb)
+        return real(xa, xb, pool)
 
     for module in (kernels, flows):
         monkeypatch.setattr(module, "_pair_sq", counted)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kfrflow.errors import NumericalStabilityError
-from kfrflow.kernels import KernelSpec
+from kfrflow.kernels import KernelSpec, _BufferPool
 from kfrflow.particles import (
     Ensemble,
     build_workspace,
@@ -169,6 +169,52 @@ class TestSolveM:
     def test_fallback_exhausted_raises(self):
         with pytest.raises(NumericalStabilityError):
             spd_solve(np.zeros((2, 2)), 0.0, np.ones(2))
+
+
+class TestSpdSolveContract:
+    """The in-place Cholesky solve, with and without a buffer pool."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("J", [1, 2, 50, 300])
+    def test_matches_dense_solve(self, J, lam, pooled):
+        rng = np.random.default_rng(J)
+        B = rng.standard_normal((J, J))
+        M = B @ B.T / J + 0.5 * np.eye(J)
+        rhs = rng.standard_normal(J)
+        before = M.copy()
+        x = spd_solve(M, lam, rhs, pool=_BufferPool() if pooled else None)
+        assert rel_err(x, np.linalg.solve(M + lam * np.eye(J), rhs)) <= 1e-12
+        assert np.array_equal(M, before)
+
+    def test_singular_warns_with_the_fallback_lambda(self):
+        M = np.diag([1.0, 0.0])
+        with pytest.warns(
+            RuntimeWarning,
+            match=r"solve failed at lambda=0; retrying with lambda=5e-09$",
+        ):
+            x = spd_solve(M, 0.0, np.array([1.0, 0.0]))
+        assert np.allclose(x, [1.0 / (1.0 + 5e-9), 0.0], rtol=1e-15, atol=0.0)
+        assert np.array_equal(M, np.diag([1.0, 0.0]))
+
+    def test_indefinite_raises_and_leaves_M(self):
+        M = np.diag([1.0, -1.0])
+        with pytest.raises(NumericalStabilityError, match="not positive definite"):
+            spd_solve(M, 0.0, np.ones(2), pool=_BufferPool())
+        assert np.array_equal(M, np.diag([1.0, -1.0]))
+
+    def test_nan_matrix_raises(self):
+        # a NaN pivot passes the factorization's positivity test
+        M = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NumericalStabilityError, match="non-finite"):
+            spd_solve(M, 0.0, np.ones(2))
+
+    def test_solution_is_not_a_pool_buffer(self):
+        pool = _BufferPool()
+        M = 2.0 * np.eye(5)
+        x = spd_solve(M, 0.0, np.ones(5), pool=pool)
+        assert not np.shares_memory(x, pool.get("G", (5, 5)))
+        assert not np.shares_memory(M, pool.get("G", (5, 5)))
 
 
 class TestImportanceWeights:
