@@ -160,12 +160,11 @@ def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
         out=_scratch(pool, "tri", (J * (J - 1) // 2,)),
     )
     k = pairs.size // 2
-    if pairs.size % 2:
-        pairs.partition(k)
-        med = float(np.sqrt(pairs[k]))
-    else:
-        pairs.partition((k - 1, k))
-        med = (float(np.sqrt(pairs[k - 1])) + float(np.sqrt(pairs[k]))) / 2.0
+    pairs.partition(k)
+    med = float(np.sqrt(pairs[k]))
+    if pairs.size % 2 == 0:
+        # one partition: the (k-1)-th order statistic is the largest below k
+        med = (float(np.sqrt(pairs[:k].max())) + med) / 2.0
     h = float(np.sqrt(med**2 / np.log(J + 1)))
     return max(h, float(h_floor))
 

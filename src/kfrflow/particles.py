@@ -20,16 +20,24 @@ formed.  The workspace is valid until the pool's next use.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg import solve_triangular
 
 from .errors import NonFiniteStateError, NumericalStabilityError
 from .kernels import KernelSpec, _kernel_gram, _scratch
+
+
+# the ILP64 cblas_dtrsv of numpy's OpenBLAS (None if absent): all solves use one BLAS
+_BLAS = ctypes.CDLL(_umath_linalg.__file__)
+_DTRSV = getattr(_BLAS, "scipy_cblas_dtrsv64_", None) or getattr(_BLAS, "cblas_dtrsv64_", None)
+if _DTRSV is not None:
+    _DTRSV.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p] * 2 + [ctypes.c_int64]
+    _DTRSV.restype = None
 
 
 @dataclass(frozen=True)
@@ -100,9 +108,7 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
             chol.ravel()[:: J + 1] += lam
         try:
             # np.linalg.cholesky's gufunc, given its input as out=, writes
-            # the factor over it.  Unlike scipy's dpotrf it runs on numpy's
-            # BLAS threads, not scipy's separate OpenBLAS pool, which stalls
-            # against numpy's when both have threads
+            # the factor over it
             with np.errstate(invalid="raise"):
                 _umath_linalg.cholesky_lo(chol, out=chol, signature="d->d")
             break
@@ -124,8 +130,20 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
     # the diagonal
     if not np.isfinite(chol.diagonal()).all():
         raise NumericalStabilityError("non-finite coupling matrix")
-    y = solve_triangular(chol, rhs, lower=True, check_finite=False)
-    return solve_triangular(chol, y, lower=True, trans=1, check_finite=False)
+    x = np.array(rhs, dtype=np.float64, order="C")
+    if x.shape != (J,):
+        raise ValueError(f"rhs must have shape ({J},), got {x.shape}")
+    if _DTRSV is None:
+        try:
+            from scipy.linalg import solve_triangular
+        except ImportError as err:
+            raise ImportError("spd_solve needs scipy: numpy exports no cblas_dtrsv") from err
+        y = solve_triangular(chol, x, lower=True, check_finite=False)
+        return solve_triangular(chol, y, lower=True, trans=1, check_finite=False)
+    # in place on x: L y = rhs, then L^T x = y (row-major, lower, non-unit)
+    for trans in (111, 112):
+        _DTRSV(101, 122, trans, 131, J, chol.ctypes.data, J, x.ctypes.data, 1)
+    return x
 
 
 def _log_ratio_rows(target, positions: np.ndarray) -> np.ndarray:

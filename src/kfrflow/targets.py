@@ -34,25 +34,15 @@ class TargetModel:
         return self.score_reference is not None and self.score_target is not None
 
 
-def _scalar_fn(fn):
-    """Adapt an (n, d) -> (n,) callback to also accept a single (d,) point."""
+def _rows_fn(fn, scalar: bool):
+    """Adapt an (n, d) -> (n,) (``scalar``) or (n, d) callback to also accept a
+    single (d,) point, which gives a float or a (d,) vector."""
 
     def wrapped(x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
-            return float(fn(x[None, :])[0])
-        return fn(x)
-
-    return wrapped
-
-
-def _vector_fn(fn):
-    """Adapt an (n, d) -> (n, d) callback to also accept a single (d,) point."""
-
-    def wrapped(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return fn(x[None, :])[0]
+            out = fn(x[None, :])[0]
+            return float(out) if scalar else out
         return fn(x)
 
     return wrapped
@@ -131,10 +121,10 @@ def make_bayesian_2d(kind: str) -> TargetModel:
     return TargetModel(
         name=key,
         dim=2,
-        log_ratio=_scalar_fn(log_ratio),
+        log_ratio=_rows_fn(log_ratio, scalar=True),
         sample_reference=_gaussian_reference_sampler(2),
-        score_reference=_vector_fn(_reference_score),
-        score_target=_vector_fn(score_target),
+        score_reference=_rows_fn(_reference_score, scalar=False),
+        score_target=_rows_fn(score_target, scalar=False),
     )
 
 
@@ -146,17 +136,21 @@ def make_funnel(d: int) -> TargetModel:
     def log_ratio(x):
         x1 = x[:, 0]
         rest2 = np.sum(x[:, 1:] ** 2, axis=1)
+        # an overflow to inf reaches the non-finite checks, which flag the trial
+        with np.errstate(over="ignore"):
+            e = np.exp(-x1)
         return (
             -0.5 * np.log(9.0)
             - x1**2 / 18.0
             - 0.5 * (d - 1) * x1
-            - 0.5 * np.exp(-x1) * rest2
+            - 0.5 * e * rest2
             + 0.5 * np.sum(x**2, axis=1)
         )
 
     def score_target(x):
         x1 = x[:, 0]
-        e = np.exp(-x1)
+        with np.errstate(over="ignore"):
+            e = np.exp(-x1)
         out = np.empty_like(x)
         out[:, 0] = -x1 / 9.0 - 0.5 * (d - 1) + 0.5 * e * np.sum(x[:, 1:] ** 2, axis=1)
         out[:, 1:] = -x[:, 1:] * e[:, None]
@@ -165,10 +159,10 @@ def make_funnel(d: int) -> TargetModel:
     return TargetModel(
         name=f"funnel:{d}",
         dim=d,
-        log_ratio=_scalar_fn(log_ratio),
+        log_ratio=_rows_fn(log_ratio, scalar=True),
         sample_reference=_gaussian_reference_sampler(d),
-        score_reference=_vector_fn(_reference_score),
-        score_target=_vector_fn(score_target),
+        score_reference=_rows_fn(_reference_score, scalar=False),
+        score_target=_rows_fn(score_target, scalar=False),
     )
 
 
@@ -204,10 +198,10 @@ def make_gaussian(mean, stdev: float) -> TargetModel:
     return TargetModel(
         name=f"gaussian:{','.join(repr(float(m)) for m in mean)},{s!r}",
         dim=d,
-        log_ratio=_scalar_fn(log_ratio),
+        log_ratio=_rows_fn(log_ratio, scalar=True),
         sample_reference=_gaussian_reference_sampler(d),
-        score_reference=_vector_fn(_reference_score),
-        score_target=_vector_fn(score_target),
+        score_reference=_rows_fn(_reference_score, scalar=False),
+        score_target=_rows_fn(score_target, scalar=False),
         tempered_moments=tempered_moments,
     )
 

@@ -27,8 +27,7 @@ SAMPLERS = ("kfrflow-i", "kfrflow-i-newton:3", "kfrflow-euler", "kfrflow-ab4", "
 
 
 # at dt = 1/6 one funnel:20 AB4 trial blows up; its rows up to the failure
-# are compared too, and the target's overflow on the way is expected
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+# are compared too
 @pytest.mark.parametrize("target", ["donut", "funnel:20"])
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_pool_rows_match_fresh_arrays(monkeypatch, target, sampler):

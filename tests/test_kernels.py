@@ -267,6 +267,20 @@ class TestMedianBandwidth:
                 expected = max(float(np.sqrt(med**2 / np.log(J + 1))), 1e-6)
                 assert median_bandwidth(x) == expected, (J, d)
 
+    def test_one_partition_matches_two_kth(self):
+        # the median's two middle order statistics from one two-kth partition,
+        # for odd and even pair counts J (J - 1) / 2, with and without ties
+        rng = np.random.default_rng(15)
+        for J in (2, 3, 4, 5, 6, 8, 301, 302, 1000):
+            for x in (rng.standard_normal((J, 2)), rng.integers(0, 3, (J, 2)) * 1.0):
+                pairs = _pair_sq(x, x)[np.triu_indices(J, 1)]
+                k = pairs.size // 2
+                pairs.partition((k - 1, k))
+                lo, hi = np.sqrt(pairs[k - 1]), np.sqrt(pairs[k])
+                med = float(hi) if pairs.size % 2 else (float(lo) + float(hi)) / 2.0
+                expected = max(float(np.sqrt(med**2 / np.log(J + 1))), 1e-6)
+                assert median_bandwidth(x) == expected, (J, pairs.size % 2)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((8, 2))

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from kfrflow import particles
 from kfrflow.errors import NumericalStabilityError
 from kfrflow.kernels import KernelSpec, _BufferPool
 from kfrflow.particles import (
@@ -215,6 +218,72 @@ class TestSpdSolveContract:
         x = spd_solve(M, 0.0, np.ones(5), pool=pool)
         assert not np.shares_memory(x, pool.get("G", (5, 5)))
         assert not np.shares_memory(M, pool.get("G", (5, 5)))
+
+
+def _spd_system(J, seed=0):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((J, J))
+    return B @ B.T / J + 0.5 * np.eye(J), rng.standard_normal(J)
+
+
+def _scipy_solves(L, rhs):
+    """The two triangular solves that spd_solve makes, done by scipy."""
+    y = solve_triangular(L, rhs, lower=True, check_finite=False)
+    return solve_triangular(L, y, lower=True, trans=1, check_finite=False)
+
+
+class TestTriangularSolves:
+    """The triangular solves on numpy's OpenBLAS against scipy on the same
+    factor, bit for bit, and the lazy scipy path when numpy exports none."""
+
+    def test_numpy_blas_handle_resolved(self):
+        if not getattr(particles._umath_linalg, "_ilp64", False):
+            pytest.skip("numpy's linalg is not linked to an ILP64 OpenBLAS")
+        assert particles._DTRSV is not None
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("J", [300, 1000])
+    def test_bitwise_equal_to_scipy(self, J, pooled):
+        M, rhs = _spd_system(J, seed=J)
+        M_before, rhs_before = M.copy(), rhs.copy()
+        pool = _BufferPool()
+        x_pool = spd_solve(M, 1e-3, rhs, pool=pool)
+        L = pool.get("G", (J, J)).copy()  # the factor the solves read
+        x = x_pool if pooled else spd_solve(M, 1e-3, rhs)
+        assert np.array_equal(x, _scipy_solves(L, rhs))
+        assert np.array_equal(M, M_before) and np.array_equal(rhs, rhs_before)
+
+    def test_strided_and_integer_rhs(self):
+        J = 50
+        M, _ = _spd_system(J)
+        pool = _BufferPool()
+        wide = np.arange(2 * J, dtype=np.float64).reshape(J, 2)
+        strided, before = wide[:, 1], wide.copy()
+        x = spd_solve(M, 0.0, strided, pool=pool)
+        L = pool.get("G", (J, J)).copy()
+        assert np.array_equal(x, _scipy_solves(L, np.ascontiguousarray(strided)))
+        assert np.array_equal(wide, before)
+        ints = np.arange(J) - 7
+        assert np.array_equal(spd_solve(M, 0.0, ints), _scipy_solves(L, ints.astype(float)))
+        assert np.array_equal(ints, np.arange(J) - 7)
+
+    def test_wrong_rhs_shape_raises(self):
+        for rhs in (np.ones(4), np.ones((5, 2))):
+            with pytest.raises(ValueError, match="rhs must have shape"):
+                spd_solve(np.eye(5), 0.0, rhs)
+
+    @pytest.mark.parametrize("J", [1, 300])
+    def test_forced_scipy_fallback_gives_the_same_bits(self, monkeypatch, J):
+        M, rhs = _spd_system(J, seed=J)
+        expected = spd_solve(M, 1e-3, rhs)
+        monkeypatch.setattr(particles, "_DTRSV", None)
+        assert np.array_equal(spd_solve(M, 1e-3, rhs, pool=_BufferPool()), expected)
+
+    def test_fallback_without_scipy_says_why(self, monkeypatch):
+        monkeypatch.setattr(particles, "_DTRSV", None)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        with pytest.raises(ImportError, match="exports no cblas_dtrsv"):
+            spd_solve(np.eye(2), 0.0, np.ones(2))
 
 
 class TestImportanceWeights:

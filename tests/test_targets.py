@@ -1,11 +1,14 @@
 """Benchmark target distributions: log ratios, scores, samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kfrflow.config import RunConfig
+from kfrflow.harness import run_experiment
 from kfrflow.targets import (
     make_bayesian_2d,
     make_funnel,
@@ -82,6 +85,27 @@ class TestFunnel:
     def test_too_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             make_funnel(1)
+
+    def test_overflow_is_silent_and_non_finite(self):
+        f = make_funnel(3)
+        x = np.array([[-800.0, 1.0, -2.0], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, g = f.log_ratio(x), f.score_target(x)
+        assert r[0] == -np.inf and np.isinf(g[0]).all()
+        assert r[1] == pytest.approx(-math.log(3.0), rel=1e-13) and np.isfinite(g[1]).all()
+
+    def test_blown_up_trial_is_flagged_without_a_warning(self):
+        # at dt = 1/6 trial 1 of this AB4 run blows up and exp(-x1) overflows
+        cfg = RunConfig(
+            target="funnel:20", sampler="kfrflow-ab4", J=40, N=6, lam=1e-3, seed=31,
+            trials=2,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = run_experiment(cfg)
+        assert record.unstable_trials == [1]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestGaussian:
