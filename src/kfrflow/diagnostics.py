@@ -25,7 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .kernels import _pair_sq, _q_from_sq, _scratch
+from .kernels import _BufferPool, _pair_sq, _q_from_sq
+
+# elements of one row strip of the KSD pass: three such arrays stay small
+# whatever J is
+_KSD_STRIP = 32768
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,22 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
         (d/h^2) sum q^3 - (3/h^4) sum ||u||^2 q^5 + (2/h^2) <S, G> + <S, q S>,
 
     since (u_ij . s_i - u_ij . s_j) summed against the symmetric q^3 gives
-    2 <S, G>; each score costs one J x J by J x d product.  The diagonal of
-    the kernel matrix, removed by the U-statistic, is d/h^2 + ||s_i||^2.
-    Overflow on far-out ensembles is left to the non-finite result, so it
-    raises no floating-point warnings.  Given a trial's buffer pool (see
-    :mod:`kfrflow.kernels`), the J x J arrays borrow its ``"D"``, ``"q"`` and
-    ``"s"``, which are dead between steps.
+    2 <S, G>.  The diagonal of the kernel matrix, removed by the U-statistic,
+    is d/h^2 + ||s_i||^2.  Overflow on far-out ensembles is left to the
+    non-finite result, so it raises no floating-point warnings.
+
+    The pairs are visited once each, in row strips [i0, i1) against the
+    columns [i0, J) of at most ``_KSD_STRIP`` elements: every term is
+    symmetric in (i, j), so a strip's square diagonal block counts once and
+    the block to its right counts twice, once by its rows and once by its
+    columns.  The sum of ||u||^2 q^5 adds twice the strip's sum less its
+    diagonal block's; the row sums of q^3 (a product with a column of ones),
+    G and each q S gather the strip's rows into rows [i0, i1) and its right
+    block's columns into rows [i1, J).  Memory is O(J d + B)
+    for a strip of B elements, whatever J is: the strips borrow a trial's
+    ``"D"``, ``"q"`` and ``"s"`` (see :mod:`kfrflow.kernels`), which are dead
+    between steps, and the operands and accumulators its ``"ksd"`` and
+    ``"ksd_mm"``; without a pool the call makes its own.
     """
     cfg = cfg or KsdConfig()
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -65,22 +79,45 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
             raise ValueError(f"score shape {s.shape} does not match samples {x.shape}")
     if cfg.estimator == "u" and J < 2:
         raise ValueError("U-statistic needs at least two samples")
+    pool = _BufferPool() if pool is None else pool
     h2 = cfg.h * cfg.h
+    # columns [1 | xc | S_1 ... S_k]: q^3 multiplies the first 1 + d and q the
+    # rest; A gathers the same columns as [sum_j q^3 | q^3 xc | q S_1 ... q S_k]
+    nx, width = 1 + d, 1 + d * (1 + len(scores))
+    W, A = pool.get("ksd", (2, J, width))
+    W[:, 0] = 1.0
+    A.fill(0.0)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         # centring keeps G free of cancellation far from the origin
-        xc = x - x.mean(axis=0)
-        d2 = _pair_sq(xc, xc, pool)
-        q = _q_from_sq(d2, cfg.h, out=_scratch(pool, "q", d2.shape))
-        q3 = np.multiply(q, q, out=_scratch(pool, "s", d2.shape))
-        q3 *= q
-        d2 *= q3
-        d2 *= q
-        d2 *= q
-        base = (d / h2) * float(q3.sum()) - (3.0 / (h2 * h2)) * float(d2.sum())
-        G = q3.sum(axis=1)[:, None] * xc - q3 @ xc
-        for s in scores:
-            total = base + (2.0 / h2) * float(np.vdot(s, G)) + float(np.vdot(s, q @ s))
+        xc = np.subtract(x, x.mean(axis=0), out=W[:, 1:nx])
+        for k, s in enumerate(scores):
+            W[:, nx + k * d : nx + (k + 1) * d] = s
+        sum_q5 = 0.0
+        i0 = 0
+        while i0 < J:
+            i1 = min(J, i0 + max(1, _KSD_STRIP // (J - i0)))
+            n = i1 - i0
+            d2 = _pair_sq(xc[i0:i1], xc[i0:], pool)
+            q = _q_from_sq(d2, cfg.h, out=pool.get("q", d2.shape))
+            q3 = np.multiply(q, q, out=pool.get("s", d2.shape))
+            q3 *= q
+            d2 *= q3
+            d2 *= q
+            d2 *= q
+            sum_q5 += 2.0 * float(d2.sum()) - float(d2[:, :n].sum())
+            for m, c in ((q3, slice(0, nx)), (q, slice(nx, width))):
+                k = c.stop - c.start
+                A[i0:i1, c] += np.matmul(m, W[i0:, c], out=pool.get("ksd_mm", (n, k)))
+                A[i1:, c] += np.matmul(
+                    m[:, n:].T, W[i0:i1, c], out=pool.get("ksd_mm", (J - i1, k))
+                )
+            i0 = i1
+        base = (d / h2) * float(A[:, 0].sum()) - (3.0 / (h2 * h2)) * sum_q5
+        G = A[:, :1] * xc - A[:, 1:nx]
+        for k, s in enumerate(scores):
+            qs = A[:, nx + k * d : nx + (k + 1) * d]
+            total = base + (2.0 / h2) * float(np.vdot(s, G)) + float(np.vdot(s, qs))
             if cfg.estimator == "v":
                 total /= J * J
                 if total < -1e-10:

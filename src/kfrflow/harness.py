@@ -19,6 +19,8 @@ again; trials never share a pool.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -51,10 +53,23 @@ from .integrators import (
     velocity_stepper,
 )
 from .kernels import KernelSpec, _BufferPool
-from .particles import Ensemble
+from .particles import _BLAS, Ensemble
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KFRFLOW_WORKERS"
+
+# the thread count of numpy's OpenBLAS (None if numpy exports no setter)
+_GET_THREADS = getattr(_BLAS, "scipy_openblas_get_num_threads64_", None) or getattr(
+    _BLAS, "openblas_get_num_threads64_", None
+)
+_SET_THREADS = getattr(_BLAS, "scipy_openblas_set_num_threads64_", None) or getattr(
+    _BLAS, "openblas_set_num_threads64_", None
+)
+if _GET_THREADS is None or _SET_THREADS is None:
+    _GET_THREADS = _SET_THREADS = None
+else:
+    _GET_THREADS.argtypes, _GET_THREADS.restype = [], ctypes.c_int
+    _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 
 
 @dataclass
@@ -333,13 +348,30 @@ class BenchResult:
     times_ns: list
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of numpy's OpenBLAS, then restore the
+    process-wide count, also when the block raises."""
+    if _GET_THREADS is None:
+        yield
+        return
+    saved = _GET_THREADS()
+    _SET_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_THREADS(saved)
+
+
 def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResult:
     """Median wall time of one ensemble update, from a fixed warmed-up state.
 
     Every call steps the same initial ensemble; stateful steppers keep their
     state, so after the three default warm-up calls kfrflow-ab4 times the
     Adams-Bashforth update.  The steps share one buffer pool, as in a trial,
-    so the timed steps run with it warm.
+    so the timed steps run with it warm.  They run on one thread of numpy's
+    OpenBLAS, so no thread-pool stall enters the timings; the thread count
+    is restored on return.
     """
     base, iters = parse_sampler(config.sampler)
     if base.startswith("rwm-"):
@@ -350,11 +382,12 @@ def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResul
     ens = Ensemble(target.sample_reference(rng, config.J), 0.0)
     stepper = _make_stepper(base, iters, config, target, spec, rng, _BufferPool())
 
-    for _ in range(warmup):
-        stepper(ens)
     times = []
-    for _ in range(max(int(reps), 30)):
-        tic = time.perf_counter_ns()
-        stepper(ens)
-        times.append(time.perf_counter_ns() - tic)
+    with _one_blas_thread():
+        for _ in range(warmup):
+            stepper(ens)
+        for _ in range(max(int(reps), 30)):
+            tic = time.perf_counter_ns()
+            stepper(ens)
+            times.append(time.perf_counter_ns() - tic)
     return BenchResult(median_ns=int(np.median(times)), times_ns=times)

@@ -32,11 +32,13 @@ said otherwise:
 * ``"T"``: T = (D o s) s of the distance form of M, from
   ``_DISTANCE_GRAM_MIN_DIM`` on;
 * ``"tri"``: the J(J-1)/2 distances that the median partitions in place;
-* ``"blk"``: the difference block of the pair pass, at most 512 KB.
+* ``"blk"``: the difference block of the pair pass, at most 512 KB;
+* ``"ksd"``, ``"ksd_mm"``: the KSD's operands and accumulators, O(J d).
 
 Between steps every buffer is dead, so the KSD of an observation borrows
-``"D"``, ``"q"`` and ``"s"``.  A result that outlives the step (positions,
-velocities) is never a pool buffer.
+``"D"``, ``"q"`` and ``"s"`` for its row strips, each at most
+``diagnostics._KSD_STRIP`` elements.  A result that outlives the step
+(positions, velocities) is never a pool buffer.
 """
 
 from __future__ import annotations

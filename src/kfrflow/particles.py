@@ -32,12 +32,19 @@ from .errors import NonFiniteStateError, NumericalStabilityError
 from .kernels import KernelSpec, _kernel_gram, _scratch
 
 
-# the ILP64 cblas_dtrsv of numpy's OpenBLAS (None if absent): all solves use one BLAS
+# the ILP64 cblas_dtrsv and LAPACK dpotrf of numpy's OpenBLAS: all solves use
+# one BLAS; without both, spd_solve falls back to numpy's gufunc and scipy
 _BLAS = ctypes.CDLL(_umath_linalg.__file__)
 _DTRSV = getattr(_BLAS, "scipy_cblas_dtrsv64_", None) or getattr(_BLAS, "cblas_dtrsv64_", None)
-if _DTRSV is not None:
+_DPOTRF = getattr(_BLAS, "scipy_dpotrf_64_", None) or getattr(_BLAS, "dpotrf_64_", None)
+if _DTRSV is None or _DPOTRF is None:
+    _DTRSV = _DPOTRF = None
+else:
     _DTRSV.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p] * 2 + [ctypes.c_int64]
     _DTRSV.restype = None
+    _INT64_P = ctypes.POINTER(ctypes.c_int64)
+    _DPOTRF.argtypes = [ctypes.c_char_p, _INT64_P, ctypes.c_void_p, _INT64_P, _INT64_P]
+    _DPOTRF.restype = ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,29 @@ def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
     return FlowWorkspace(h=float(h), Kmat=kmat, M=M, s=s)
 
 
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Overwrite the lower triangle of the C-contiguous SPD matrix ``a`` with
+    its Cholesky factor L; False when ``a`` is not positive definite.
+
+    dpotrf's upper factor U of column-major storage is, read row-major, the
+    lower L of the same symmetric matrix, so the factor is written in place
+    and the strict upper triangle, which no solve reads, keeps ``a``.  The
+    fallback, numpy's gufunc for the same upper factor written to ``a.T``,
+    gives the same bits in the lower triangle and zeros above it."""
+    if _DTRSV is None:
+        try:
+            with np.errstate(invalid="raise"):
+                _umath_linalg.cholesky_up(a, out=a.T, signature="d->d")
+        except FloatingPointError:
+            return False
+        return True
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+    _DPOTRF(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dpotrf rejected argument {-info.value}")
+    return info.value == 0
+
+
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarray:
     """Solve (M + lam I) x = rhs by Cholesky, with a one-shot fallback.
 
@@ -106,26 +136,21 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
         np.copyto(chol, M)
         if lam > 0:
             chol.ravel()[:: J + 1] += lam
-        try:
-            # np.linalg.cholesky's gufunc, given its input as out=, writes
-            # the factor over it
-            with np.errstate(invalid="raise"):
-                _umath_linalg.cholesky_lo(chol, out=chol, signature="d->d")
+        if _cholesky_in_place(chol):
             break
-        except FloatingPointError as err:
-            fallback = max(lam, 1e-8 * float(np.trace(M)) / J)
-            if retry or fallback <= lam:
-                raise NumericalStabilityError(
-                    "coupling matrix is not positive definite; increase the "
-                    "regularization lambda"
-                ) from err
-            warnings.warn(
-                f"coupling-matrix solve failed at lambda={lam:g}; "
-                f"retrying with lambda={fallback:g}",
-                RuntimeWarning,
-                stacklevel=2,
+        fallback = max(lam, 1e-8 * float(np.trace(M)) / J)
+        if retry or fallback <= lam:
+            raise NumericalStabilityError(
+                "coupling matrix is not positive definite; increase the "
+                "regularization lambda"
             )
-            lam = fallback
+        warnings.warn(
+            f"coupling-matrix solve failed at lambda={lam:g}; "
+            f"retrying with lambda={fallback:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        lam = fallback
     # a NaN in M passes the factorization's pivot test and leaves a NaN on
     # the diagonal
     if not np.isfinite(chol.diagonal()).all():
@@ -137,7 +162,9 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
         try:
             from scipy.linalg import solve_triangular
         except ImportError as err:
-            raise ImportError("spd_solve needs scipy: numpy exports no cblas_dtrsv") from err
+            raise ImportError(
+                "spd_solve needs scipy: numpy exports no cblas_dtrsv or dpotrf"
+            ) from err
         y = solve_triangular(chol, x, lower=True, check_finite=False)
         return solve_triangular(chol, y, lower=True, trans=1, check_finite=False)
     # in place on x: L y = rhs, then L^T x = y (row-major, lower, non-unit)

@@ -1,14 +1,17 @@
 """Kernel Stein discrepancy, row moments, tempered KSD, and the loop oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kfrflow import diagnostics
 from kfrflow.diagnostics import KsdConfig, ksd, stein_discrepancies
 from kfrflow.errors import CapabilityError, NumericalStabilityError
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity, tempered_score
 from kfrflow.harness import _row
-from kfrflow.kernels import KernelSpec
-from kfrflow.particles import Ensemble
+from kfrflow.kernels import KernelSpec, _BufferPool
+from kfrflow.particles import Ensemble, build_workspace
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
 
 from helpers import (
@@ -140,6 +143,78 @@ class TestKsd:
             KsdConfig(h=0.0)
         with pytest.raises(ValueError):
             KsdConfig(estimator="w")
+
+
+def count_strips(monkeypatch):
+    """Wrap the KSD's pair pass, one call per row strip, and count the calls."""
+    calls = []
+    pair_sq = diagnostics._pair_sq
+
+    def counted(xa, xb, pool=None):
+        calls.append(xa.shape[0])
+        return pair_sq(xa, xb, pool)
+
+    monkeypatch.setattr(diagnostics, "_pair_sq", counted)
+    return calls
+
+
+class TestStreamedKsd:
+    """The row-strip pass against the oracle matrix sum, the pool, and its
+    memory bound."""
+
+    @staticmethod
+    def check_against_oracle(x, s):
+        J = x.shape[0]
+        k0 = stein_kernel_matrix(x, s, 1.0)
+        v = stein_discrepancies(x, [s], KsdConfig())[0]
+        assert v**2 == pytest.approx(k0.sum() / J**2, rel=1e-12)
+        u = stein_discrepancies(x, [s], KsdConfig(estimator="u"))[0]
+        assert u**2 == pytest.approx((k0.sum() - np.trace(k0)) / (J * (J - 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 40.0])
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    @pytest.mark.parametrize("J", [2, 3, 50])
+    def test_small_strips_match_oracle_matrix_sum(self, monkeypatch, J, d, offset):
+        monkeypatch.setattr(diagnostics, "_KSD_STRIP", max(1, J * J // 4))
+        strips = count_strips(monkeypatch)
+        rng = np.random.default_rng(1000 * J + d)
+        z = rng.standard_normal((J, d))
+        # scores of a shifted Gaussian keep both statistics > 0
+        self.check_against_oracle(z + offset, 2.0 - z)
+        # two calls (V and U), each over every row once in at least 3 strips
+        assert sum(strips) == 2 * J and len(strips) >= 2 * min(J, 3)
+
+    def test_default_strips_match_oracle_matrix_sum(self, monkeypatch):
+        strips = count_strips(monkeypatch)
+        rng = np.random.default_rng(1700)
+        z = rng.standard_normal((700, 2))
+        self.check_against_oracle(z, 2.0 - z)
+        assert len(strips) > 2 and max(strips) < 700
+
+    @pytest.mark.parametrize("est", ["v", "u"])
+    def test_pool_gives_the_same_bits(self, est):
+        rng = np.random.default_rng(1701)
+        x = rng.standard_normal((300, 3))
+        scores = [-x, 0.5 - x]
+        pool = _BufferPool()
+        build_workspace(x[:250] + 1.0, KernelSpec(), pool)  # leave other data in it
+        cfg = KsdConfig(h=0.7, estimator=est)
+        fresh = stein_discrepancies(x, scores, cfg)
+        assert stein_discrepancies(x, scores, cfg, pool=pool) == fresh
+        assert stein_discrepancies(x, scores, cfg, pool=pool) == fresh
+
+    def test_memory_stays_below_a_jxj_array(self):
+        J = 2000
+        rng = np.random.default_rng(1702)
+        x = rng.standard_normal((J, 2))
+        scores = [-x, 0.5 - x]
+        tracemalloc.start()
+        try:
+            stein_discrepancies(x, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < J * J * 8 / 8, peak
 
 
 def bare_target(dim):

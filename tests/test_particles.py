@@ -286,6 +286,35 @@ class TestTriangularSolves:
             spd_solve(np.eye(2), 0.0, np.ones(2))
 
 
+class TestInPlaceCholesky:
+    """dpotrf on the pooled copy: the lower factor in place, and the numpy
+    fallback with the same bits."""
+
+    @pytest.mark.parametrize("J", [1, 64, 300])
+    def test_lower_factor_in_place_and_fallback_bits(self, monkeypatch, J):
+        M, _ = _spd_system(J, seed=J + 1)
+        A = M + 1e-3 * np.eye(J)
+        fast = A.copy()
+        assert particles._cholesky_in_place(fast)
+        L = np.tril(fast)
+        assert np.allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
+        assert np.array_equal(np.triu(fast, 1), np.triu(A, 1))
+        monkeypatch.setattr(particles, "_DTRSV", None)
+        slow = A.copy()
+        assert particles._cholesky_in_place(slow)
+        assert np.array_equal(np.tril(slow), L)
+
+    @pytest.mark.parametrize("forced_fallback", [False, True])
+    def test_indefinite_retries_then_raises(self, monkeypatch, forced_fallback):
+        if forced_fallback:
+            monkeypatch.setattr(particles, "_DTRSV", None)
+        assert not particles._cholesky_in_place(np.diag([1.0, -1.0]))
+        M = np.array([[1.0, 2.0], [2.0, 1.0]])  # trace 2: the retry lambda is tiny
+        with pytest.warns(RuntimeWarning, match="retrying"):
+            with pytest.raises(NumericalStabilityError, match="not positive definite"):
+                spd_solve(M, 1e-12, np.ones(2), pool=_BufferPool())
+
+
 class TestImportanceWeights:
     def test_zero_dt_uniform(self):
         target = make_gaussian([0.0, 1.0], 0.5)
