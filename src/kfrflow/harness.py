@@ -14,7 +14,8 @@ concurrently; the output is identical to a sequential run.
 
 Each kfrflow trial creates one buffer pool (:mod:`kfrflow.kernels`) that its
 steps and its KSD observations share, so no step allocates its J x J arrays
-again; trials never share a pool.
+again; trials never share a pool.  A ULA trial draws its chains' noise in
+blocks (:class:`kfrflow.baselines._ChainNoise`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .baselines import RwmConfig, rwm_run, svgd_step, ula_step
+from .baselines import RwmConfig, _ChainNoise, rwm_run, svgd_step, ula_step
 from .config import RunConfig, UNIT_TIME_SAMPLERS, parse_sampler
 # perfbench/tracing.py rebinds kfrflow.harness.ksd
 from .diagnostics import KsdConfig, ksd, stein_discrepancies  # noqa: F401
@@ -143,8 +144,8 @@ def _make_stepper(base, iters, config, target, spec, rng, pool=None):
     if base == "svgd":
         return lambda e: svgd_step(e, target, spec, dt)
     if base == "ula":
-        chain_rngs = rng.spawn(config.J)
-        return lambda e: ula_step(e, target, dt, chain_rngs)
+        noise = _ChainNoise(rng.spawn(config.J), target.dim)
+        return lambda e: ula_step(e, target, dt, noise)
     raise ValueError(f"no stepper for sampler {base!r}")
 
 

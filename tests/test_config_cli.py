@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kfrflow import harness, kernels
+from kfrflow import baselines, harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
 from kfrflow.errors import NumericalStabilityError
@@ -25,7 +25,7 @@ from kfrflow.harness import (
 from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec
 from kfrflow.particles import Ensemble
-from kfrflow.targets import TargetModel, target_by_name
+from kfrflow.targets import TargetModel, make_gaussian, target_by_name
 
 from helpers import timeless_rows
 
@@ -394,6 +394,40 @@ class TestSweep:
         assert {(e["J"], e["N"]) for e in result.selection} == {
             (25, 8), (25, 64), (100, 8), (100, 64)
         }
+
+
+class TestUlaTrials:
+    """ULA trials with block-drawn noise."""
+
+    @pytest.mark.parametrize("per_block", [None, 3])
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    def test_ula_stepper_equals_per_step_draws(self, monkeypatch, d, per_block):
+        J, N = 7, 10
+        if per_block is not None:
+            # per_block steps per refill: N steps refill ceil(N / per_block) = 4 times
+            monkeypatch.setattr(baselines, "_NOISE_BLOCK", per_block * J * d)
+            assert baselines._ChainNoise(make_rng(0).spawn(J), d).steps == per_block
+        target = make_gaussian(np.zeros(d), 1.0)
+        cfg = RunConfig(target="donut", sampler="ula", J=J, N=N, T=1.0, trials=1)
+        step = _make_stepper("ula", None, cfg, target, KernelSpec(), make_rng(40))
+        streams = make_rng(40).spawn(J)
+        blocked = single = Ensemble(make_rng(41).standard_normal((J, d)), 0.0)
+        for _ in range(N):
+            blocked = step(blocked)
+            single = baselines.ula_step(single, target, cfg.dt, streams)
+            assert np.array_equal(blocked.positions, single.positions)
+
+    def test_worker_pool_matches_sequential(self, monkeypatch):
+        cfg = RunConfig(
+            target="donut", sampler="ula", J=150, N=6, T=1.0, seed=15, trials=4,
+            observe_every=1,
+        )
+        monkeypatch.delenv("KFRFLOW_WORKERS", raising=False)
+        sequential = run_experiment(cfg)
+        monkeypatch.setenv("KFRFLOW_WORKERS", "2")
+        threaded = run_experiment(cfg)
+        assert sequential.rows
+        assert timeless_rows(sequential.rows) == timeless_rows(threaded.rows)
 
 
 class TestBench:
