@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .config import parse_config, parse_grid
+from .config import _RUN_KEYS, _SWEEP_KEYS, _parser, parse_config, parse_grid
 from .diagnostics import KsdConfig, ksd
 from .harness import (
     bench_step,
@@ -20,33 +20,17 @@ from .harness import (
 )
 from .targets import target_by_name
 
-_RUN_FLAGS = (
-    ("--target", str, "target name (donut, butterfly, spaceships, funnel:<d>, gaussian:<mean>,<s>)"),
-    ("--sampler", str, "sampler name (kfrflow-euler, kfrflow-ab4, kfrflow-i, "
-     "kfrflow-i-newton:<iters>, kfrd, svgd, ula, rwm-serial, rwm-parallel)"),
-    ("--J", int, "ensemble size"),
-    ("--N", int, "number of steps"),
-    ("--T", float, "stopping time (infinite-time samplers only; unit-time fixes T=1)"),
-    ("--lambda", float, "Tikhonov regularization of the coupling matrix"),
-    ("--epsilon", float, "KFRD noise level"),
-    ("--seed", int, "base seed; trial t uses seed+t"),
-    ("--trials", int, "number of independent trials"),
-    ("--observe_every", int, "diagnostic cadence in steps (endpoints always observed)"),
-    ("--bandwidth", str, "fixed kernel bandwidth, or 'median'"),
-    ("--h_floor", float, "lower clamp for the median-heuristic bandwidth"),
-    ("--ksd_estimator", str, "'v' or 'u' statistic for KSD"),
-)
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file with a [run] section")
-    for flag, typ, help_text in _RUN_FLAGS:
-        p.add_argument(flag, dest=flag.lstrip("-"), type=typ, help=help_text)
+    for key, f in _RUN_KEYS.items():
+        # a key with its own parser reaches parse_config as a string, so that
+        # "--bandwidth median" (None) still overrides a file's bandwidth
+        typ = str if f.metadata["parse"] else _parser(key)
+        p.add_argument(f"--{key}", type=typ, help=f.metadata["help"])
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = [f[0].lstrip("-") for f in _RUN_FLAGS]
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in _RUN_KEYS if getattr(args, k, None) is not None}
 
 
 def _stem(cfg) -> str:
@@ -71,14 +55,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    grid_overrides = {
-        "J": args.grid_J,
-        "N": args.grid_N,
-        "lambda": args.grid_lambda,
-        "epsilon": args.grid_epsilon,
-        "T": args.grid_T,
-    }
-    grid = parse_grid(args.config, {k: v for k, v in grid_overrides.items() if v})
+    grid = parse_grid(args.config, {k: getattr(args, f"grid_{k}") or None for k in _SWEEP_KEYS})
     result = sweep(cfg, grid)
     os.makedirs(args.out, exist_ok=True)
     for cell, record in result.records:
@@ -90,11 +67,8 @@ def _cmd_sweep(args) -> int:
     write_selection_csv(result, sel_path)
     print(f"wrote {len(result.records)} runs and {sel_path}")
     for entry in result.selection:
-        print(
-            f"best (J={entry['J']}, N={entry['N']}): "
-            f"lambda={entry['lambda']} epsilon={entry['epsilon']} T={entry['T']} "
-            f"final KSD={entry['final_ksd']:.6g}"
-        )
+        swept = " ".join(f"{k}={entry[k]}" for k in _SWEEP_KEYS[2:])
+        print(f"best (J={entry['J']}, N={entry['N']}): {swept} final KSD={entry['final_ksd']:.6g}")
     return 0 if result.all_stable else 1
 
 
@@ -150,11 +124,8 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="grid sweep with best-per-(J,N) selection")
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--out", default="results", help="output directory")
-    p_sweep.add_argument("--grid-J", help="comma-separated J values")
-    p_sweep.add_argument("--grid-N", help="comma-separated N values")
-    p_sweep.add_argument("--grid-lambda", help="comma-separated lambda values")
-    p_sweep.add_argument("--grid-epsilon", help="comma-separated epsilon values")
-    p_sweep.add_argument("--grid-T", help="comma-separated T values")
+    for key in _SWEEP_KEYS:
+        p_sweep.add_argument(f"--grid-{key}", help=f"comma-separated {key} values")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="median time of one ensemble update")

@@ -1,12 +1,14 @@
 """Experiment configuration: dataclass, INI parsing, and validation.
 
-Config files are INI-style ("key = value" under sections).  The [run] section
-configures a single experiment; the optional [sweep] section lists
-comma-separated grids.  Every key can be overridden by a command-line flag.
+Config files are INI-style ("key = value" under sections; " ;" starts an
+inline comment).  The [run] section configures a single experiment; the
+optional [sweep] section lists comma-separated grids.  Every key can be
+overridden by a command-line flag.
 
-[run] keys: target, sampler, J, N, T, lambda, epsilon, seed, trials,
-observe_every, bandwidth, h_floor, ksd_estimator.
-[sweep] keys: J, N, lambda, epsilon, T (comma-separated values).
+Each run key is declared once, on its :class:`RunConfig` field: its INI and
+flag name, parser, help text and default.  The [run] keys, the command-line
+flags and the sweep derive from those declarations, and ``_SWEEP_KEYS`` names
+the keys a [sweep] may grid, in the order of the sweep's cells and columns.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
+from .diagnostics import KsdConfig
+from .kernels import KernelSpec
 from .targets import TargetModel, target_by_name
 
 UNIT_TIME_SAMPLERS = frozenset(
@@ -30,10 +35,10 @@ def parse_sampler(name: str) -> tuple:
     """Split a sampler name into (base, Newton iteration count or None)."""
     name = name.strip().lower()
     if name.startswith("kfrflow-i-newton:"):
-        iters = int(name.split(":", 1)[1])
-        if iters < 1:
-            raise ValueError(f"newton iteration count must be >= 1, got {iters}")
-        return "kfrflow-i-newton", iters
+        count = name.split(":", 1)[1]
+        if not count.strip().isdecimal() or int(count) < 1:
+            raise ValueError(f"sampler {name!r} needs a Newton count >= 1, got {count!r}")
+        return "kfrflow-i-newton", int(count)
     if name == "kfrflow-i-newton":
         return "kfrflow-i-newton", 1
     if name not in SAMPLERS:
@@ -41,29 +46,48 @@ def parse_sampler(name: str) -> tuple:
     return name, None
 
 
+def _bandwidth(raw: str) -> Optional[float]:
+    return None if raw.strip().lower() in ("", "median", "none") else float(raw)
+
+
+def _key(help_text: str, default=dataclasses.MISSING, name=None, parse=None):
+    """A run key's field: ``name`` is its INI and flag name where that is not
+    the field's, ``parse`` reads a raw string where the field's type does not."""
+    meta = {"help": help_text, "name": name, "parse": parse}
+    return dataclasses.field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    target: str
-    sampler: str
-    J: int
-    N: int
-    T: float = 1.0
-    lam: float = 0.0
-    eps: float = 0.0
-    seed: int = 0
-    trials: int = 30
-    observe_every: int = 1
-    bandwidth: Optional[float] = None  # None selects the median heuristic
-    h_floor: float = 1e-6
-    ksd_estimator: str = "v"
+    target: str = _key("target name (donut, butterfly, spaceships, funnel:<d>, "
+                       "gaussian:<mean>,<s>)")
+    sampler: str = _key("sampler name (kfrflow-euler, kfrflow-ab4, kfrflow-i, "
+                        "kfrflow-i-newton:<iters>, kfrd, svgd, ula, rwm-serial, rwm-parallel)")
+    J: int = _key("ensemble size")
+    N: int = _key("number of steps")
+    T: float = _key("stopping time (infinite-time samplers only; unit-time fixes T=1)", 1.0)
+    lam: float = _key("Tikhonov regularization of the coupling matrix", 0.0, name="lambda")
+    eps: float = _key("KFRD noise level", 0.0, name="epsilon")
+    seed: int = _key("base seed; trial t uses seed+t", 0)
+    trials: int = _key("number of independent trials", 30)
+    observe_every: int = _key("diagnostic cadence in steps (endpoints always observed)", 1)
+    # None selects the median heuristic
+    bandwidth: Optional[float] = _key("fixed kernel bandwidth, or 'median'", None, parse=_bandwidth)
+    h_floor: float = _key("lower clamp for the median-heuristic bandwidth", 1e-6)
+    ksd_estimator: str = _key("'v' or 'u' statistic for KSD", "v")
 
     def __post_init__(self):
         base, _ = parse_sampler(self.sampler)
         target_by_name(self.target)  # validates the name
-        if self.J < 1:
-            raise ValueError(f"J must be >= 1, got {self.J}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        for key in (f.name for f in dataclasses.fields(self) if f.type == "int"):
+            value = getattr(self, key)
+            try:
+                value = operator.index(value)  # np.int64 passes, 2.0 does not
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            object.__setattr__(self, key, value)  # a plain int, which JSON takes
+            if key != "seed" and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
         if base in UNIT_TIME_SAMPLERS and self.T != 1.0:
@@ -73,16 +97,7 @@ class RunConfig:
         for key, value in (("lambda", self.lam), ("epsilon", self.eps)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.observe_every < 1:
-            raise ValueError(f"observe_every must be >= 1, got {self.observe_every}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be > 0 or omitted for median heuristic")
-        if not self.h_floor > 0:
-            raise ValueError("h_floor must be > 0")
-        if self.ksd_estimator not in ("v", "u"):
-            raise ValueError(f"ksd_estimator must be 'v' or 'u', got {self.ksd_estimator!r}")
+        self._kernel_spec(), self._ksd_config()  # check bandwidth, h_floor, ksd_estimator
 
     @property
     def dt(self) -> float:
@@ -91,37 +106,31 @@ class RunConfig:
     def build_target(self) -> TargetModel:
         return target_by_name(self.target)
 
+    def _kernel_spec(self) -> KernelSpec:
+        return KernelSpec(bandwidth=self.bandwidth, h_floor=self.h_floor)
+
+    def _ksd_config(self) -> KsdConfig:
+        return KsdConfig(h=1.0, estimator=self.ksd_estimator)
+
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
 
 
-_FIELD_PARSERS = {
-    "target": str,
-    "sampler": str,
-    "J": int,
-    "N": int,
-    "T": float,
-    "lambda": float,
-    "epsilon": float,
-    "seed": int,
-    "trials": int,
-    "observe_every": int,
-    "bandwidth": lambda v: None if str(v).strip().lower() in ("", "median", "none") else float(v),
-    "h_floor": float,
-    "ksd_estimator": str,
-}
+# INI/flag key -> RunConfig field, in declaration order
+_RUN_KEYS = {f.metadata["name"] or f.name: f for f in dataclasses.fields(RunConfig)}
+# the keys a [sweep] may grid; it selects per (J, N), its first two
+_SWEEP_KEYS = ("J", "N", "lambda", "epsilon", "T")
+_TYPES = {"str": str, "int": int, "float": float}  # by annotation string
 
-# INI/flag key -> dataclass field
-_FIELD_NAMES = {
-    "lambda": "lam",
-    "epsilon": "eps",
-}
 
-_GRID_KEYS = ("J", "N", "lambda", "epsilon", "T")
+def _parser(key: str):
+    """The raw-string parser of a run key."""
+    f = _RUN_KEYS[key]
+    return f.metadata["parse"] or _TYPES[f.type]
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep key case (J vs j matters)
     read = parser.read(path)
     if not read:
@@ -140,40 +149,36 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
         parser = _read_ini(path)
         if parser.has_section("run"):
             for key, raw in parser.items("run"):
-                if key not in _FIELD_PARSERS:
+                if key not in _RUN_KEYS:
                     raise ValueError(f"run.{key}: unknown key")
-                values[key] = _FIELD_PARSERS[key](raw)
+                values[key] = _parser(key)(raw)
     for key, val in (overrides or {}).items():
-        if key not in _FIELD_PARSERS:
+        if key not in _RUN_KEYS:
             raise ValueError(f"{key}: unknown key")
         if val is not None:
-            values[key] = _FIELD_PARSERS[key](val) if isinstance(val, str) else val
-    missing = [k for k in ("target", "sampler", "J", "N") if k not in values]
+            values[key] = _parser(key)(val) if isinstance(val, str) else val
+    required = [k for k, f in _RUN_KEYS.items() if f.default is dataclasses.MISSING]
+    missing = [k for k in required if k not in values]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
-    kwargs = {_FIELD_NAMES.get(k, k): v for k, v in values.items()}
-    return RunConfig(**kwargs)
+    return RunConfig(**{_RUN_KEYS[k].name: v for k, v in values.items()})
 
 
 def parse_grid(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
     """Sweep grid {key: [values]} from the [sweep] section plus overrides."""
-    grid: dict = {}
+    given: dict = {}
     if path is not None:
         parser = _read_ini(path)
         if parser.has_section("sweep"):
-            for key, raw in parser.items("sweep"):
-                if key not in _GRID_KEYS:
-                    raise ValueError(f"sweep.{key}: unknown key")
-                grid[key] = [_FIELD_PARSERS[key](v) for v in raw.split(",") if v.strip()]
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in _GRID_KEYS:
+            given.update(parser.items("sweep"))
+    given.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    grid: dict = {}
+    for key, val in given.items():
+        if key not in _SWEEP_KEYS:
             raise ValueError(f"sweep.{key}: unknown key")
         if isinstance(val, str):
-            val = [_FIELD_PARSERS[key](v) for v in val.split(",") if v.strip()]
+            val = [_parser(key)(v) for v in val.split(",") if v.strip()]
         grid[key] = list(val)
-    for key, vals in grid.items():
-        if not vals:
+        if not grid[key]:
             raise ValueError(f"sweep.{key}: empty grid")
     return grid

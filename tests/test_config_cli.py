@@ -1,5 +1,6 @@
 """Configuration parsing, the experiment harness, serialization, and the CLI."""
 
+import argparse
 import dataclasses
 import inspect
 import itertools
@@ -7,11 +8,12 @@ import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kfrflow import baselines, harness, kernels
+from kfrflow import baselines, cli, config, harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
 from kfrflow.errors import NumericalStabilityError
@@ -42,6 +44,14 @@ class TestSamplerParsing:
         with pytest.raises(ValueError):
             parse_sampler("kfrflow-i-newton:0")
 
+    @pytest.mark.parametrize(
+        "name, count", [("kfrflow-i-newton:x", "x"), ("kfrflow-i-newton:", "")]
+    )
+    def test_bad_newton_count_names_sampler_and_count(self, name, count):
+        with pytest.raises(ValueError, match=re.escape(f"{name!r}")) as info:
+            parse_sampler(name)
+        assert f"got {count!r}" in str(info.value)
+
 
 class TestRunConfig:
     def test_minimal_config(self):
@@ -67,6 +77,18 @@ class TestRunConfig:
             RunConfig(target="donut", sampler="kfrflow-i", J=10, N=10, trials=0)
         with pytest.raises(ValueError):
             RunConfig(target="donut", sampler="kfrflow-i", J=10, N=10, ksd_estimator="x")
+
+    @pytest.mark.parametrize("key", ["J", "N", "seed", "trials", "observe_every"])
+    def test_non_integral_integer_keys_rejected(self, key):
+        run = {"target": "donut", "sampler": "kfrflow-i", "J": 5, "N": 2}
+        for value in (1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                RunConfig(**{**run, key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            parse_config(None, {**run, key: 0.5})
+        # stored as a plain int, so the sidecar's JSON takes it
+        cfg = RunConfig(**{**run, key: np.int64(3)})
+        assert type(getattr(cfg, key)) is int and getattr(cfg, key) == 3
 
 
 class TestIniParsing:
@@ -113,11 +135,68 @@ class TestIniParsing:
         grid = parse_grid(str(path))
         assert grid == {"J": [25, 100], "lambda": [0.0, 0.1]}
 
+    def test_readme_example_parses_and_lists_every_run_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        cfg = parse_config(str(path))
+        assert (cfg.target, cfg.sampler, cfg.bandwidth) == ("donut", "kfrflow-i", None)
+        assert parse_grid(str(path)) == {"lambda": [0.0, 0.001, 0.1], "N": [8, 64]}
+        # every run key, in the order RunConfig declares them
+        assert config._read_ini(str(path)).options("run") == list(config._RUN_KEYS)
+
     def test_empty_grid_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[run]\ntarget = donut\nsampler = ula\nJ = 5\nN = 5\n[sweep]\nJ = ,\n")
         with pytest.raises(ValueError, match="empty"):
             parse_grid(str(path))
+
+
+class TestCliIniParity:
+    BASE = {"target": "donut", "sampler": "ula", "J": "5", "N": "2"}
+    # one value per run key, in declaration order, none of them its default
+    VALUES = {
+        "target": "butterfly", "sampler": "svgd", "J": "7", "N": "3", "T": "2.5",
+        "lambda": "0.001", "epsilon": "0.2", "seed": "9", "trials": "4",
+        "observe_every": "2", "bandwidth": "0.7", "h_floor": "1e-05", "ksd_estimator": "u",
+    }
+
+    @staticmethod
+    def _ini(tmp_path, run, name="cfg.ini"):
+        path = tmp_path / name
+        path.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items()))
+        return str(path)
+
+    @staticmethod
+    def _flag_overrides(argv):
+        parser = argparse.ArgumentParser()
+        cli._add_run_flags(parser)
+        return cli._overrides(parser.parse_args(argv))
+
+    def test_every_run_key_as_flag_equals_ini(self, tmp_path):
+        assert len(self.VALUES) == len(dataclasses.fields(RunConfig))
+        base = self._ini(tmp_path, self.BASE, "base.ini")
+        for key, value in self.VALUES.items():
+            from_ini = parse_config(self._ini(tmp_path, {**self.BASE, key: value}))
+            from_flag = parse_config(base, self._flag_overrides([f"--{key}", value]))
+            assert from_flag == from_ini != parse_config(base), key
+
+    def test_bandwidth_median_flag_overrides_file(self, tmp_path):
+        path = self._ini(tmp_path, {**self.BASE, "bandwidth": "0.5"})
+        assert parse_config(path).bandwidth == 0.5
+        assert parse_config(path, self._flag_overrides(["--bandwidth", "median"])).bandwidth is None
+
+    def test_sweep_selection_header_in_sweep_order(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--target", "gaussian:0;0,1", "--sampler", "kfrflow-i", "--J", "6",
+            "--N", "2", "--trials", "1",
+            "--grid-J", "6", "--grid-N", "2", "--grid-lambda", "1e-6", "--grid-epsilon", "0",
+            "--grid-T", "1.0", "--out", str(out),
+        ])
+        assert code == 0
+        header = (out / "selection.csv").read_text().splitlines()[0]
+        assert header == "J,N,lambda,epsilon,T,final_ksd,unstable_trials"
 
 
 class TestRunExperiment:
