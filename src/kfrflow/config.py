@@ -129,6 +129,15 @@ def _parser(key: str):
     return f.metadata["parse"] or _TYPES[f.type]
 
 
+def _parse(key: str, raw: str, where: str):
+    """``raw`` read by the parser of run key ``key``; a value it rejects is
+    reported under ``where``, the key's section path."""
+    try:
+        return _parser(key)(raw)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
+
+
 def _read_ini(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep key case (J vs j matters)
@@ -151,12 +160,12 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
             for key, raw in parser.items("run"):
                 if key not in _RUN_KEYS:
                     raise ValueError(f"run.{key}: unknown key")
-                values[key] = _parser(key)(raw)
+                values[key] = _parse(key, raw, f"run.{key}")
     for key, val in (overrides or {}).items():
         if key not in _RUN_KEYS:
             raise ValueError(f"{key}: unknown key")
         if val is not None:
-            values[key] = _parser(key)(val) if isinstance(val, str) else val
+            values[key] = _parse(key, val, key) if isinstance(val, str) else val
     required = [k for k, f in _RUN_KEYS.items() if f.default is dataclasses.MISSING]
     missing = [k for k in required if k not in values]
     if missing:
@@ -177,7 +186,7 @@ def parse_grid(path: Optional[str] = None, overrides: Optional[dict] = None) -> 
         if key not in _SWEEP_KEYS:
             raise ValueError(f"sweep.{key}: unknown key")
         if isinstance(val, str):
-            val = [_parser(key)(v) for v in val.split(",") if v.strip()]
+            val = [_parse(key, v, f"sweep.{key}") for v in val.split(",") if v.strip()]
         grid[key] = list(val)
         if not grid[key]:
             raise ValueError(f"sweep.{key}: empty grid")

@@ -65,10 +65,10 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
     diagonal block's; the row sums of q^3 (a product with a column of ones),
     G and each q S gather the strip's rows into rows [i0, i1) and its right
     block's columns into rows [i1, J).  Memory is O(J d + B)
-    for a strip of B elements, whatever J is: the strips borrow a trial's
-    ``"D"``, ``"q"`` and ``"s"`` (see :mod:`kfrflow.kernels`), which are dead
-    between steps, and the operands and accumulators its ``"ksd"`` and
-    ``"ksd_mm"``; without a pool the call makes its own.
+    for a strip of B elements, whatever J is: the strips borrow the heads of a
+    trial's ``"D"``, ``"q"`` and ``"s"`` (see :mod:`kfrflow.kernels`), which
+    are dead between steps, and the operands, accumulators and products the
+    head of its ``"G"``; without a pool the call makes its own.
     """
     cfg = cfg or KsdConfig()
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -84,7 +84,9 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
     # columns [1 | xc | S_1 ... S_k]: q^3 multiplies the first 1 + d and q the
     # rest; A gathers the same columns as [sum_j q^3 | q^3 xc | q S_1 ... q S_k]
     nx, width = 1 + d, 1 + d * (1 + len(scores))
-    W, A = pool.get("ksd", (2, J, width))
+    ops = pool.get("G", (J * (2 * width + max(nx, width - nx)),))
+    W, A = ops[: 2 * J * width].reshape(2, J, width)
+    mm = ops[2 * J * width :]  # one strip's product before it is gathered
     W[:, 0] = 1.0
     A.fill(0.0)
     out = []
@@ -108,9 +110,9 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
             sum_q5 += 2.0 * float(d2.sum()) - float(d2[:, :n].sum())
             for m, c in ((q3, slice(0, nx)), (q, slice(nx, width))):
                 k = c.stop - c.start
-                A[i0:i1, c] += np.matmul(m, W[i0:, c], out=pool.get("ksd_mm", (n, k)))
+                A[i0:i1, c] += np.matmul(m, W[i0:, c], out=mm[: n * k].reshape(n, k))
                 A[i1:, c] += np.matmul(
-                    m[:, n:].T, W[i0:i1, c], out=pool.get("ksd_mm", (J - i1, k))
+                    m[:, n:].T, W[i0:i1, c], out=mm[: (J - i1) * k].reshape(J - i1, k)
                 )
             i0 = i1
         base = (d / h2) * float(A[:, 0].sum()) - (3.0 / (h2 * h2)) * sum_q5

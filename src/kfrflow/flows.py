@@ -43,6 +43,7 @@ from .kernels import (
 )
 from .particles import (
     Ensemble,
+    _lam_floor,
     _log_ratio_values,
     build_workspace,
     importance_weights,
@@ -147,7 +148,7 @@ def sample_ot_newton(
             delta = spd_solve(ws.M, lam, resid, pool=pool)
             disp = _grad_apply(x, x, ws.s, s - delta)
             while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
-                lam = max(10.0 * lam, 1e-8 * float(np.trace(ws.M)) / J)
+                lam = max(10.0 * lam, _lam_floor(ws.M))
                 delta = spd_solve(ws.M, lam, resid, pool=pool)
                 disp = _grad_apply(x, x, ws.s, s - delta)
         else:

@@ -24,7 +24,6 @@ blocks (:class:`kfrflow.baselines._ChainNoise`).
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
 import itertools
 import json
@@ -56,24 +55,11 @@ from .integrators import (
     sde_stepper,
     velocity_stepper,
 )
-from .kernels import _BufferPool
-from .particles import _BLAS, Ensemble
+from .kernels import _GET_THREADS, _SET_THREADS, _BufferPool
+from .particles import Ensemble
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KFRFLOW_WORKERS"
-
-# the thread count of numpy's OpenBLAS (None if numpy exports no setter)
-_GET_THREADS = getattr(_BLAS, "scipy_openblas_get_num_threads64_", None) or getattr(
-    _BLAS, "openblas_get_num_threads64_", None
-)
-_SET_THREADS = getattr(_BLAS, "scipy_openblas_set_num_threads64_", None) or getattr(
-    _BLAS, "openblas_set_num_threads64_", None
-)
-if _GET_THREADS is None or _SET_THREADS is None:
-    _GET_THREADS = _SET_THREADS = None
-else:
-    _GET_THREADS.argtypes, _GET_THREADS.restype = [], ctypes.c_int
-    _SET_THREADS.argtypes, _SET_THREADS.restype = [ctypes.c_int], None
 
 
 @dataclass

@@ -20,44 +20,101 @@ workspace that pass is made once: the bandwidth, q and, from
 A step's J x J arrays can live in a :class:`_BufferPool`: J and d stay
 fixed over a trial, so one trial creates a pool and hands it to every step
 and observation, and no step allocates those arrays again.  Without a pool
-every array is fresh; the arithmetic is the same either way.  The named buffers, each J x J unless
-said otherwise:
+every array is fresh; the arithmetic is the same either way.  A pooled step
+holds four named J x J buffers, whatever d is, and nothing else:
 
-* ``"D"``: the squared distances of the pair pass, spent on the coupling
-  matrix M once q and s are formed (at every d);
-* ``"q"``, ``"s"``: the kernel matrix and the gradient scale;
-* ``"G"``: below ``_DISTANCE_GRAM_MIN_DIM`` the (d, J, J) gradient blocks,
-  from it on P = D o (s^T s); both are dead once M is formed, and
-  ``particles.spd_solve`` then factors M + lam I in its first J x J;
-* ``"T"``: T = (D o s) s of the distance form of M, from
-  ``_DISTANCE_GRAM_MIN_DIM`` on;
-* ``"tri"``: the J(J-1)/2 distances that the median partitions in place;
-* ``"blk"``: the difference block of the pair pass, at most 512 KB;
-* ``"ksd"``, ``"ksd_mm"``: the KSD's operands and accumulators, O(J d).
+* ``"D"``: the squared distances of the pair pass, then the coupling matrix
+  M, which is formed over them once q and s are (at every d);
+* ``"q"``, ``"s"``: the kernel matrix and the gradient scale; the head of
+  ``"q"`` holds the difference blocks of the pair pass, at most 512 KB, which
+  are dead before q is written;
+* ``"G"``: sized J x J by the first part a step asks for, and dead between
+  its uses.  Within a step it holds in turn the J(J-1)/2 distances that the
+  median partitions in place, the scratch of M (below
+  ``_DISTANCE_GRAM_MIN_DIM`` one row strip of the gradient blocks at a time,
+  from it on P = D o (s^T s) and then T + T^T - P), and the factor of
+  M + lam I that ``particles.spd_solve`` writes.
 
 Between steps every buffer is dead, so the KSD of an observation borrows
-``"D"``, ``"q"`` and ``"s"`` for its row strips, each at most
-``diagnostics._KSD_STRIP`` elements.  A result that outlives the step
+them: its row strips of at most ``diagnostics._KSD_STRIP`` elements live in
+the heads of ``"D"``, ``"q"`` and ``"s"``, its O(J d) operands and
+accumulators in the head of ``"G"``.  A result that outlives the step
 (positions, velocities) is never a pool buffer.
+
+The rank-k updates of M go to the BLAS of numpy's own linalg module (the
+ILP64 OpenBLAS of numpy's wheels) through ``ctypes``, as do the solves of
+:mod:`kfrflow.particles` and the thread count of :mod:`kfrflow.harness`;
+where numpy exports no such symbol the handle is None, and the updates run
+through ``np.matmul`` with the same arithmetic up to rounding, allocating
+their products.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-# _grad_gram multiplies gradient blocks (d J^3 flops, d + 1 J x J arrays)
-# below this dimension and squared distances (3 J^3 flops, 3 arrays) from it
-# on; at d = 1 the distance form misses the 1e-10 oracle bound of criterion 4.
-# The distance form reuses the D that the kernel of the same step was built
-# from, so a workspace makes one pair pass at every d.
+# _grad_gram sums gradient blocks (d J^3 flops) below this dimension and
+# squared distances (3 J^3 flops) from it on; at d = 1 the distance form
+# misses the 1e-10 oracle bound of criterion 4.  The distance form reuses the
+# D that the kernel of the same step was built from, so a workspace makes one
+# pair pass at every d.
 _DISTANCE_GRAM_MIN_DIM = 3
 
 # elements of one (d, rows, cols) difference block of _pair_sq: 512 KB, which
 # stays in cache while it is squared and reduced
 _PAIR_BLOCK = 65536
+
+# elements of one (d, rows, J) strip of gradient blocks that _grad_gram adds
+# into M, at most J x J since the strip lives in "G".  On one thread, at
+# J = 500 to 2000 and d = 1 and 2, strips of 2^19 to 2^22 elements formed M
+# in the time of one product over the whole blocks or less; smaller strips
+# were slower at J = 2000, d = 2 (one run: 2^17 373 ms, 2^19 327 ms, the
+# whole blocks 358 ms).
+_GRAM_STRIP = 524288
+
+# rows of the diagonal blocks that _mirror_lower copies through a transposed
+# scratch (32 KB)
+_MIRROR_BLOCK = 64
+
+_BLAS = ctypes.CDLL(_umath_linalg.__file__)
+
+
+def _blas_symbol(name: str, argtypes: list, restype=None):
+    """The symbol ``name`` of numpy's OpenBLAS (numpy's wheels prefix it with
+    ``scipy_``), typed, or None when numpy exports neither spelling."""
+    f = getattr(_BLAS, "scipy_" + name, None) or getattr(_BLAS, name, None)
+    if f is not None:
+        f.argtypes, f.restype = argtypes, restype
+    return f
+
+
+_INT, _I64, _PTR = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+_I64_P = ctypes.POINTER(_I64)
+# row-major CBLAS; the enums are C ints and the sizes ILP64
+_DSYRK = _blas_symbol(
+    "cblas_dsyrk64_", [_INT] * 3 + [_I64, _I64, ctypes.c_double, _PTR, _I64]
+    + [ctypes.c_double, _PTR, _I64],
+)
+_DSYR2K = _blas_symbol(
+    "cblas_dsyr2k64_", [_INT] * 3 + [_I64, _I64, ctypes.c_double] + [_PTR, _I64] * 2
+    + [ctypes.c_double, _PTR, _I64],
+)
+# the Cholesky solve of particles.spd_solve uses both or neither
+_DTRSV = _blas_symbol("cblas_dtrsv64_", [_INT] * 4 + [_I64, _PTR] * 2 + [_I64])
+_DPOTRF = _blas_symbol("dpotrf_64_", [ctypes.c_char_p, _I64_P, _PTR, _I64_P, _I64_P], _INT)
+if _DTRSV is None or _DPOTRF is None:
+    _DTRSV = _DPOTRF = None
+# the thread count of numpy's OpenBLAS, read and set by the harness together
+_GET_THREADS = _blas_symbol("openblas_get_num_threads64_", [], _INT)
+_SET_THREADS = _blas_symbol("openblas_set_num_threads64_", [_INT])
+if _GET_THREADS is None or _SET_THREADS is None:
+    _GET_THREADS = _SET_THREADS = None
+_ROW_MAJOR, _LOWER, _TRANS = 101, 122, 112
 
 
 @dataclass(frozen=True)
@@ -104,6 +161,17 @@ def _scratch(pool, name: str, shape: tuple) -> np.ndarray:
     return np.empty(shape) if pool is None else pool.get(name, shape)
 
 
+def _jxj_head(pool, name: str, J: int, shape: tuple) -> np.ndarray:
+    """``_scratch(pool, name, shape)`` for a J x J buffer used in parts: a
+    part sizes the buffer at J x J at least, so that a later, larger part of
+    the step does not grow it while the step's other J x J arrays are
+    alive."""
+    if pool is None:
+        return np.empty(shape)
+    n = math.prod(shape)
+    return pool.get(name, (max(n, J * J),))[:n].reshape(shape)
+
+
 def _positions(ensemble) -> np.ndarray:
     """Accept an Ensemble or a raw (J, d) array."""
     x = getattr(ensemble, "positions", ensemble)
@@ -113,17 +181,18 @@ def _positions(ensemble) -> np.ndarray:
 def _pair_sq(xa: np.ndarray, xb: np.ndarray, pool=None) -> np.ndarray:
     """||xa_i - xb_l||^2 as an (na, nb) array, the pool's ``"D"``.
 
-    Rows go in blocks of at most ``_PAIR_BLOCK`` differences, each reduced
-    over its leading coordinate axis, which adds the coordinates in order:
-    the sum of scipy's pdist and cdist, bit for bit.  When xa is xb only the
-    upper triangle is computed and each strip is mirrored below the diagonal;
-    (a - b)^2 == (b - a)^2 keeps the result exactly symmetric."""
+    Rows go in blocks of at most ``_PAIR_BLOCK`` differences, built in the
+    head of the pool's ``"q"`` (its callers write q only after the pass),
+    each reduced over its leading coordinate axis, which adds the coordinates
+    in order: the sum of scipy's pdist and cdist, bit for bit.  When xa is xb
+    only the upper triangle is computed and each strip is mirrored below the
+    diagonal; (a - b)^2 == (b - a)^2 keeps the result exactly symmetric."""
     (na, d), nb = xa.shape, xb.shape[0]
     sym = xa is xb
     at = np.ascontiguousarray(xa.T)
     bt = at if sym else np.ascontiguousarray(xb.T)
     d2 = _scratch(pool, "D", (na, nb))
-    buf = _scratch(pool, "blk", (min(d * na * nb, max(_PAIR_BLOCK, d * nb)),))
+    buf = _scratch(pool, "q", (min(d * na * nb, max(_PAIR_BLOCK, d * nb)),))
     i0 = 0
     while i0 < na:
         c0 = i0 if sym else 0
@@ -151,7 +220,7 @@ def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
 
     med is the exact median of the J(J-1)/2 pairwise distances (for an even
     count, the average of the two middle ones), read from the strict upper
-    triangle into the pool's ``"tri"`` and partitioned there;
+    triangle into the head of the pool's ``"G"`` and partitioned there;
     h = sqrt(med^2 / log(J+1)), clamped below by h_floor.
     """
     J = d2.shape[0]
@@ -159,7 +228,7 @@ def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
         return float(h_floor)
     pairs = np.concatenate(
         [d2[i, i + 1 :] for i in range(J - 1)],
-        out=_scratch(pool, "tri", (J * (J - 1) // 2,)),
+        out=_jxj_head(pool, "G", J, (J * (J - 1) // 2,)),
     )
     k = pairs.size // 2
     pairs.partition(k)
@@ -224,28 +293,88 @@ def _grad_apply(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, f) -> np.ndarray:
         return (xa - c) * sf[:, :1] - sf[:, 1:]
 
 
+def _rank_k_update(c: np.ndarray, beta: float, a: np.ndarray, b=None) -> None:
+    """The lower triangle of c <- a^T a + beta c (``b`` None: dsyrk) or
+    c <- a^T b + b^T a + beta c (dsyr2k), for C-contiguous float64 (k, n)
+    arrays a and b and (n, n) array c; c is not read when beta is 0, and its
+    strict upper triangle is left undefined.  Without the BLAS symbol the
+    update runs through ``np.matmul`` on the whole of c and allocates the
+    product."""
+    k, n = a.shape
+    for arr, shape in ((a, (k, n)), (b, (k, n)), (c, (n, n))):
+        if arr is not None and not (
+            arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous
+        ):
+            raise ValueError(f"rank-k update needs C-contiguous float64 {shape}")
+    f = _DSYRK if b is None else _DSYR2K
+    if f is not None:
+        ops = (a.ctypes.data, n) if b is None else (a.ctypes.data, n, b.ctypes.data, n)
+        f(_ROW_MAJOR, _LOWER, _TRANS, n, k, 1.0, *ops, beta, c.ctypes.data, n)
+        return
+    p = np.matmul(a.T, a if b is None else b)
+    if beta == 0:
+        np.copyto(c, p)
+    else:
+        c *= beta
+        c += p
+    if b is not None:
+        c += p.T
+
+
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of the square array ``a`` onto its upper one in
+    place, ``_MIRROR_BLOCK`` rows at a time; a diagonal block, whose two
+    triangles overlap in memory, goes through a transposed copy of itself."""
+    J, b = a.shape[0], _MIRROR_BLOCK
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
+    for i0 in range(0, J, b):
+        i1 = min(J, i0 + b)
+        a[i0:i1, i1:] = a[i1:, i0:i1].T
+        blk = a[i0:i1, i0:i1]
+        np.copyto(blk, blk.T.copy(), where=upper[: i1 - i0, : i1 - i0])
+    return a
+
+
 def _grad_gram(
     x: np.ndarray, s: np.ndarray, y=None, sy=None, D=None, Dy=None, pool=None
 ) -> np.ndarray:
     """(1/J) sum_i grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) as a J x J array,
     for s from ``_pair_kernel(x, x, h)``: the coupling matrix M without y, the
     transport Newton Jacobian at displaced points y (sy from
-    ``_pair_kernel(y, x, h)``) with it.  From ``_DISTANCE_GRAM_MIN_DIM`` on,
+    ``_pair_kernel(y, x, h)``) with it.
+
+    Below ``_DISTANCE_GRAM_MIN_DIM``, M sums B^T B over row strips B of the
+    gradient blocks, at most ``_GRAM_STRIP`` elements each, with dsyrk; the
+    Jacobian multiplies the whole blocks of y and x.  From it on,
     D[i, l] = ||x_i - x_l||^2 and (x_i - x_l).(x_i - x_m) = (D_il + D_im -
-    D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s and,
-    with Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
+    D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s, one
+    dsyr2k, and, with Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
     jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s - D o (sy^T s)) / (2J).
+    Either form of M fills the lower triangle and mirrors it, so M is
+    exactly symmetric.
+
     A caller that holds D = ``_pair_sq(x, x)`` or Dy = ``_pair_sq(y, x)``
     passes it instead of a second pass (below ``_DISTANCE_GRAM_MIN_DIM``
     neither is read); M is written to D's buffer when D is passed, the
-    Jacobian spends Dy's and leaves D intact.  M's scratch (the blocks, or P
-    and T) is the pool's ``"G"`` and ``"T"``."""
+    Jacobian spends Dy's and leaves D intact.  M's scratch (the strips, or P
+    and T + T^T - P) is the pool's ``"G"``."""
     J, d = x.shape
+    if y is None and d < _DISTANCE_GRAM_MIN_DIM:
+        M = np.empty((J, J)) if D is None else D
+        rows = max(1, min(J // max(1, d), _GRAM_STRIP // max(1, d * J)))
+        buf = _jxj_head(pool, "G", J, (d * rows * J,))
+        for i0 in range(0, J, rows):
+            i1 = min(J, i0 + rows)
+            strip = buf[: d * (i1 - i0) * J].reshape(d, i1 - i0, J)
+            _grad_blocks(x[i0:i1], x, s[i0:i1], out=strip)
+            _rank_k_update(M, 1.0 if i0 else 0.0, strip.reshape(-1, J))
+        M = _mirror_lower(M)
+        M /= J
+        return M
     if d < _DISTANCE_GRAM_MIN_DIM:
-        Gr = _grad_blocks(x, x, s, out=_scratch(pool, "G", (d, J, J))).reshape(d * J, J)
-        Gy = Gr if y is None else _grad_blocks(y, x, sy).reshape(d * J, J)
-        # for M one operand twice: a symmetric rank-k update
-        out = np.matmul(Gy.T, Gr, out=D if y is None else None)
+        Gr = _grad_blocks(x, x, s).reshape(d * J, J)
+        Gy = _grad_blocks(y, x, sy).reshape(d * J, J)
+        out = np.matmul(Gy.T, Gr)
         out /= J
         return out
     if D is None:
@@ -255,16 +384,14 @@ def _grad_gram(
         P = np.matmul(s.T, s, out=_scratch(pool, "G", (J, J)))
         P *= D
         D *= s
-        T = np.matmul(D, s, out=_scratch(pool, "T", (J, J)))
-        out = np.add(T, T.T, out=D)  # D o s is spent: reuse its buffer
-        out -= P
-    else:
-        if Dy is None:
-            Dy = _pair_sq(y, x)
-        Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
-        Dy *= s
-        out = sy.T @ Dy + (D * sy).T @ s
-        out -= D * (sy.T @ s)
+        _rank_k_update(P, -1.0, D, s)  # T + T^T - P, D o s being symmetric
+        return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
+    if Dy is None:
+        Dy = _pair_sq(y, x)
+    Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
+    Dy *= s
+    out = sy.T @ Dy + (D * sy).T @ s
+    out -= D * (sy.T @ s)
     out /= 2 * J
     return out
 

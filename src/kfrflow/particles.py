@@ -13,9 +13,13 @@ definite for the solves, which use a symmetric-definite (Cholesky)
 factorization written over a copy of M + lam I.
 
 Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in it: M in
-``"D"``, the kernel matrix in ``"q"``, s in ``"s"``, and :func:`spd_solve`
-factors M + lam I in the first J x J of ``"G"``, which is dead once M is
-formed.  The workspace is valid until the pool's next use.
+``"D"``, the kernel matrix in ``"q"`` and s in ``"s"``, and :func:`spd_solve`
+factors M + lam I in ``"G"``, whose scratch of M is dead once M is formed.
+Those four J x J buffers are all a pooled step holds; the workspace is valid
+until the pool's next use.  The factor and the triangular solves run on
+numpy's OpenBLAS (``dpotrf`` and ``cblas_dtrsv``, bound in
+:mod:`kfrflow.kernels`); without both, :func:`spd_solve` falls back to
+numpy's gufunc and scipy.
 """
 
 from __future__ import annotations
@@ -29,22 +33,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import KernelSpec, _kernel_gram, _scratch
-
-
-# the ILP64 cblas_dtrsv and LAPACK dpotrf of numpy's OpenBLAS: all solves use
-# one BLAS; without both, spd_solve falls back to numpy's gufunc and scipy
-_BLAS = ctypes.CDLL(_umath_linalg.__file__)
-_DTRSV = getattr(_BLAS, "scipy_cblas_dtrsv64_", None) or getattr(_BLAS, "cblas_dtrsv64_", None)
-_DPOTRF = getattr(_BLAS, "scipy_dpotrf_64_", None) or getattr(_BLAS, "dpotrf_64_", None)
-if _DTRSV is None or _DPOTRF is None:
-    _DTRSV = _DPOTRF = None
-else:
-    _DTRSV.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p] * 2 + [ctypes.c_int64]
-    _DTRSV.restype = None
-    _INT64_P = ctypes.POINTER(ctypes.c_int64)
-    _DPOTRF.argtypes = [ctypes.c_char_p, _INT64_P, ctypes.c_void_p, _INT64_P, _INT64_P]
-    _DPOTRF.restype = ctypes.c_int
+from .kernels import _DPOTRF, _DTRSV, KernelSpec, _kernel_gram, _scratch
 
 
 @dataclass(frozen=True)
@@ -117,6 +106,13 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     return info.value == 0
 
 
+def _lam_floor(M: np.ndarray) -> float:
+    """1e-8 tr(M) / J, relative to M's own scale: the least lambda that a
+    failed factorization retries with, and that the KFRFlow-I step bound of
+    :func:`kfrflow.flows.sample_ot_newton` raises lambda to."""
+    return 1e-8 * float(np.trace(M)) / M.shape[0]
+
+
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarray:
     """Solve (M + lam I) x = rhs by Cholesky, with a one-shot fallback.
 
@@ -138,7 +134,7 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
             chol.ravel()[:: J + 1] += lam
         if _cholesky_in_place(chol):
             break
-        fallback = max(lam, 1e-8 * float(np.trace(M)) / J)
+        fallback = max(lam, _lam_floor(M))
         if retry or fallback <= lam:
             raise NumericalStabilityError(
                 "coupling matrix is not positive definite; increase the "

@@ -1,9 +1,17 @@
 """Shared finite-difference and brute-force oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
+from kfrflow import harness
 from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain
-from kfrflow.kernels import median_bandwidth
+from kfrflow.diagnostics import KsdConfig
+from kfrflow.flows import kfrflow_i_step, kfrflow_velocity
+from kfrflow.integrators import make_rng
+from kfrflow.kernels import KernelSpec, _BufferPool, median_bandwidth
+from kfrflow.particles import Ensemble
+from kfrflow.targets import target_by_name
 
 
 def _check_h(h) -> float:
@@ -197,3 +205,31 @@ def rwm_parallel_oracle(target, config, rng):
         rows.append(tail[-1])
         total_acc += acc
     return np.asarray(rows), total_acc / (N * J), std, acc_rate
+
+
+# one pooled update at dt = 0.01, lambda = 1e-3, returning the new positions
+POOLED_STEPS = {
+    "kfrflow-i": lambda e, tgt, spec, pool: kfrflow_i_step(
+        e, tgt, spec, 0.01, 1e-3, pool=pool
+    ).positions,
+    "velocity": lambda e, tgt, spec, pool: e.positions
+    + 0.01 * kfrflow_velocity(e, tgt, spec, 1e-3, pool=pool),
+}
+
+
+def pooled_step_peak(target, rule, J, seed=34):
+    """The ``tracemalloc`` peak of one update ``POOLED_STEPS[rule]`` in a
+    fresh buffer pool plus the harness observation of its result in the same
+    pool, in units of one J x J float64 array."""
+    tgt = target_by_name(target)
+    spec = KernelSpec()
+    ens = Ensemble(tgt.sample_reference(make_rng(seed), J), 0.0)
+    pool = _BufferPool()
+    tracemalloc.start()
+    try:
+        out = POOLED_STEPS[rule](ens, tgt, spec, pool)
+        harness._row(tgt.dim, 0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (J * J * 8)

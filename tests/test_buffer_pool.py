@@ -1,12 +1,13 @@
 """The per-trial buffer pool: same bits as fresh arrays, results outside it,
 and warm steps that allocate no J x J array."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kfrflow import harness
+from kfrflow import harness, kernels
 from kfrflow.config import RunConfig
 from kfrflow.diagnostics import KsdConfig
 from kfrflow.flows import (
@@ -21,7 +22,7 @@ from kfrflow.kernels import KernelSpec, _BufferPool
 from kfrflow.particles import Ensemble
 from kfrflow.targets import target_by_name
 
-from helpers import timeless_rows
+from helpers import POOLED_STEPS, pooled_step_peak, timeless_rows
 
 SAMPLERS = ("kfrflow-i", "kfrflow-i-newton:3", "kfrflow-euler", "kfrflow-ab4", "kfrd")
 
@@ -92,3 +93,30 @@ def test_warm_step_allocates_less_than_one_jxj_array(target, rule):
     finally:
         tracemalloc.stop()
     assert peak < J * J * 8, peak
+
+
+# the pool's four J x J buffers, and room for the (J, d) arrays of the step
+# and of the KSD, which are 3% of J x J each at J = 600, d = 20
+@pytest.mark.parametrize(
+    "target, J", [("gaussian:0,1", 1000), ("donut", 1000), ("funnel:20", 600)]
+)
+@pytest.mark.parametrize("rule", sorted(POOLED_STEPS))
+def test_cold_step_and_observation_peak_at_four_jxj_arrays(target, J, rule):
+    peak = pooled_step_peak(target, rule, J)
+    assert peak <= 4.3, peak
+
+
+def documented_buffers():
+    """The buffer names that the bullet list of the kernels docstring gives."""
+    bullets = [line for line in kernels.__doc__.splitlines() if line.startswith("* ")]
+    return set(re.findall(r'``"(\w+)"``', "\n".join(bullets)))
+
+
+@pytest.mark.parametrize("target", ["donut", "funnel:20"])
+def test_pool_holds_the_documented_buffers(target):
+    tgt = target_by_name(target)
+    pool = _BufferPool()
+    ens = Ensemble(tgt.sample_reference(make_rng(35), 40), 0.0)
+    out = POOLED_STEPS["kfrflow-i"](ens, tgt, KernelSpec(), pool)
+    harness._row(tgt.dim, 0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
+    assert set(pool._flat) == documented_buffers()

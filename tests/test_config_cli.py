@@ -152,6 +152,23 @@ class TestIniParsing:
             parse_grid(str(path))
 
 
+class TestParseErrorsNameTheirKey:
+    RUN = ["--target", "donut", "--sampler", "kfrflow-i", "--J", "5", "--N", "2"]
+
+    @pytest.mark.parametrize("argv, where", [
+        (["run", "--config", "{ini}"], "run.J: invalid literal for int()"),
+        (["run", *RUN, "--bandwidth", "wide"], "bandwidth: could not convert"),
+        (["sweep", *RUN, "--grid-lambda", "0.1,x"], "sweep.lambda: could not convert"),
+    ])
+    def test_ini_flag_and_grid_values(self, tmp_path, argv, where):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[run]\ntarget = donut\nsampler = kfrflow-i\nJ = 5.5\nN = 2\n")
+        argv = [a.format(ini=ini) for a in argv] + ["--out", str(tmp_path / "out")]
+        with pytest.raises(ValueError, match="^" + re.escape(where)):
+            main(argv)
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliIniParity:
     BASE = {"target": "donut", "sampler": "ula", "J": "5", "N": "2"}
     # one value per run key, in declaration order, none of them its default

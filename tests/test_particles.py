@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from kfrflow import particles
+from kfrflow import kernels, particles
 from kfrflow.errors import NumericalStabilityError
 from kfrflow.kernels import KernelSpec, _BufferPool
 from kfrflow.particles import (
@@ -436,6 +436,27 @@ class TestKernelMeans:
         four = dataclasses.replace(target, log_ratio=lambda x: np.zeros(4))
         with pytest.raises(ValueError):
             importance_weights(np.zeros((3, 1)), four, 0.1)
+
+
+class TestGramWithoutBlas:
+    """The rank-k updates of M through np.matmul, as on a numpy that exports
+    no dsyrk or dsyr2k: the same M up to rounding."""
+
+    @pytest.mark.parametrize("offset", [0.0, 40.0])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matmul_updates_match_blas_and_oracle(self, monkeypatch, d, offset):
+        J = 50
+        x = np.random.default_rng(37 + d).standard_normal((J, d)) + offset
+        ws = build_workspace(x, KernelSpec(), _BufferPool())
+        blas = ws.M.copy()
+        B = basis_gradient_oracle(x, ws.h)
+        monkeypatch.setattr(kernels, "_DSYRK", None)
+        monkeypatch.setattr(kernels, "_DSYR2K", None)
+        for pool in (None, _BufferPool()):
+            M = build_workspace(x, KernelSpec(), pool).M
+            assert np.array_equal(M, M.T)
+            assert rel_err(M, blas) <= 1e-13
+            assert rel_err(M, B @ B.T / J) <= 1e-13
 
 
 class TestWorkspace:
