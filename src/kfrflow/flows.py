@@ -19,9 +19,10 @@ floating point the algebraic fact that constant shifts of the log ratio --
 unknown normalizing constants -- cannot affect any update.
 
 Every rule takes an optional trailing ``pool``, the trial's buffer pool of
-:mod:`kfrflow.kernels`: the workspace and the solve of a step then live in
-its buffers, and the result (a new ensemble, velocity or drift) never does.
-Newton iterations beyond the first allocate their own arrays.
+:mod:`kfrflow.kernels`: the workspace, the solve and the row strips of the
+gradient scale s then live in its buffers, and the result (a new ensemble,
+velocity or drift) never does.  Newton iterations beyond the first allocate
+their own arrays.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def kfrflow_velocity(
     c = rp - rp.mean()
     rhs = (c @ ws.Kmat) / x.shape[0]
     f = spd_solve(ws.M, lam, rhs, pool=pool)
-    return _grad_apply(x, x, ws.s, f)
+    return _grad_apply(x, x, ws.Kmat, ws.h, f, pool, ws.s)
 
 
 def kfrflow_i_step(
@@ -146,14 +147,14 @@ def sample_ot_newton(
             # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam
             # (kept for later iterations) until no particle moves farther.
             delta = spd_solve(ws.M, lam, resid, pool=pool)
-            disp = _grad_apply(x, x, ws.s, s - delta)
+            disp = _grad_apply(x, x, ws.Kmat, ws.h, s - delta, pool, ws.s)
             while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
                 lam = max(10.0 * lam, _lam_floor(ws.M))
                 delta = spd_solve(ws.M, lam, resid, pool=pool)
-                disp = _grad_apply(x, x, ws.s, s - delta)
+                disp = _grad_apply(x, x, ws.Kmat, ws.h, s - delta, pool, ws.s)
         else:
             # the Jacobian at the displaced points y of the last iterate
-            jac = _grad_gram(x, ws.s, y, sy, D=D, Dy=Dy)
+            jac = _grad_gram(x, ws.Kmat, ws.h, y, ky, D=D, Dy=Dy, s=ws.s)
             if lam > 0:
                 jac = jac + lam * np.eye(J)
             try:
@@ -168,9 +169,9 @@ def sample_ot_newton(
             # single Newton step is the definition of the transport map;
             # the divergence guard cannot trigger, skip the residual pass
             return Ensemble(x + disp, ensemble.t + dt)
-        y = x + _grad_apply(x, x, ws.s, s)
+        y = x + _grad_apply(x, x, ws.Kmat, ws.h, s, pool, ws.s)
         Dy = _pair_sq(y, x)  # kept for the next Jacobian
-        _, ky, sy = _kernel_from_sq(Dy, ws.h)
+        _, ky = _kernel_from_sq(Dy, ws.h)
         resid = uniform @ ky - b
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:
@@ -185,7 +186,7 @@ def sample_ot_newton(
             s = best_s
             break
 
-    return Ensemble(x + _grad_apply(x, x, ws.s, s), ensemble.t + dt)
+    return Ensemble(x + _grad_apply(x, x, ws.Kmat, ws.h, s, pool, ws.s), ensemble.t + dt)
 
 
 def tempered_score(target, x, t: float) -> np.ndarray:

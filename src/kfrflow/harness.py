@@ -1,11 +1,12 @@
 """Experiment orchestration: seeded multi-trial runs, sweeps, and step timing.
 
-Every run is determined by (config, seed) and the OpenBLAS thread count: trial
-seeds are seed + trial_index, per-chain streams are spawned from the trial
-stream, and rows are assembled in (trial, step) order.  The thread count moves
-results at rounding level: a donut kfrflow-i run (J=300, N=100, 8 trials)
-differed in 5,395 of 9,999 cells, by at most 5.1e-8 relative, between 1 and 2
-threads.  A trial is unstable when it raises :class:`NumericalStabilityError`:
+Every run is determined by (config, seed): trial seeds are seed + trial_index,
+per-chain streams are spawned from the trial stream, and rows are assembled in
+(trial, step) order.  :func:`run_experiment`, and so :func:`sweep`, runs on
+one thread of numpy's OpenBLAS, so results do not depend on
+``OPENBLAS_NUM_THREADS``; the thread count is a setting of the whole process,
+saved on entry and restored on return.  A trial is unstable when it raises
+:class:`NumericalStabilityError`:
 a non-finite coordinate, velocity, log ratio or diagnostic, or a failed solve.
 Unstable trials keep their rows up to the failure, are flagged, and are
 excluded from the cross-trial summary.  Every other error (a target
@@ -17,8 +18,9 @@ concurrently; the output is identical to a sequential run.
 
 Each kfrflow trial creates one buffer pool (:mod:`kfrflow.kernels`) that its
 steps and its KSD observations share, so no step allocates its J x J arrays
-again; trials never share a pool.  A ULA trial draws its chains' noise in
-blocks (:class:`kfrflow.baselines._ChainNoise`).
+again; trials never share a pool.  SVGD and ULA trials create one for their
+KSD observations only, and RWM trials none.  A ULA trial draws its chains'
+noise in blocks (:class:`kfrflow.baselines._ChainNoise`).
 """
 
 from __future__ import annotations
@@ -146,10 +148,9 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     x0 = target.sample_reference(rng, config.J)
     obs_steps = set(range(0, config.N + 1, config.observe_every)) | {0, config.N}
     tempered = base in UNIT_TIME_SAMPLERS
-    # only the kfrflow steps work in a pool; the baselines keep fresh arrays
-    # (a pool held across rwm_run raised its peak, and SVGD's step allocates
-    # its own)
-    pool = _BufferPool() if tempered else None
+    # only the kfrflow steps work in the pool, and SVGD and ULA observe in it;
+    # RWM keeps fresh arrays (a pool held across rwm_run raised its peak)
+    pool = None if base.startswith("rwm-") else _BufferPool()
     rows = []
 
     def observe(k, t, positions, step_ns):
@@ -182,18 +183,20 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
-    """Run ``config.trials`` seeded trials and average the diagnostics."""
+    """Run ``config.trials`` seeded trials, on one OpenBLAS thread, and
+    average the diagnostics."""
     target = config.build_target()
     record = RunRecord(config=config, dim=target.dim)
 
     workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda i: _run_trial(config, target, i), range(config.trials))
-            )
-    else:
-        results = [_run_trial(config, target, i) for i in range(config.trials)]
+    with _one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(
+                    pool.map(lambda i: _run_trial(config, target, i), range(config.trials))
+                )
+        else:
+            results = [_run_trial(config, target, i) for i in range(config.trials)]
 
     for trial, (rows, stable) in enumerate(results):
         record.rows.extend(rows)
@@ -326,7 +329,8 @@ class BenchResult:
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block on one thread of numpy's OpenBLAS, then restore the
-    process-wide count, also when the block raises."""
+    count, also when the block raises.  Both the save and the restore act on
+    the whole process, not on the calling thread alone."""
     if _GET_THREADS is None:
         yield
         return

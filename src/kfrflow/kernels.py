@@ -6,8 +6,10 @@ points as rows of ``(n, d)`` arrays; gradients are taken with respect to the
 first argument.
 
 Every batch quantity comes from one pairwise primitive, :func:`_pair_kernel`,
-which gives q[i, l] = K(xa_i, xb_l) and s = -q^3 / h^2, so that
-grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l].  Every product with the
+which gives q[i, l] = K(xa_i, xb_l); the gradient scale s = -q^3 / h^2, so that
+grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is formed from q by
+:func:`_grad_scale`, whole where that costs no more than a row strip and
+otherwise for the rows that a product reads.  Every product with the
 gradients is :func:`_grad_apply` or :func:`_grad_gram`; no (d, J, J) array
 leaves this module.
 
@@ -21,19 +23,24 @@ A step's J x J arrays can live in a :class:`_BufferPool`: J and d stay
 fixed over a trial, so one trial creates a pool and hands it to every step
 and observation, and no step allocates those arrays again.  Without a pool
 every array is fresh; the arithmetic is the same either way.  A pooled step
-holds four named J x J buffers, whatever d is, and nothing else:
+holds four named buffers and nothing else: below ``_DISTANCE_GRAM_MIN_DIM``
+2.5 J x J arrays and at most ``_S_STRIP`` elements of s, and from it on 4
+J x J arrays:
 
 * ``"D"``: the squared distances of the pair pass, then the coupling matrix
-  M, which is formed over them once q and s are (at every d);
-* ``"q"``, ``"s"``: the kernel matrix and the gradient scale; the head of
-  ``"q"`` holds the difference blocks of the pair pass, at most 512 KB, which
-  are dead before q is written;
-* ``"G"``: sized J x J by the first part a step asks for, and dead between
-  its uses.  Within a step it holds in turn the J(J-1)/2 distances that the
-  median partitions in place, the scratch of M (below
-  ``_DISTANCE_GRAM_MIN_DIM`` one row strip of the gradient blocks at a time,
-  from it on P = D o (s^T s) and then T + T^T - P), and the factor of
-  M + lam I that ``particles.spd_solve`` writes.
+  M, which is formed over them once q is (at every d);
+* ``"q"``: the kernel matrix; its head holds the difference blocks of the
+  pair pass, at most 512 KB, which are dead before q is written;
+* ``"s"``: the gradient scale, whole where the distance form of M needs it
+  (from ``_DISTANCE_GRAM_MIN_DIM`` on) or where J x J fits in ``_S_STRIP``
+  elements, and otherwise formed from q in row strips of at most
+  ``_S_STRIP`` elements where a product reads them (q^3 in the apply);
+* ``"G"``: J(J+1)/2 elements below ``_DISTANCE_GRAM_MIN_DIM``, J x J from it
+  on, and dead between its uses.  Within a step it holds in turn the
+  J(J-1)/2 distances that the median partitions in place, the scratch of M
+  (one row strip of the gradient blocks at a time, or P = D o (s^T s) and
+  then T + T^T - P), and the Cholesky factor of M + lam I in rectangular
+  full packed storage that ``particles.spd_solve`` writes.
 
 Between steps every buffer is dead, so the KSD of an observation borrows
 them: its row strips of at most ``diagnostics._KSD_STRIP`` elements live in
@@ -42,11 +49,11 @@ accumulators in the head of ``"G"``.  A result that outlives the step
 (positions, velocities) is never a pool buffer.
 
 The rank-k updates of M go to the BLAS of numpy's own linalg module (the
-ILP64 OpenBLAS of numpy's wheels) through ``ctypes``, as do the solves of
-:mod:`kfrflow.particles` and the thread count of :mod:`kfrflow.harness`;
-where numpy exports no such symbol the handle is None, and the updates run
-through ``np.matmul`` with the same arithmetic up to rounding, allocating
-their products.
+ILP64 OpenBLAS of numpy's wheels) through ``ctypes``, as do the Cholesky
+routines of :mod:`kfrflow.particles` and the thread count of
+:mod:`kfrflow.harness`; where numpy exports no such symbol the handle is
+None, and the updates run through ``np.matmul`` with the same arithmetic up
+to rounding, allocating their products.
 """
 
 from __future__ import annotations
@@ -69,13 +76,11 @@ _DISTANCE_GRAM_MIN_DIM = 3
 # stays in cache while it is squared and reduced
 _PAIR_BLOCK = 65536
 
-# elements of one (d, rows, J) strip of gradient blocks that _grad_gram adds
-# into M, at most J x J since the strip lives in "G".  On one thread, at
-# J = 500 to 2000 and d = 1 and 2, strips of 2^19 to 2^22 elements formed M
-# in the time of one product over the whole blocks or less; smaller strips
-# were slower at J = 2000, d = 2 (one run: 2^17 373 ms, 2^19 327 ms, the
-# whole blocks 358 ms).
-_GRAM_STRIP = 524288
+# elements of one row strip of s.  On one thread, M at J = 1000 took 51 ms at
+# d = 2 and 27 ms at d = 1 with these strips, against 54 and 29 ms with the
+# 2^19-element gradient strips they replace; at J = 2000, d = 2, 356 ms
+# against 337 ms.
+_S_STRIP = 131072
 
 # rows of the diagonal blocks that _mirror_lower copies through a transposed
 # scratch (32 KB)
@@ -104,11 +109,19 @@ _DSYR2K = _blas_symbol(
     "cblas_dsyr2k64_", [_INT] * 3 + [_I64, _I64, ctypes.c_double] + [_PTR, _I64] * 2
     + [ctypes.c_double, _PTR, _I64],
 )
-# the Cholesky solve of particles.spd_solve uses both or neither
-_DTRSV = _blas_symbol("cblas_dtrsv64_", [_INT] * 4 + [_I64, _PTR] * 2 + [_I64])
-_DPOTRF = _blas_symbol("dpotrf_64_", [ctypes.c_char_p, _I64_P, _PTR, _I64_P, _I64_P], _INT)
-if _DTRSV is None or _DPOTRF is None:
-    _DTRSV = _DPOTRF = None
+# LAPACK's Cholesky factor, copy and solve in rectangular full packed (RFP)
+# storage, for particles.spd_solve: all three or none.  They are Fortran
+# routines, so each character argument has a trailing length.
+_CHAR, _LEN = ctypes.c_char_p, ctypes.c_size_t
+_DTRTTF = _blas_symbol(
+    "dtrttf_64_", [_CHAR, _CHAR, _I64_P, _PTR, _I64_P, _PTR, _I64_P, _LEN, _LEN]
+)
+_DPFTRF = _blas_symbol("dpftrf_64_", [_CHAR, _CHAR, _I64_P, _PTR, _I64_P, _LEN, _LEN])
+_DPFTRS = _blas_symbol(
+    "dpftrs_64_", [_CHAR, _CHAR, _I64_P, _I64_P, _PTR, _PTR, _I64_P, _I64_P, _LEN, _LEN]
+)
+if None in (_DTRTTF, _DPFTRF, _DPFTRS):
+    _DTRTTF = _DPFTRF = _DPFTRS = None
 # the thread count of numpy's OpenBLAS, read and set by the harness together
 _GET_THREADS = _blas_symbol("openblas_get_num_threads64_", [], _INT)
 _SET_THREADS = _blas_symbol("openblas_set_num_threads64_", [_INT])
@@ -159,17 +172,6 @@ class _BufferPool:
 def _scratch(pool, name: str, shape: tuple) -> np.ndarray:
     """``pool.get(name, shape)``, or a fresh array when ``pool`` is None."""
     return np.empty(shape) if pool is None else pool.get(name, shape)
-
-
-def _jxj_head(pool, name: str, J: int, shape: tuple) -> np.ndarray:
-    """``_scratch(pool, name, shape)`` for a J x J buffer used in parts: a
-    part sizes the buffer at J x J at least, so that a later, larger part of
-    the step does not grow it while the step's other J x J arrays are
-    alive."""
-    if pool is None:
-        return np.empty(shape)
-    n = math.prod(shape)
-    return pool.get(name, (max(n, J * J),))[:n].reshape(shape)
 
 
 def _positions(ensemble) -> np.ndarray:
@@ -228,7 +230,7 @@ def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
         return float(h_floor)
     pairs = np.concatenate(
         [d2[i, i + 1 :] for i in range(J - 1)],
-        out=_jxj_head(pool, "G", J, (J * (J - 1) // 2,)),
+        out=_scratch(pool, "G", (J * (J - 1) // 2,)),
     )
     k = pairs.size // 2
     pairs.partition(k)
@@ -248,31 +250,37 @@ def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray, pool=None) -> float:
 
 
 def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h) -> tuple:
-    """The pairwise primitive: (h, q, s) with q[i, l] = K(xa_i, xb_l) and
-    s = -q^3 / h^2, so that grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l].
-    ``h`` is the bandwidth, or a KernelSpec whose policy is applied to these
-    pairs (then xa and xb are the same ensemble)."""
+    """The pairwise primitive: (h, q) with q[i, l] = K(xa_i, xb_l); the
+    gradient scale s = ``_grad_scale(q, h)`` gives grad_1 K(xa_i, xb_l) =
+    (xa_i - xb_l) s[i, l].  ``h`` is the bandwidth, or a KernelSpec whose
+    policy is applied to these pairs (then xa and xb are the same ensemble)."""
     d2 = _pair_sq(xa, xb)
     return _kernel_from_sq(d2, h, q=d2)
 
 
-def _kernel_from_sq(d2: np.ndarray, h, q=None, s=None) -> tuple:
+def _kernel_from_sq(d2: np.ndarray, h, q=None) -> tuple:
     """:func:`_pair_kernel` from the squared distances ``d2 = _pair_sq(xa,
-    xb)``; q and s are written to the arrays ``q`` and ``s`` when given (q
-    may be d2 itself once nothing else reads the distances)."""
+    xb)``; q is written to the array ``q`` when given (it may be d2 itself
+    once nothing else reads the distances)."""
     if isinstance(h, KernelSpec):
         h = _bandwidth_from_sq(h, d2)
-    q = _q_from_sq(d2, h, out=q)
-    s = np.multiply(q, q, out=s)
+    return h, _q_from_sq(d2, h, out=q)
+
+
+def _grad_scale(q: np.ndarray, h: float, out=None) -> np.ndarray:
+    """s = -q^3 / h^2 for the rows of q given, written to ``out`` when given;
+    a row of s depends on the same row of q only."""
+    s = np.multiply(q, q, out=out)
     s *= q
     s /= -(h * h)
-    return h, q, s
+    return s
 
 
 def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
     """The (d, na, nb) gradient blocks G[a, i, l] = d/dx_a K(x, xb_l) at
-    x = xa_i, for s from ``_pair_kernel(xa, xb, h)``, written to ``out`` when
-    given.  When xa is xb, each G[a] is exactly antisymmetric."""
+    x = xa_i, for s = ``_grad_scale(q, h)`` of ``_pair_kernel(xa, xb, h)``,
+    written to ``out`` when given.  When xa is xb, each G[a] is exactly
+    antisymmetric."""
     G = np.empty((xa.shape[1],) + s.shape) if out is None else out
     for a in range(xa.shape[1]):
         np.subtract.outer(xa[:, a], xb[:, a], out=G[a])
@@ -280,16 +288,34 @@ def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, out=None) -> np.
     return G
 
 
-def _grad_apply(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, f) -> np.ndarray:
+def _grad_apply(
+    xa: np.ndarray, xb: np.ndarray, q: np.ndarray, h: float, f, pool=None, s=None
+) -> np.ndarray:
     """sum_l grad_1 K(xa_i, xb_l) f_l = xa_i (s f)_i - (s (xb o f))_i as an
-    (na, d) array, for s from ``_pair_kernel(xa, xb, h)`` and f an (nb,)
-    vector or a scalar.  Both point sets are shifted to xb's mean, which keeps
+    (na, d) array, for q from ``_pair_kernel(xa, xb, h)`` and f an (nb,)
+    vector or a scalar.  A caller that holds the whole of s = -q^3 / h^2
+    passes it; otherwise q^3 is formed ``_S_STRIP`` elements of rows at a
+    time in the pool's ``"s"`` and its product divided by -h^2, a pass less
+    than forming s.  Both point sets are shifted to xb's mean, which keeps
     the difference free of cancellation far from the origin; overflow on a
     far-out ensemble is left to the non-finite result."""
-    c = xb.mean(axis=0)
+    (na, nb), c = q.shape, xb.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.broadcast_to(f, xb.shape[:1])[:, None]
-        sf = s @ np.hstack((f, (xb - c) * f))
+        w = np.hstack((f, (xb - c) * f))
+        if s is not None:
+            sf = s @ w
+        else:
+            rows = max(1, min(na, _S_STRIP // max(1, nb)))
+            sf = np.empty((na, w.shape[1]))
+            buf = _scratch(pool, "s", (rows * nb,))
+            for i0 in range(0, na, rows):
+                i1 = min(na, i0 + rows)
+                q3 = buf[: (i1 - i0) * nb].reshape(i1 - i0, nb)
+                np.multiply(q[i0:i1], q[i0:i1], out=q3)
+                q3 *= q[i0:i1]
+                np.matmul(q3, w, out=sf[i0:i1])
+            sf /= -(h * h)
         return (xa - c) * sf[:, :1] - sf[:, 1:]
 
 
@@ -336,19 +362,25 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
 
 
 def _grad_gram(
-    x: np.ndarray, s: np.ndarray, y=None, sy=None, D=None, Dy=None, pool=None
+    x: np.ndarray, q: np.ndarray, h: float, y=None, qy=None, D=None, Dy=None, pool=None,
+    s=None,
 ) -> np.ndarray:
     """(1/J) sum_i grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) as a J x J array,
-    for s from ``_pair_kernel(x, x, h)``: the coupling matrix M without y, the
-    transport Newton Jacobian at displaced points y (sy from
-    ``_pair_kernel(y, x, h)``) with it.
+    for q from ``_pair_kernel(x, x, h)``: the coupling matrix M without y,
+    the transport Newton Jacobian at displaced points y (qy from
+    ``_pair_kernel(y, x, h)``) with it.  Their gradient scales s and sy are
+    formed here by :func:`_grad_scale`, unless the caller passes the whole
+    of s.
 
     Below ``_DISTANCE_GRAM_MIN_DIM``, M sums B^T B over row strips B of the
-    gradient blocks, at most ``_GRAM_STRIP`` elements each, with dsyrk; the
+    gradient blocks with dsyrk; each strip's rows of s, at most ``_S_STRIP``
+    elements, are formed in the pool's ``"s"`` first, and its blocks, at most
+    J(J+1)/2 elements like the factor that follows, in ``"G"``.  The
     Jacobian multiplies the whole blocks of y and x.  From it on,
     D[i, l] = ||x_i - x_l||^2 and (x_i - x_l).(x_i - x_m) = (D_il + D_im -
-    D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s, one
-    dsyr2k, and, with Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
+    D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s,
+    one dsyr2k over the whole of s in ``"s"``, and, with
+    Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
     jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s - D o (sy^T s)) / (2J).
     Either form of M fills the lower triangle and mirrors it, so M is
     exactly symmetric.
@@ -361,16 +393,25 @@ def _grad_gram(
     J, d = x.shape
     if y is None and d < _DISTANCE_GRAM_MIN_DIM:
         M = np.empty((J, J)) if D is None else D
-        rows = max(1, min(J // max(1, d), _GRAM_STRIP // max(1, d * J)))
-        buf = _jxj_head(pool, "G", J, (d * rows * J,))
+        rows = max(1, min(_S_STRIP // J, (J + 1) // (2 * max(1, d))))
+        sbuf = _scratch(pool, "s", (rows * J,)) if s is None else None
+        buf = _scratch(pool, "G", (d * rows * J,))
         for i0 in range(0, J, rows):
             i1 = min(J, i0 + rows)
+            if s is None:
+                si = _grad_scale(q[i0:i1], h, out=sbuf[: (i1 - i0) * J].reshape(i1 - i0, J))
+            else:
+                si = s[i0:i1]
             strip = buf[: d * (i1 - i0) * J].reshape(d, i1 - i0, J)
-            _grad_blocks(x[i0:i1], x, s[i0:i1], out=strip)
+            _grad_blocks(x[i0:i1], x, si, out=strip)
             _rank_k_update(M, 1.0 if i0 else 0.0, strip.reshape(-1, J))
         M = _mirror_lower(M)
         M /= J
         return M
+    if s is None:
+        s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)) if y is None else None)
+    if y is not None:
+        sy = _grad_scale(qy, h)
     if d < _DISTANCE_GRAM_MIN_DIM:
         Gr = _grad_blocks(x, x, s).reshape(d * J, J)
         Gy = _grad_blocks(y, x, sy).reshape(d * J, J)
@@ -397,14 +438,22 @@ def _grad_gram(
 
 
 def _kernel_gram(x: np.ndarray, spec: KernelSpec, pool=None) -> tuple:
-    """(h, q, s) of ``_pair_kernel(x, x, spec)`` and M = ``_grad_gram(x, s)``
-    from one pair pass, in the pool's ``"q"``, ``"s"`` and ``"D"``."""
+    """(h, q) of ``_pair_kernel(x, x, spec)``, M = ``_grad_gram(x, q, h)``
+    and s from one pair pass, in the pool's ``"q"``, ``"D"`` and ``"s"``.
+    s is the whole gradient scale where the distance form of M needs it or
+    where it fits in one strip of ``_S_STRIP`` elements, and None
+    otherwise.  The pool's ``"G"`` is sized first, so that no later part of
+    the step grows it."""
+    J, d = x.shape
+    if pool is not None:
+        pool.get("G", (J * J if d >= _DISTANCE_GRAM_MIN_DIM else J * (J + 1) // 2,))
     D = _pair_sq(x, x, pool)
     h = _bandwidth_from_sq(spec, D, pool)
-    h, q, s = _kernel_from_sq(
-        D, h, q=_scratch(pool, "q", D.shape), s=_scratch(pool, "s", D.shape)
-    )
-    return h, q, s, _grad_gram(x, s, D=D, pool=pool)
+    h, q = _kernel_from_sq(D, h, q=_scratch(pool, "q", D.shape))
+    s = None
+    if d >= _DISTANCE_GRAM_MIN_DIM or J * J <= _S_STRIP:
+        s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
+    return h, q, _grad_gram(x, q, h, D=D, pool=pool, s=s), s
 
 
 def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:

@@ -13,13 +13,15 @@ definite for the solves, which use a symmetric-definite (Cholesky)
 factorization written over a copy of M + lam I.
 
 Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in it: M in
-``"D"``, the kernel matrix in ``"q"`` and s in ``"s"``, and :func:`spd_solve`
-factors M + lam I in ``"G"``, whose scratch of M is dead once M is formed.
-Those four J x J buffers are all a pooled step holds; the workspace is valid
-until the pool's next use.  The factor and the triangular solves run on
-numpy's OpenBLAS (``dpotrf`` and ``cblas_dtrsv``, bound in
-:mod:`kfrflow.kernels`); without both, :func:`spd_solve` falls back to
-numpy's gufunc and scipy.
+``"D"``, the kernel matrix in ``"q"`` and s, whole or a row strip at a time,
+in ``"s"``; :func:`spd_solve` factors M + lam I in ``"G"``, whose scratch of
+M is dead once M is formed.  Those four buffers are all a pooled step holds:
+below d = 3, two J x J arrays, half of one, and at most 1 MB of s; from it
+on, four J x J arrays.  The workspace is valid until the pool's next use.  The factor takes
+J(J+1)/2 elements in LAPACK's rectangular full packed (RFP) format:
+``dtrttf``, ``dpftrf`` and ``dpftrs`` of numpy's OpenBLAS (bound in
+:mod:`kfrflow.kernels`) copy, factor and solve, or without them the same
+routines of ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import _DPOTRF, _DTRSV, KernelSpec, _kernel_gram, _scratch
+from .kernels import _DPFTRF, _DPFTRS, _DTRTTF, KernelSpec, _kernel_gram, _scratch
 
 
 @dataclass(frozen=True)
@@ -67,42 +68,69 @@ class Ensemble:
 
 @dataclass
 class FlowWorkspace:
-    """Per-step derived quantities, all computed at one shared bandwidth ``h``;
-    ``s`` is the gradient scale of :func:`kernels._pair_kernel`, and each
-    array is J x J whatever d is."""
+    """Per-step derived quantities, all computed at one shared bandwidth
+    ``h``: the kernel matrix and M, each J x J whatever d is, and the
+    gradient scale ``s`` of :func:`kernels._pair_kernel` where the step keeps
+    it whole (see :func:`kernels._kernel_gram`), else None; the products then
+    form it from ``Kmat`` and ``h`` row strip by row strip."""
 
     h: float
     Kmat: np.ndarray
     M: np.ndarray
-    s: np.ndarray
+    s: np.ndarray | None = None
 
 
 def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
     x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    h, kmat, s, M = _kernel_gram(x, spec, pool)
+    h, kmat, M, s = _kernel_gram(x, spec, pool)
     return FlowWorkspace(h=float(h), Kmat=kmat, M=M, s=s)
 
 
-def _cholesky_in_place(a: np.ndarray) -> bool:
-    """Overwrite the lower triangle of the C-contiguous SPD matrix ``a`` with
-    its Cholesky factor L; False when ``a`` is not positive definite.
+def _rfp_diagonal(J: int) -> np.ndarray:
+    """Positions of the diagonal of a J x J matrix, in order, in the RFP array
+    that ``dtrttf`` writes with transr 'N' and uplo 'L'.  For odd J the
+    leading (J+1)/2 diagonal elements sit at j(J+1) and the others at
+    J + j(J+1); for even J the leading J/2 at 1 + j(J+2) and the others at
+    j(J+2)."""
+    n1 = (J + 1) // 2
+    if J % 2:
+        return np.concatenate((np.arange(n1) * (J + 1), J + np.arange(J - n1) * (J + 1)))
+    return np.concatenate((1 + np.arange(n1) * (J + 2), np.arange(n1) * (J + 2)))
 
-    dpotrf's upper factor U of column-major storage is, read row-major, the
-    lower L of the same symmetric matrix, so the factor is written in place
-    and the strict upper triangle, which no solve reads, keeps ``a``.  The
-    fallback, numpy's gufunc for the same upper factor written to ``a.T``,
-    gives the same bits in the lower triangle and zeros above it."""
-    if _DTRSV is None:
-        try:
-            with np.errstate(invalid="raise"):
-                _umath_linalg.cholesky_up(a, out=a.T, signature="d->d")
-        except FloatingPointError:
-            return False
-        return True
-    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
-    _DPOTRF(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+
+def _scipy_lapack():
+    try:
+        from scipy.linalg import lapack
+    except ImportError as err:
+        raise ImportError(
+            "spd_solve needs scipy: numpy exports no dtrttf, dpftrf or dpftrs"
+        ) from err
+    return lapack
+
+
+def _rfp_cholesky(M: np.ndarray, lam: float, arf: np.ndarray) -> bool:
+    """Write M + lam I to ``arf`` in RFP storage and overwrite it there with
+    its Cholesky factor; False when it is not positive definite.  ``dtrttf``
+    reads the symmetric M as column-major with transr 'N' and uplo 'L', lam
+    is added at the RFP positions of the diagonal, and ``dpftrf`` factors."""
+    J = M.shape[0]
+    for arr, shape in ((M, (J, J)), (arf, (J * (J + 1) // 2,))):
+        if not (arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous):
+            raise ValueError(f"RFP Cholesky needs C-contiguous float64 {shape}, got {arr.shape}")
+    n, info = ctypes.c_int64(J), ctypes.c_int64(0)
+    if _DPFTRS is None:
+        lapack = _scipy_lapack()
+        arf[:] = lapack.dtrttf(M.T, transr="N", uplo="L")[0]
+    else:
+        _DTRTTF(b"N", b"L", n, M.ctypes.data, n, arf.ctypes.data, info, 1, 1)
+    if lam > 0:
+        arf[_rfp_diagonal(J)] += lam
+    if _DPFTRS is None:
+        arf[:], info.value = lapack.dpftrf(J, arf, transr="N", uplo="L", overwrite_a=1)
+    else:
+        _DPFTRF(b"N", b"L", n, arf.ctypes.data, info, 1, 1)
     if info.value < 0:
-        raise ValueError(f"dpotrf rejected argument {-info.value}")
+        raise ValueError(f"dpftrf rejected argument {-info.value}")
     return info.value == 0
 
 
@@ -116,23 +144,22 @@ def _lam_floor(M: np.ndarray) -> float:
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarray:
     """Solve (M + lam I) x = rhs by Cholesky, with a one-shot fallback.
 
-    M + lam I is copied to the pool's ``"G"`` (a fresh array without a pool)
-    and overwritten there by its lower Cholesky factor L, which the two
-    triangular solves read in place; M itself is left untouched.  If
-    factorization fails at the user's lam, retries once with
-    lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second failure, or a
-    non-finite factor, raises :class:`NumericalStabilityError`.
+    M, which must be exactly symmetric, is copied with lam I added to the
+    J(J+1)/2 elements at the head of the pool's ``"G"`` (a fresh array
+    without a pool) in rectangular full packed storage, and overwritten
+    there by its Cholesky factor, which the solve reads in place; M itself
+    is left untouched.  If factorization fails at the user's lam, retries
+    once with lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second
+    failure, or a non-finite factor, raises
+    :class:`NumericalStabilityError`.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    M = np.asarray(M, dtype=np.float64)
+    M = np.ascontiguousarray(M, dtype=np.float64)
     J = M.shape[0]
     for retry in (False, True):
-        chol = _scratch(pool, "G", M.shape)
-        np.copyto(chol, M)
-        if lam > 0:
-            chol.ravel()[:: J + 1] += lam
-        if _cholesky_in_place(chol):
+        arf = _scratch(pool, "G", (J * (J + 1) // 2,))
+        if _rfp_cholesky(M, lam, arf):
             break
         fallback = max(lam, _lam_floor(M))
         if retry or fallback <= lam:
@@ -149,23 +176,15 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
         lam = fallback
     # a NaN in M passes the factorization's pivot test and leaves a NaN on
     # the diagonal
-    if not np.isfinite(chol.diagonal()).all():
+    if not np.isfinite(arf[_rfp_diagonal(J)]).all():
         raise NumericalStabilityError("non-finite coupling matrix")
     x = np.array(rhs, dtype=np.float64, order="C")
     if x.shape != (J,):
         raise ValueError(f"rhs must have shape ({J},), got {x.shape}")
-    if _DTRSV is None:
-        try:
-            from scipy.linalg import solve_triangular
-        except ImportError as err:
-            raise ImportError(
-                "spd_solve needs scipy: numpy exports no cblas_dtrsv or dpotrf"
-            ) from err
-        y = solve_triangular(chol, x, lower=True, check_finite=False)
-        return solve_triangular(chol, y, lower=True, trans=1, check_finite=False)
-    # in place on x: L y = rhs, then L^T x = y (row-major, lower, non-unit)
-    for trans in (111, 112):
-        _DTRSV(101, 122, trans, 131, J, chol.ctypes.data, J, x.ctypes.data, 1)
+    if _DPFTRS is None:
+        return _scipy_lapack().dpftrs(J, arf, x[:, None], transr="N", uplo="L")[0][:, 0]
+    n, one, info = ctypes.c_int64(J), ctypes.c_int64(1), ctypes.c_int64(0)
+    _DPFTRS(b"N", b"L", n, one, arf.ctypes.data, x.ctypes.data, n, info, 1, 1)
     return x
 
 

@@ -106,6 +106,15 @@ def test_cold_step_and_observation_peak_at_four_jxj_arrays(target, J, rule):
     assert peak <= 4.3, peak
 
 
+# below d = 3: "D" and "q", the J(J+1)/2 elements of "G", and one strip of
+# "s" of at most 2^17 elements (0.13 J x J at J = 1000)
+@pytest.mark.parametrize("target", ["gaussian:0,1", "donut"])
+@pytest.mark.parametrize("rule", sorted(POOLED_STEPS))
+def test_cold_step_and_observation_peak_at_two_and_a_half_jxj_arrays_below_d3(target, rule):
+    peak = pooled_step_peak(target, rule, 1000)
+    assert peak <= 2.8, peak
+
+
 def documented_buffers():
     """The buffer names that the bullet list of the kernels docstring gives."""
     bullets = [line for line in kernels.__doc__.splitlines() if line.startswith("* ")]

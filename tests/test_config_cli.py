@@ -5,14 +5,18 @@ import dataclasses
 import inspect
 import itertools
 import json
+import csv
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kfrflow
 from kfrflow import baselines, cli, config, harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
@@ -265,6 +269,25 @@ class TestRunExperiment:
         # identical bytes apart from the wall-clock timing column, which is
         # measurement metadata outside the determinism contract
         assert strip_timing(paths[0]) == strip_timing(paths[1])
+
+    def test_csv_does_not_depend_on_openblas_threads(self, tmp_path):
+        # on one BLAS thread and on two (where the machine has them), this
+        # run differed in 116 cells before the harness pinned one thread
+        src = str(Path(kfrflow.__file__).resolve().parents[1])
+        args = ["--target", "donut", "--sampler", "kfrflow-i", "--J", "300",
+                "--N", "10", "--lambda", "1e-6", "--seed", "3"]
+        rows = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            ))
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "kfrflow", "run", *args, "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            (path,) = out.glob("*.csv")
+            with open(path) as fh:
+                rows.append(timeless_rows(csv.DictReader(fh)))
+        assert rows[0] == rows[1]
 
     def test_unstable_trial_flagged_and_excluded(self):
         # an extreme far-away narrow target blows the unregularized flow up

@@ -276,7 +276,7 @@ class TestPairPasses:
         assert len(pair_passes) == 1
         if d >= kernels._DISTANCE_GRAM_MIN_DIM:
             # the shared D gives the M of a fresh pass bit for bit
-            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.s))
+            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.Kmat, ws.h))
 
     def test_importance_step_makes_one_pass(self, pair_passes):
         e = Ensemble(np.random.default_rng(61).standard_normal((40, 20)), 0.0)

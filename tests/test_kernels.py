@@ -11,6 +11,7 @@ from kfrflow.kernels import (
     KernelSpec,
     _grad_blocks,
     _grad_gram,
+    _grad_scale,
     _pair_kernel,
     _pair_sq,
     kernel_matrix,
@@ -104,7 +105,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(4)
         xa = rng.standard_normal((4, 2))
         xb = rng.standard_normal((3, 2))
-        _, k, _ = _pair_kernel(xa, xb, 0.8)
+        _, k = _pair_kernel(xa, xb, 0.8)
         for i in range(4):
             for j in range(3):
                 assert k[i, j] == pytest.approx(imq_eval(xa[i], xb[j], 0.8), rel=1e-14)
@@ -113,8 +114,8 @@ class TestKernelMatrix:
 def jacobian(x, h, i):
     """Jacobian of the basis map x -> (K(x, X_1), ..., K(x, X_J)) at X_i:
     row j is grad_x K(x, X_j) at x = X_i, read from the gradient blocks."""
-    _, _, s = _pair_kernel(x, x, h)
-    return _grad_blocks(x, x, s)[:, i, :].T
+    _, q = _pair_kernel(x, x, h)
+    return _grad_blocks(x, x, _grad_scale(q, h))[:, i, :].T
 
 
 class TestKernelJacobian:
@@ -144,8 +145,8 @@ class TestKernelJacobian:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
         for i in range(4):
-            _, _, s = _pair_kernel(x[i : i + 1], x, 0.75)
-            row = _grad_blocks(x[i : i + 1], x, s)
+            _, q = _pair_kernel(x[i : i + 1], x, 0.75)
+            row = _grad_blocks(x[i : i + 1], x, _grad_scale(q, 0.75))
             assert np.array_equal(row[:, 0, :].T, jacobian(x, 0.75, i))
 
 
@@ -154,8 +155,8 @@ class TestPairKernel:
         rng = np.random.default_rng(10)
         xa = rng.standard_normal((4, 3))
         xb = rng.standard_normal((5, 3))
-        h, q, s = _pair_kernel(xa, xb, 0.9)
-        G = _grad_blocks(xa, xb, s)
+        h, q = _pair_kernel(xa, xb, 0.9)
+        G = _grad_blocks(xa, xb, _grad_scale(q, h))
         assert h == 0.9 and q.shape == (4, 5) and G.shape == (3, 4, 5)
         for i in range(4):
             for ell in range(5):
@@ -165,8 +166,8 @@ class TestPairKernel:
         rng = np.random.default_rng(11)
         for J, d in ((1, 1), (2, 2), (30, 5)):
             x = rng.standard_normal((J, d)) * 3.0
-            _, q, s = _pair_kernel(x, x, KernelSpec())
-            G = _grad_blocks(x, x, s)
+            h, q = _pair_kernel(x, x, KernelSpec())
+            G = _grad_blocks(x, x, _grad_scale(q, h))
             assert np.array_equal(q, q.T)
             for a in range(d):
                 assert np.array_equal(G[a], -G[a].T)
@@ -216,23 +217,23 @@ class TestGradGram:
         for d in (2, 20):
             x = rng.standard_normal((J, d)) + 40.0
             y = x + 0.3 * rng.standard_normal((J, d))
-            h, _, s = _pair_kernel(x, x, KernelSpec())
-            _, _, sy = _pair_kernel(y, x, h)
+            h, q = _pair_kernel(x, x, KernelSpec())
+            _, qy = _pair_kernel(y, x, h)
             expected = basis_gradient_oracle(x, h, y) @ basis_gradient_oracle(x, h).T / J
-            assert rel_err(_grad_gram(x, s, y, sy), expected) <= 1e-13, d
+            assert rel_err(_grad_gram(x, q, h, y, qy), expected) <= 1e-13, d
 
     def test_passed_distances_give_the_same_bits(self):
         # D and Dy handed over by the caller replace the second pair pass
         rng = np.random.default_rng(15)
         x = rng.standard_normal((40, 20))
         y = x + 0.3 * rng.standard_normal((40, 20))
-        h, _, s = _pair_kernel(x, x, KernelSpec())
-        _, _, sy = _pair_kernel(y, x, h)
+        h, q = _pair_kernel(x, x, KernelSpec())
+        _, qy = _pair_kernel(y, x, h)
         D = _pair_sq(x, x)
-        jac = _grad_gram(x, s, y, sy, D=D, Dy=_pair_sq(y, x))
-        assert np.array_equal(jac, _grad_gram(x, s, y, sy))
+        jac = _grad_gram(x, q, h, y, qy, D=D, Dy=_pair_sq(y, x))
+        assert np.array_equal(jac, _grad_gram(x, q, h, y, qy))
         assert np.array_equal(D, _pair_sq(x, x))  # the Jacobian leaves D intact
-        assert np.array_equal(_grad_gram(x, s, D=D), _grad_gram(x, s))
+        assert np.array_equal(_grad_gram(x, q, h, D=D), _grad_gram(x, q, h))
 
 
 class TestMedianBandwidth:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from kfrflow import kernels, particles
 from kfrflow.errors import NumericalStabilityError
@@ -212,12 +212,17 @@ class TestSpdSolveContract:
         with pytest.raises(NumericalStabilityError, match="non-finite"):
             spd_solve(M, 0.0, np.ones(2))
 
+    def test_non_square_matrix_raises(self):
+        for M in (np.ones((3, 2)), np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError):
+                spd_solve(M, 0.0, np.ones(M.shape[0]))
+
     def test_solution_is_not_a_pool_buffer(self):
         pool = _BufferPool()
         M = 2.0 * np.eye(5)
         x = spd_solve(M, 0.0, np.ones(5), pool=pool)
-        assert not np.shares_memory(x, pool.get("G", (5, 5)))
-        assert not np.shares_memory(M, pool.get("G", (5, 5)))
+        assert not np.shares_memory(x, pool.get("G", (15,)))
+        assert not np.shares_memory(M, pool.get("G", (15,)))
 
 
 def _spd_system(J, seed=0):
@@ -226,20 +231,27 @@ def _spd_system(J, seed=0):
     return B @ B.T / J + 0.5 * np.eye(J), rng.standard_normal(J)
 
 
-def _scipy_solves(L, rhs):
-    """The two triangular solves that spd_solve makes, done by scipy."""
-    y = solve_triangular(L, rhs, lower=True, check_finite=False)
-    return solve_triangular(L, y, lower=True, trans=1, check_finite=False)
+def _scipy_solves(arf, rhs):
+    """The RFP solve that spd_solve makes, done by scipy on the factor arf."""
+    b = np.array(rhs, dtype=np.float64)[:, None]
+    return lapack.dpftrs(b.shape[0], arf, b, transr="N", uplo="L")[0][:, 0]
+
+
+def _factor_head(pool, J):
+    """A copy of the RFP factor at the head of the pool's "G"."""
+    return pool.get("G", (J * (J + 1) // 2,)).copy()
 
 
 class TestTriangularSolves:
-    """The triangular solves on numpy's OpenBLAS against scipy on the same
-    factor, bit for bit, and the lazy scipy path when numpy exports none."""
+    """The RFP solve on numpy's OpenBLAS against scipy on the same factor,
+    bit for bit, and the lazy scipy path when numpy exports none."""
 
     def test_numpy_blas_handle_resolved(self):
-        if not getattr(particles._umath_linalg, "_ilp64", False):
+        from numpy.linalg import _umath_linalg
+
+        if not getattr(_umath_linalg, "_ilp64", False):
             pytest.skip("numpy's linalg is not linked to an ILP64 OpenBLAS")
-        assert particles._DTRSV is not None
+        assert particles._DPFTRS is not None
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("J", [300, 1000])
@@ -248,7 +260,7 @@ class TestTriangularSolves:
         M_before, rhs_before = M.copy(), rhs.copy()
         pool = _BufferPool()
         x_pool = spd_solve(M, 1e-3, rhs, pool=pool)
-        L = pool.get("G", (J, J)).copy()  # the factor the solves read
+        L = _factor_head(pool, J)  # the factor the solve reads
         x = x_pool if pooled else spd_solve(M, 1e-3, rhs)
         assert np.array_equal(x, _scipy_solves(L, rhs))
         assert np.array_equal(M, M_before) and np.array_equal(rhs, rhs_before)
@@ -260,7 +272,7 @@ class TestTriangularSolves:
         wide = np.arange(2 * J, dtype=np.float64).reshape(J, 2)
         strided, before = wide[:, 1], wide.copy()
         x = spd_solve(M, 0.0, strided, pool=pool)
-        L = pool.get("G", (J, J)).copy()
+        L = _factor_head(pool, J)
         assert np.array_equal(x, _scipy_solves(L, np.ascontiguousarray(strided)))
         assert np.array_equal(wide, before)
         ints = np.arange(J) - 7
@@ -272,43 +284,61 @@ class TestTriangularSolves:
             with pytest.raises(ValueError, match="rhs must have shape"):
                 spd_solve(np.eye(5), 0.0, rhs)
 
-    @pytest.mark.parametrize("J", [1, 300])
+    # scipy's wheels bundle their own OpenBLAS build, whose factor can differ
+    # from numpy's in the last bit; the fallback gives scipy's bits
+    @pytest.mark.parametrize("J", [1, 2, 3, 300, 301])
     def test_forced_scipy_fallback_gives_the_same_bits(self, monkeypatch, J):
         M, rhs = _spd_system(J, seed=J)
-        expected = spd_solve(M, 1e-3, rhs)
-        monkeypatch.setattr(particles, "_DTRSV", None)
-        assert np.array_equal(spd_solve(M, 1e-3, rhs, pool=_BufferPool()), expected)
+        fast = spd_solve(M, 1e-3, rhs)
+        monkeypatch.setattr(particles, "_DPFTRS", None)
+        pool = _BufferPool()
+        x = spd_solve(M, 1e-3, rhs, pool=pool)
+        arf = lapack.dtrttf(M.T, transr="N", uplo="L")[0]
+        arf[particles._rfp_diagonal(J)] += 1e-3
+        arf = lapack.dpftrf(J, arf, transr="N", uplo="L")[0]
+        assert np.array_equal(_factor_head(pool, J), arf)
+        assert np.array_equal(x, _scipy_solves(arf, rhs))
+        assert rel_err(x, fast) <= 1e-13
 
     def test_fallback_without_scipy_says_why(self, monkeypatch):
-        monkeypatch.setattr(particles, "_DTRSV", None)
+        monkeypatch.setattr(particles, "_DPFTRS", None)
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)
-        with pytest.raises(ImportError, match="exports no cblas_dtrsv"):
+        with pytest.raises(ImportError, match="exports no dtrttf, dpftrf or dpftrs"):
             spd_solve(np.eye(2), 0.0, np.ones(2))
 
 
 class TestInPlaceCholesky:
-    """dpotrf on the pooled copy: the lower factor in place, and the numpy
-    fallback with the same bits."""
+    """dtrttf and dpftrf into J(J+1)/2 elements: the factor of M + lam I in
+    rectangular full packed storage, the scipy fallback with the same bits,
+    and the diagonal positions that lam and the finiteness check use."""
 
-    @pytest.mark.parametrize("J", [1, 64, 300])
+    @pytest.mark.parametrize("J", [1, 64, 300, 301])
     def test_lower_factor_in_place_and_fallback_bits(self, monkeypatch, J):
         M, _ = _spd_system(J, seed=J + 1)
-        A = M + 1e-3 * np.eye(J)
-        fast = A.copy()
-        assert particles._cholesky_in_place(fast)
-        L = np.tril(fast)
+        A, before = M + 1e-3 * np.eye(J), M.copy()
+        fast = np.empty(J * (J + 1) // 2)
+        assert particles._rfp_cholesky(M, 1e-3, fast)
+        L = np.tril(lapack.dtfttr(J, fast, transr="N", uplo="L")[0])
         assert np.allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
-        assert np.array_equal(np.triu(fast, 1), np.triu(A, 1))
-        monkeypatch.setattr(particles, "_DTRSV", None)
-        slow = A.copy()
-        assert particles._cholesky_in_place(slow)
-        assert np.array_equal(np.tril(slow), L)
+        assert np.array_equal(M, before)
+        # the factor of scipy's OpenBLAS build agrees with numpy's to rounding
+        monkeypatch.setattr(particles, "_DPFTRS", None)
+        slow = np.empty_like(fast)
+        assert particles._rfp_cholesky(M, 1e-3, slow)
+        assert np.allclose(slow, fast, rtol=0, atol=1e-13 * np.abs(fast).max())
+
+    @pytest.mark.parametrize("J", [*range(1, 10), 300, 301])
+    def test_rfp_diagonal_matches_a_dtrttf_marker(self, J):
+        marker = np.diag(np.arange(1.0, J + 1))
+        arf = lapack.dtrttf(marker, transr="N", uplo="L")[0]
+        assert np.count_nonzero(arf) == J
+        assert np.array_equal(arf[particles._rfp_diagonal(J)], np.arange(1.0, J + 1))
 
     @pytest.mark.parametrize("forced_fallback", [False, True])
     def test_indefinite_retries_then_raises(self, monkeypatch, forced_fallback):
         if forced_fallback:
-            monkeypatch.setattr(particles, "_DTRSV", None)
-        assert not particles._cholesky_in_place(np.diag([1.0, -1.0]))
+            monkeypatch.setattr(particles, "_DPFTRS", None)
+        assert not particles._rfp_cholesky(np.diag([1.0, -1.0]), 0.0, np.empty(3))
         M = np.array([[1.0, 2.0], [2.0, 1.0]])  # trace 2: the retry lambda is tiny
         with pytest.warns(RuntimeWarning, match="retrying"):
             with pytest.raises(NumericalStabilityError, match="not positive definite"):
