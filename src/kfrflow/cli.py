@@ -92,8 +92,7 @@ def _load_samples(path: str) -> np.ndarray:
         skip = 0
     except ValueError:
         skip = 1
-    data = np.loadtxt(path, delimiter=delim, skiprows=skip, ndmin=2)
-    return data
+    return np.loadtxt(path, delimiter=delim, skiprows=skip, ndmin=2)
 
 
 def _cmd_ksd(args) -> int:

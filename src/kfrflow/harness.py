@@ -78,9 +78,7 @@ class RunRecord:
 
     def final_mean_ksd(self) -> float:
         """Trial-mean KSD against the target at the last observation."""
-        if not self.summary:
-            return float("nan")
-        return self.summary[-1]["ksd_target"]
+        return self.summary[-1]["ksd_target"] if self.summary else float("nan")
 
 
 def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered, pool=None):
@@ -116,8 +114,7 @@ def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered, poo
 def _make_stepper(base, iters, config, target, spec, rng, pool=None):
     """The sampler's update as a stepper ``step(ens) -> Ensemble``; the
     kfrflow samplers work in the buffer pool ``pool``."""
-    dt = config.dt
-    lam, eps = config.lam, config.eps
+    dt, lam, eps = config.dt, config.lam, config.eps
     if base in ("kfrflow-euler", "kfrflow-ab4"):
         return velocity_stepper(
             lambda e: kfrflow_velocity(e, target, spec, lam, pool=pool), dt,
@@ -210,20 +207,10 @@ def run_experiment(config: RunConfig) -> RunRecord:
     skip = {"schema_version", "trial", "step", "stable"}
     for step in sorted(by_step):
         group = by_step[step]
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "trial": -1,
-            "step": step,
-            "stable": 1,
-        }
-        for key in group[0]:
-            if key in skip:
-                continue
-            vals = [g[key] for g in group]
-            if key == "step_time_ns":
-                summary[key] = int(np.mean(vals))
-            else:
-                summary[key] = float(np.mean(vals))
+        summary = {"schema_version": SCHEMA_VERSION, "trial": -1, "step": step, "stable": 1}
+        for key in (k for k in group[0] if k not in skip):
+            mean = np.mean([g[key] for g in group])
+            summary[key] = int(mean) if key == "step_time_ns" else float(mean)
         record.summary.append(summary)
     return record
 
@@ -237,9 +224,7 @@ def _columns(dim: int) -> list:
 
 
 def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_record_csv(record: RunRecord, path: str) -> None:

@@ -13,11 +13,12 @@ otherwise for the rows that a product reads.  Every product with the
 gradients is :func:`_grad_apply` or :func:`_grad_gram`; no (d, J, J) array
 leaves this module.
 
-The squared distances under all of them come from :func:`_pair_sq`, which
-sums the coordinates in order, exactly as ``scipy.spatial.distance.pdist``
-does, so bandwidths and kernel values match it bit for bit.  Within one
-workspace that pass is made once: the bandwidth, q and, from
-``_DISTANCE_GRAM_MIN_DIM`` on, the Gram matrix all read the same D.
+Every coordinate difference xa_ia - xb_la is an element of an exact BLAS
+product (:func:`_differences`).  The pair pass, :func:`_pair_sq`, adds their
+squares in coordinate order, exactly as ``scipy.spatial.distance.pdist``
+does, so bandwidths and kernel values match it bit for bit; a workspace
+makes it once, and its bandwidth, q and, from ``_DISTANCE_GRAM_MIN_DIM`` on,
+its Gram matrix all read the same D.
 
 A step's J x J arrays can live in a :class:`_BufferPool`: J and d stay
 fixed over a trial, so one trial creates a pool and hands it to every step
@@ -29,8 +30,9 @@ J x J arrays:
 
 * ``"D"``: the squared distances of the pair pass, then the coupling matrix
   M, which is formed over them once q is (at every d);
-* ``"q"``: the kernel matrix; its head holds the difference blocks of the
-  pair pass, at most 512 KB, which are dead before q is written;
+* ``"q"``: the kernel matrix; its head holds the pair pass's scratch, at
+  most two row strips of ``_PAIR_BLOCK`` pairs (512 KB while J <= 2^15),
+  which is dead before q is written;
 * ``"s"``: the gradient scale, whole where the distance form of M needs it
   (from ``_DISTANCE_GRAM_MIN_DIM`` on) or where J x J fits in ``_S_STRIP``
   elements, and otherwise formed from q in row strips of at most
@@ -72,9 +74,9 @@ from numpy.linalg import _umath_linalg
 # pair pass at every d.
 _DISTANCE_GRAM_MIN_DIM = 3
 
-# elements of one (d, rows, cols) difference block of _pair_sq: 512 KB, which
-# stays in cache while it is squared and reduced
-_PAIR_BLOCK = 65536
+# pairs in one row strip of _pair_sq: its sum and one coordinate's squares,
+# 256 KB each, stay in cache while the coordinates are added
+_PAIR_BLOCK = 32768
 
 # elements of one row strip of s.  On one thread, M at J = 1000 took 51 ms at
 # d = 2 and 27 ms at d = 1 with these strips, against 54 and 29 ms with the
@@ -83,8 +85,12 @@ _PAIR_BLOCK = 65536
 _S_STRIP = 131072
 
 # rows of the diagonal blocks that _mirror_lower copies through a transposed
-# scratch (32 KB)
+# scratch (32 KB), and the mask of their strict upper triangle, read from bytes:
+# numpy work at import kept 0.1 MB more resident where nothing is mirrored
 _MIRROR_BLOCK = 64
+_UPPER = np.frombuffer(b"".join(
+    bytes(r + 1) + b"\1" * (_MIRROR_BLOCK - 1 - r) for r in range(_MIRROR_BLOCK)
+), bool).reshape(_MIRROR_BLOCK, _MIRROR_BLOCK)
 
 _BLAS = ctypes.CDLL(_umath_linalg.__file__)
 
@@ -180,29 +186,48 @@ def _positions(ensemble) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _differences(xa: np.ndarray, xb: np.ndarray):
+    """``diff(a, out, rows, cols)`` writes xa_ia - xb_la for coordinate a,
+    the rows i and the columns l (slices, all by default) to ``out`` as one
+    BLAS product of [xa_a, 1] and [1; -xb_a]: both of its products are exact,
+    so their sum rounds once, as the subtraction does (-0 - (+0) may give +0)."""
+    lhs = np.ones((xa.shape[1], xa.shape[0], 2))
+    lhs[:, :, 0] = xa.T
+    rhs = np.ones((xb.shape[1], 2, xb.shape[0]))
+    np.negative(xb.T, out=rhs[:, 1])
+    return lambda a, out, rows=slice(None), cols=slice(None): np.matmul(
+        lhs[a, rows], rhs[a, :, cols], out=out)
+
+
 def _pair_sq(xa: np.ndarray, xb: np.ndarray, pool=None) -> np.ndarray:
     """||xa_i - xb_l||^2 as an (na, nb) array, the pool's ``"D"``.
 
-    Rows go in blocks of at most ``_PAIR_BLOCK`` differences, built in the
-    head of the pool's ``"q"`` (its callers write q only after the pass),
-    each reduced over its leading coordinate axis, which adds the coordinates
-    in order: the sum of scipy's pdist and cdist, bit for bit.  When xa is xb
-    only the upper triangle is computed and each strip is mirrored below the
-    diagonal; (a - b)^2 == (b - a)^2 keeps the result exactly symmetric."""
+    Row strips of at most ``_PAIR_BLOCK`` pairs add the squares of the
+    coordinates' differences in order: the sum of scipy's pdist and cdist,
+    bit for bit.  Squares after the first coordinate's, and the sum of a
+    strip that is strided in D (numpy's ufuncs are slow on it), are formed
+    in the head of the pool's ``"q"`` (its callers write q only after the
+    pass).  When xa is xb only the upper triangle is computed and mirrored;
+    (a - b)^2 == (b - a)^2 keeps the result exactly symmetric."""
     (na, d), nb = xa.shape, xb.shape[0]
-    sym = xa is xb
-    at = np.ascontiguousarray(xa.T)
-    bt = at if sym else np.ascontiguousarray(xb.T)
+    sym, diff = xa is xb, _differences(xa, xb)
     d2 = _scratch(pool, "D", (na, nb))
-    buf = _scratch(pool, "q", (min(d * na * nb, max(_PAIR_BLOCK, d * nb)),))
+    buf = _scratch(pool, "q", (min(na * nb, (1 + sym) * max(_PAIR_BLOCK, nb)),))
+    if not d:
+        d2.fill(0.0)
     i0 = 0
     while i0 < na:
         c0 = i0 if sym else 0
-        i1 = min(na, i0 + max(1, _PAIR_BLOCK // max(1, d * (nb - c0))))
-        blk = buf[: d * (i1 - i0) * (nb - c0)].reshape(d, i1 - i0, nb - c0)
-        np.subtract(at[:, i0:i1, None], bt[:, None, c0:], out=blk)
-        np.square(blk, out=blk)
-        np.add.reduce(blk, axis=0, out=d2[i0:i1, c0:])
+        i1 = min(na, i0 + max(1, _PAIR_BLOCK // max(1, nb - c0)))
+        strip, n = d2[i0:i1, c0:], (i1 - i0) * (nb - c0)
+        acc = buf[n : 2 * n].reshape(strip.shape) if c0 else strip
+        for a in range(d):
+            u = diff(a, buf[:n].reshape(strip.shape) if a else acc, slice(i0, i1), slice(c0, None))
+            np.square(u, out=u)
+            if a:
+                acc += u
+        if c0:
+            np.copyto(strip, acc)
         if sym:
             d2[i1:, i0:i1] = d2[i0:i1, i1:].T
         i0 = i1
@@ -210,8 +235,9 @@ def _pair_sq(xa: np.ndarray, xb: np.ndarray, pool=None) -> np.ndarray:
 
 
 def _q_from_sq(d2: np.ndarray, h: float, out=None) -> np.ndarray:
-    out = np.divide(d2, h * h, out=out)
-    out += 1.0
+    if h * h != 1.0:  # d2 / 1 is d2: the KSD's default h = 1 skips the divide
+        d2 = out = np.divide(d2, h * h, out=out)
+    out = np.add(d2, 1.0, out=out)
     np.sqrt(out, out=out)
     np.reciprocal(out, out=out)
     return out
@@ -279,11 +305,12 @@ def _grad_scale(q: np.ndarray, h: float, out=None) -> np.ndarray:
 def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
     """The (d, na, nb) gradient blocks G[a, i, l] = d/dx_a K(x, xb_l) at
     x = xa_i, for s = ``_grad_scale(q, h)`` of ``_pair_kernel(xa, xb, h)``,
-    written to ``out`` when given.  When xa is xb, each G[a] is exactly
-    antisymmetric."""
+    written to ``out`` when given: the differences of :func:`_differences`
+    times s.  When xa is xb, each G[a] is exactly antisymmetric."""
     G = np.empty((xa.shape[1],) + s.shape) if out is None else out
+    diff = _differences(xa, xb)
     for a in range(xa.shape[1]):
-        np.subtract.outer(xa[:, a], xb[:, a], out=G[a])
+        diff(a, G[a])
         G[a] *= s
     return G
 
@@ -352,12 +379,11 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     place, ``_MIRROR_BLOCK`` rows at a time; a diagonal block, whose two
     triangles overlap in memory, goes through a transposed copy of itself."""
     J, b = a.shape[0], _MIRROR_BLOCK
-    upper = np.triu(np.ones((b, b), dtype=bool), 1)
     for i0 in range(0, J, b):
         i1 = min(J, i0 + b)
         a[i0:i1, i1:] = a[i1:, i0:i1].T
         blk = a[i0:i1, i0:i1]
-        np.copyto(blk, blk.T.copy(), where=upper[: i1 - i0, : i1 - i0])
+        np.copyto(blk, blk.T.copy(), where=_UPPER[: i1 - i0, : i1 - i0])
     return a
 
 
@@ -405,9 +431,7 @@ def _grad_gram(
             strip = buf[: d * (i1 - i0) * J].reshape(d, i1 - i0, J)
             _grad_blocks(x[i0:i1], x, si, out=strip)
             _rank_k_update(M, 1.0 if i0 else 0.0, strip.reshape(-1, J))
-        M = _mirror_lower(M)
-        M /= J
-        return M
+        return np.divide(_mirror_lower(M), J, out=M)
     if s is None:
         s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)) if y is None else None)
     if y is not None:
@@ -416,8 +440,7 @@ def _grad_gram(
         Gr = _grad_blocks(x, x, s).reshape(d * J, J)
         Gy = _grad_blocks(y, x, sy).reshape(d * J, J)
         out = np.matmul(Gy.T, Gr)
-        out /= J
-        return out
+        return np.divide(out, J, out=out)
     if D is None:
         D = _pair_sq(x, x)
     if y is None:
@@ -433,8 +456,7 @@ def _grad_gram(
     Dy *= s
     out = sy.T @ Dy + (D * sy).T @ s
     out -= D * (sy.T @ s)
-    out /= 2 * J
-    return out
+    return np.divide(out, 2 * J, out=out)
 
 
 def _kernel_gram(x: np.ndarray, spec: KernelSpec, pool=None) -> tuple:
@@ -442,11 +464,12 @@ def _kernel_gram(x: np.ndarray, spec: KernelSpec, pool=None) -> tuple:
     and s from one pair pass, in the pool's ``"q"``, ``"D"`` and ``"s"``.
     s is the whole gradient scale where the distance form of M needs it or
     where it fits in one strip of ``_S_STRIP`` elements, and None
-    otherwise.  The pool's ``"G"`` is sized first, so that no later part of
-    the step grows it."""
+    otherwise.  The pool's ``"G"`` and ``"q"`` are sized first, so that no
+    later part of the step grows them."""
     J, d = x.shape
     if pool is not None:
         pool.get("G", (J * J if d >= _DISTANCE_GRAM_MIN_DIM else J * (J + 1) // 2,))
+        pool.get("q", (J, J))
     D = _pair_sq(x, x, pool)
     h = _bandwidth_from_sq(spec, D, pool)
     h, q = _kernel_from_sq(D, h, q=_scratch(pool, "q", D.shape))

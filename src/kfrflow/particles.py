@@ -12,16 +12,13 @@ M is symmetric positive semidefinite; a Tikhonov term lam * I makes it
 definite for the solves, which use a symmetric-definite (Cholesky)
 factorization written over a copy of M + lam I.
 
-Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in it: M in
-``"D"``, the kernel matrix in ``"q"`` and s, whole or a row strip at a time,
-in ``"s"``; :func:`spd_solve` factors M + lam I in ``"G"``, whose scratch of
-M is dead once M is formed.  Those four buffers are all a pooled step holds:
-below d = 3, two J x J arrays, half of one, and at most 1 MB of s; from it
-on, four J x J arrays.  The workspace is valid until the pool's next use.  The factor takes
-J(J+1)/2 elements in LAPACK's rectangular full packed (RFP) format:
-``dtrttf``, ``dpftrf`` and ``dpftrs`` of numpy's OpenBLAS (bound in
-:mod:`kfrflow.kernels`) copy, factor and solve, or without them the same
-routines of ``scipy.linalg.lapack``.
+Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in its
+buffers as described there, and is valid until the pool's next use;
+:func:`spd_solve` factors M + lam I in ``"G"``, whose scratch of M is dead
+once M is formed.  The factor takes J(J+1)/2 elements in LAPACK's
+rectangular full packed (RFP) format: ``dtrttf``, ``dpftrf`` and ``dpftrs``
+of numpy's OpenBLAS (bound in :mod:`kfrflow.kernels`) copy, factor and
+solve, or without them the same routines of ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -108,11 +105,12 @@ def _scipy_lapack():
     return lapack
 
 
-def _rfp_cholesky(M: np.ndarray, lam: float, arf: np.ndarray) -> bool:
+def _rfp_cholesky(M: np.ndarray, lam: float, arf: np.ndarray, diag=None) -> bool:
     """Write M + lam I to ``arf`` in RFP storage and overwrite it there with
     its Cholesky factor; False when it is not positive definite.  ``dtrttf``
     reads the symmetric M as column-major with transr 'N' and uplo 'L', lam
-    is added at the RFP positions of the diagonal, and ``dpftrf`` factors."""
+    is added at the RFP positions of the diagonal (``diag``, when the caller
+    holds them), and ``dpftrf`` factors."""
     J = M.shape[0]
     for arr, shape in ((M, (J, J)), (arf, (J * (J + 1) // 2,))):
         if not (arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous):
@@ -124,7 +122,7 @@ def _rfp_cholesky(M: np.ndarray, lam: float, arf: np.ndarray) -> bool:
     else:
         _DTRTTF(b"N", b"L", n, M.ctypes.data, n, arf.ctypes.data, info, 1, 1)
     if lam > 0:
-        arf[_rfp_diagonal(J)] += lam
+        arf[_rfp_diagonal(J) if diag is None else diag] += lam
     if _DPFTRS is None:
         arf[:], info.value = lapack.dpftrf(J, arf, transr="N", uplo="L", overwrite_a=1)
     else:
@@ -156,27 +154,21 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     M = np.ascontiguousarray(M, dtype=np.float64)
-    J = M.shape[0]
+    J, diag = M.shape[0], _rfp_diagonal(M.shape[0])
     for retry in (False, True):
         arf = _scratch(pool, "G", (J * (J + 1) // 2,))
-        if _rfp_cholesky(M, lam, arf):
+        if _rfp_cholesky(M, lam, arf, diag):
             break
         fallback = max(lam, _lam_floor(M))
         if retry or fallback <= lam:
             raise NumericalStabilityError(
-                "coupling matrix is not positive definite; increase the "
-                "regularization lambda"
-            )
-        warnings.warn(
-            f"coupling-matrix solve failed at lambda={lam:g}; "
-            f"retrying with lambda={fallback:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+                "coupling matrix is not positive definite; increase the regularization lambda")
+        warnings.warn(f"coupling-matrix solve failed at lambda={lam:g}; "
+                      f"retrying with lambda={fallback:g}", RuntimeWarning, stacklevel=2)
         lam = fallback
     # a NaN in M passes the factorization's pivot test and leaves a NaN on
     # the diagonal
-    if not np.isfinite(arf[_rfp_diagonal(J)]).all():
+    if not np.isfinite(arf[diag]).all():
         raise NumericalStabilityError("non-finite coupling matrix")
     x = np.array(rhs, dtype=np.float64, order="C")
     if x.shape != (J,):

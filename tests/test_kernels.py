@@ -7,8 +7,10 @@ import pytest
 
 from scipy.spatial.distance import cdist, pdist
 
+from kfrflow import kernels
 from kfrflow.kernels import (
     KernelSpec,
+    _differences,
     _grad_blocks,
     _grad_gram,
     _grad_scale,
@@ -180,6 +182,70 @@ class TestPairKernel:
         assert _pair_kernel(np.ones((3, 2)), np.ones((3, 2)), KernelSpec())[0] == 1e-6
 
 
+def _bits(a):
+    """The float64 bit patterns of ``a``: == on them tells -0 from +0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestDifferences:
+    """[a, 1] @ [1; -b] has exact products, so it equals a - b bit for bit."""
+
+    EDGES = np.array([
+        5e-324, -5e-324, 2.5e-310, -1.7e-308, 1e308, -1e308, 8.9e307,  # subnormal, overflow
+        1e-300, 1e300, -3.7e5, 2e-8, 1.0, 1.0 + 2.0**-52, -0.75, 0.0,  # mixed magnitudes
+    ])
+
+    def check(self, xa, xb, rows=slice(None), cols=slice(None)):
+        diff = _differences(xa, xb)
+        for a in range(xa.shape[1]):
+            with np.errstate(over="ignore"):
+                expected = np.subtract.outer(xa[rows, a], xb[cols, a])
+                got = diff(a, np.full(expected.shape, np.nan), rows, cols)
+            assert np.array_equal(_bits(got), _bits(expected)), a
+
+    def test_edge_values_bitwise(self):
+        x = np.stack((self.EDGES, self.EDGES[::-1]), axis=1)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.subtract.outer(x[:, 0], x[:, 0])).any()
+        self.check(x, x)  # equal points give +0
+        self.check(x, x[::-1].copy())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_rows_and_ragged_slices(self, n):
+        rng = np.random.default_rng(n)
+        xa = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+        xb = np.concatenate((xa, rng.standard_normal((5, 2))))
+        self.check(xa, xb)
+        self.check(xb, xa)
+        self.check(xb, xb, slice(n - 1, None), slice(2, None))
+
+    def test_f_order_and_strided_operands(self):
+        rng = np.random.default_rng(3)
+        wide = rng.standard_normal((40, 7)) * 1e3
+        for xa in (np.asfortranarray(wide), wide[::3, 1::2]):
+            self.check(xa, wide[5:15, : xa.shape[1]])
+            self.check(xa, xa, slice(2, 9), slice(1, None))
+
+    def test_negative_zero_minus_zero_keeps_its_value(self):
+        # -0 - (+0) is the one difference whose sign may differ: +0 or -0
+        got = _differences(np.array([[-0.0]]), np.array([[0.0]]))(0, np.empty((1, 1)))
+        assert got[0, 0] == 0.0
+
+
+class TestGradBlocks:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_bitwise_equal_to_outer_difference_oracle(self, d, same):
+        rng = np.random.default_rng(20 + d)
+        x = rng.standard_normal((17, d)) + 30.0
+        y = x if same else x + 0.3 * rng.standard_normal((17, d))
+        h, q = _pair_kernel(y, x, 0.8)
+        s = _grad_scale(q, h)
+        G = _grad_blocks(y, x, s)
+        for a in range(d):
+            assert np.array_equal(_bits(G[a]), _bits(np.subtract.outer(y[:, a], x[:, a]) * s))
+
+
 class TestPairSq:
     """_pair_sq sums the coordinates in cdist's order, so it matches it with ==."""
 
@@ -204,6 +270,18 @@ class TestPairSq:
             if xa is xb:
                 assert np.array_equal(got, got.T), name
                 assert not np.diagonal(got).any(), name
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_strips_bitwise_equal_to_cdist(self, monkeypatch, block):
+        # many strips, ragged ones and a strip narrower than a row
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        x = rng.standard_normal((23, 4)) * 5.0
+        y = rng.standard_normal((9, 4))
+        x2, x3 = x[:2], x[:3]
+        for xa, xb in ((x, x), (y, x), (x, y), (x2, x2), (x3, x3)):
+            got = _pair_sq(xa, xb, kernels._BufferPool())
+            assert np.array_equal(got, cdist(xa, xb, "sqeuclidean"))
 
     def test_empty_dimension_gives_zero_distances(self):
         assert np.array_equal(_pair_sq(np.empty((3, 0)), np.empty((2, 0))), np.zeros((3, 2)))
