@@ -25,8 +25,8 @@ from .harness import (
     write_sidecar,
 )
 from .integrators import Schedule, make_rng, run_unit_time
-from .kernels import KernelSpec, kernel_matrix, median_bandwidth
-from .particles import Ensemble, build_workspace
+from .kernels import KernelSpec, build_workspace, kernel_matrix, median_bandwidth
+from .particles import Ensemble
 from .targets import make_funnel, make_gaussian, target_by_name
 
 __all__ = [

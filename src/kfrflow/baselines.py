@@ -93,7 +93,7 @@ def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float) ->
     x = ensemble.positions
     h, q = _pair_kernel(x, x, spec)
     # q is symmetric and grad_1 K(X_j, X_i) = -grad_1 K(X_i, X_j)
-    phi = (q @ score(x) - _grad_apply(x, x, q, h, 1.0)) / x.shape[0]
+    phi = (q @ score(x) - _grad_apply(x, q, h, 1.0)) / x.shape[0]
     return Ensemble(x + step_size * phi, ensemble.t + step_size)
 
 

@@ -22,14 +22,14 @@ Every rule takes an optional trailing ``pool``, the trial's buffer pool of
 :mod:`kfrflow.kernels`: the workspace, the solve and the row strips of the
 gradient scale s then live in its buffers, and the result (a new ensemble,
 velocity or drift) never does.  Newton iterations beyond the first allocate
-their own arrays.
+their own arrays, and each applies the gradient basis once: its displaced
+points are the next Jacobian's, and the last ones the result.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,29 +38,18 @@ from .kernels import (
     _DISTANCE_GRAM_MIN_DIM,
     KernelSpec,
     _grad_apply,
-    _grad_gram,
-    _kernel_from_sq,
+    _grad_jacobian,
     _pair_sq,
+    _q_from_sq,
+    build_workspace,
 )
 from .particles import (
     Ensemble,
     _lam_floor,
     _log_ratio_values,
-    build_workspace,
     importance_weights,
     spd_solve,
 )
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    lam: float = 0.0
-    eps: float = 0.0
-
-    def __post_init__(self):
-        for key, value in (("lam", self.lam), ("eps", self.eps)):
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
 def kfrflow_velocity(
@@ -78,7 +67,7 @@ def kfrflow_velocity(
     c = rp - rp.mean()
     rhs = (c @ ws.Kmat) / x.shape[0]
     f = spd_solve(ws.M, lam, rhs, pool=pool)
-    return _grad_apply(x, x, ws.Kmat, ws.h, f, pool, ws.s)
+    return _grad_apply(x, ws.Kmat, ws.h, f, pool, ws.s)
 
 
 def kfrflow_i_step(
@@ -112,8 +101,6 @@ def sample_ot_newton(
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
     if ensemble.t + dt > 1.0 + 1e-12:
         raise ValueError(
             f"step beyond unit time: t={ensemble.t} + dt={dt} exceeds 1"
@@ -147,14 +134,14 @@ def sample_ot_newton(
             # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam
             # (kept for later iterations) until no particle moves farther.
             delta = spd_solve(ws.M, lam, resid, pool=pool)
-            disp = _grad_apply(x, x, ws.Kmat, ws.h, s - delta, pool, ws.s)
+            disp = _grad_apply(x, ws.Kmat, ws.h, s - delta, pool, ws.s)
             while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
                 lam = max(10.0 * lam, _lam_floor(ws.M))
                 delta = spd_solve(ws.M, lam, resid, pool=pool)
-                disp = _grad_apply(x, x, ws.Kmat, ws.h, s - delta, pool, ws.s)
+                disp = _grad_apply(x, ws.Kmat, ws.h, s - delta, pool, ws.s)
         else:
             # the Jacobian at the displaced points y of the last iterate
-            jac = _grad_gram(x, ws.Kmat, ws.h, y, ky, D=D, Dy=Dy, s=ws.s)
+            jac = _grad_jacobian(x, ws.Kmat, ws.h, y, ky, D, Dy, ws.s)
             if lam > 0:
                 jac = jac + lam * np.eye(J)
             try:
@@ -164,14 +151,15 @@ def sample_ot_newton(
                     "singular Jacobian in transport Newton iteration; "
                     "increase the regularization lambda"
                 ) from err
+            disp = _grad_apply(x, ws.Kmat, ws.h, s - delta, pool, ws.s)
         s = s - delta
+        y = x + disp
         if iters == 1:
             # single Newton step is the definition of the transport map;
             # the divergence guard cannot trigger, skip the residual pass
-            return Ensemble(x + disp, ensemble.t + dt)
-        y = x + _grad_apply(x, x, ws.Kmat, ws.h, s, pool, ws.s)
+            return Ensemble(y, ensemble.t + dt)
         Dy = _pair_sq(y, x)  # kept for the next Jacobian
-        _, ky = _kernel_from_sq(Dy, ws.h)
+        ky = _q_from_sq(Dy, ws.h)
         resid = uniform @ ky - b
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:
@@ -183,10 +171,10 @@ def sample_ot_newton(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            s = best_s
+            y = x + _grad_apply(x, ws.Kmat, ws.h, best_s, pool, ws.s)
             break
 
-    return Ensemble(x + _grad_apply(x, x, ws.Kmat, ws.h, s, pool, ws.s), ensemble.t + dt)
+    return Ensemble(y, ensemble.t + dt)
 
 
 def tempered_score(target, x, t: float) -> np.ndarray:
@@ -204,14 +192,17 @@ def tempered_score(target, x, t: float) -> np.ndarray:
 
 
 def kfrd_drift(
-    ensemble: Ensemble, target, spec: KernelSpec, cfg: FlowConfig, t: float, pool=None
+    ensemble: Ensemble, target, spec: KernelSpec, lam: float, eps: float, t: float, pool=None
 ) -> tuple:
     """Drift rows and diffusion coefficient of the KFRD SDE.
 
     drift_j = v_j + eps * grad log pi_t(X_j), diffusion sqrt(2 eps).  With
-    eps = 0 this is exactly the KFRFlow ODE.
+    eps = 0 this is exactly the KFRFlow ODE; a negative or non-finite eps or
+    lam raises ValueError.
     """
-    v = kfrflow_velocity(ensemble, target, spec, cfg.lam, pool=pool)
-    if cfg.eps > 0:
-        v = v + cfg.eps * tempered_score(target, ensemble.positions, t)
-    return v, float(np.sqrt(2.0 * cfg.eps))
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    v = kfrflow_velocity(ensemble, target, spec, lam, pool=pool)
+    if eps > 0:
+        v = v + eps * tempered_score(target, ensemble.positions, t)
+    return v, float(np.sqrt(2.0 * eps))

@@ -13,8 +13,8 @@ excluded from the cross-trial summary.  Every other error (a target
 returning the wrong shape, say) propagates.
 
 Results serialize to one CSV per run plus a JSON sidecar echoing the resolved
-config.  Set the environment variable ``KFRFLOW_WORKERS`` to run trials
-concurrently; the output is identical to a sequential run.
+config.  ``KFRFLOW_WORKERS=n`` in the environment, an integer n >= 1, runs
+trials on n threads; the output is identical to a sequential run.
 
 Each kfrflow trial creates one buffer pool (:mod:`kfrflow.kernels`) that its
 steps and its KSD observations share, so no step allocates its J x J arrays
@@ -43,13 +43,7 @@ from .config import _RUN_KEYS, _SWEEP_KEYS, RunConfig, UNIT_TIME_SAMPLERS, parse
 # perfbench/tracing.py rebinds kfrflow.harness.ksd
 from .diagnostics import ksd, stein_discrepancies  # noqa: F401
 from .errors import NumericalStabilityError
-from .flows import (
-    FlowConfig,
-    kfrd_drift,
-    kfrflow_i_step,
-    kfrflow_velocity,
-    sample_ot_newton,
-)
+from .flows import kfrd_drift, kfrflow_i_step, kfrflow_velocity, sample_ot_newton
 from .integrators import (
     Schedule,
     make_rng,
@@ -125,9 +119,8 @@ def _make_stepper(base, iters, config, target, spec, rng, pool=None):
             return lambda e: kfrflow_i_step(e, target, spec, dt, lam, pool=pool)
         return lambda e: sample_ot_newton(e, target, spec, dt, lam, iters, pool=pool)
     if base == "kfrd":
-        cfg = FlowConfig(lam=lam, eps=eps)
         return sde_stepper(
-            lambda e: kfrd_drift(e, target, spec, cfg, e.t, pool=pool), dt, rng
+            lambda e: kfrd_drift(e, target, spec, lam, eps, e.t, pool=pool), dt, rng
         )
     if base == "svgd":
         return lambda e: svgd_step(e, target, spec, dt)
@@ -182,10 +175,13 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
 def run_experiment(config: RunConfig) -> RunRecord:
     """Run ``config.trials`` seeded trials, on one OpenBLAS thread, and
     average the diagnostics."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
     target = config.build_target()
     record = RunRecord(config=config, dim=target.dim)
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

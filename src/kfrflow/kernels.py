@@ -10,15 +10,17 @@ which gives q[i, l] = K(xa_i, xb_l); the gradient scale s = -q^3 / h^2, so that
 grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is formed from q by
 :func:`_grad_scale`, whole where that costs no more than a row strip and
 otherwise for the rows that a product reads.  Every product with the
-gradients is :func:`_grad_apply` or :func:`_grad_gram`; no (d, J, J) array
-leaves this module.
+gradients is the apply :func:`_grad_apply`, the coupling matrix M of
+:func:`_grad_gram` or the Newton Jacobian of :func:`_grad_jacobian`, each
+with one job; no (d, J, J) array leaves this module.
 
 Every coordinate difference xa_ia - xb_la is an element of an exact BLAS
 product (:func:`_differences`).  The pair pass, :func:`_pair_sq`, adds their
 squares in coordinate order, exactly as ``scipy.spatial.distance.pdist``
-does, so bandwidths and kernel values match it bit for bit; a workspace
-makes it once, and its bandwidth, q and, from ``_DISTANCE_GRAM_MIN_DIM`` on,
-its Gram matrix all read the same D.
+does, so bandwidths and kernel values match it bit for bit.  A
+:class:`FlowWorkspace` (:func:`build_workspace`) makes it once, and its
+bandwidth, q and, from ``_DISTANCE_GRAM_MIN_DIM`` on, its Gram matrix all
+read the same D.
 
 A step's J x J arrays can live in a :class:`_BufferPool`: J and d stay
 fixed over a trial, so one trial creates a pool and hands it to every step
@@ -281,16 +283,9 @@ def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h) -> tuple:
     (xa_i - xb_l) s[i, l].  ``h`` is the bandwidth, or a KernelSpec whose
     policy is applied to these pairs (then xa and xb are the same ensemble)."""
     d2 = _pair_sq(xa, xb)
-    return _kernel_from_sq(d2, h, q=d2)
-
-
-def _kernel_from_sq(d2: np.ndarray, h, q=None) -> tuple:
-    """:func:`_pair_kernel` from the squared distances ``d2 = _pair_sq(xa,
-    xb)``; q is written to the array ``q`` when given (it may be d2 itself
-    once nothing else reads the distances)."""
     if isinstance(h, KernelSpec):
         h = _bandwidth_from_sq(h, d2)
-    return h, _q_from_sq(d2, h, out=q)
+    return h, _q_from_sq(d2, h, out=d2)
 
 
 def _grad_scale(q: np.ndarray, h: float, out=None) -> np.ndarray:
@@ -302,12 +297,12 @@ def _grad_scale(q: np.ndarray, h: float, out=None) -> np.ndarray:
     return s
 
 
-def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
+def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The (d, na, nb) gradient blocks G[a, i, l] = d/dx_a K(x, xb_l) at
-    x = xa_i, for s = ``_grad_scale(q, h)`` of ``_pair_kernel(xa, xb, h)``,
-    written to ``out`` when given: the differences of :func:`_differences`
-    times s.  When xa is xb, each G[a] is exactly antisymmetric."""
-    G = np.empty((xa.shape[1],) + s.shape) if out is None else out
+    x = xa_i, for s = ``_grad_scale(q, h)`` of ``_pair_kernel(xa, xb, h)``:
+    the differences of :func:`_differences` times s.  When xa is xb, each
+    G[a] is exactly antisymmetric."""
+    G = np.empty((xa.shape[1],) + s.shape)
     diff = _differences(xa, xb)
     for a in range(xa.shape[1]):
         diff(a, G[a])
@@ -315,35 +310,34 @@ def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray, out=None) -> np.
     return G
 
 
-def _grad_apply(
-    xa: np.ndarray, xb: np.ndarray, q: np.ndarray, h: float, f, pool=None, s=None
-) -> np.ndarray:
-    """sum_l grad_1 K(xa_i, xb_l) f_l = xa_i (s f)_i - (s (xb o f))_i as an
-    (na, d) array, for q from ``_pair_kernel(xa, xb, h)`` and f an (nb,)
-    vector or a scalar.  A caller that holds the whole of s = -q^3 / h^2
-    passes it; otherwise q^3 is formed ``_S_STRIP`` elements of rows at a
-    time in the pool's ``"s"`` and its product divided by -h^2, a pass less
-    than forming s.  Both point sets are shifted to xb's mean, which keeps
-    the difference free of cancellation far from the origin; overflow on a
+def _grad_apply(x: np.ndarray, q: np.ndarray, h: float, f, pool=None, s=None) -> np.ndarray:
+    """sum_l grad_1 K(x_i, x_l) f_l = x_i (s f)_i - (s (x o f))_i as a
+    (J, d) array, for q from ``_pair_kernel(x, x, h)`` and f a (J,) vector
+    or a scalar.  A caller that holds the whole of s = -q^3 / h^2 passes
+    it; otherwise q^3 is formed ``_S_STRIP`` elements of rows at a time in
+    the pool's ``"s"`` and its product divided by -h^2, a pass less than
+    forming s.  The points are shifted to their mean, which keeps the
+    difference free of cancellation far from the origin; overflow on a
     far-out ensemble is left to the non-finite result."""
-    (na, nb), c = q.shape, xb.mean(axis=0)
+    J = q.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.broadcast_to(f, xb.shape[:1])[:, None]
-        w = np.hstack((f, (xb - c) * f))
+        xc = x - x.mean(axis=0)
+        f = np.broadcast_to(f, (J,))[:, None]
+        w = np.hstack((f, xc * f))
         if s is not None:
             sf = s @ w
         else:
-            rows = max(1, min(na, _S_STRIP // max(1, nb)))
-            sf = np.empty((na, w.shape[1]))
-            buf = _scratch(pool, "s", (rows * nb,))
-            for i0 in range(0, na, rows):
-                i1 = min(na, i0 + rows)
-                q3 = buf[: (i1 - i0) * nb].reshape(i1 - i0, nb)
+            rows = max(1, min(J, _S_STRIP // max(1, J)))
+            sf = np.empty((J, w.shape[1]))
+            buf = _scratch(pool, "s", (rows * J,))
+            for i0 in range(0, J, rows):
+                i1 = min(J, i0 + rows)
+                q3 = buf[: (i1 - i0) * J].reshape(i1 - i0, J)
                 np.multiply(q[i0:i1], q[i0:i1], out=q3)
                 q3 *= q[i0:i1]
                 np.matmul(q3, w, out=sf[i0:i1])
             sf /= -(h * h)
-        return (xa - c) * sf[:, :1] - sf[:, 1:]
+        return xc * sf[:, :1] - sf[:, 1:]
 
 
 def _rank_k_update(c: np.ndarray, beta: float, a: np.ndarray, b=None) -> None:
@@ -387,41 +381,28 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _grad_gram(
-    x: np.ndarray, q: np.ndarray, h: float, y=None, qy=None, D=None, Dy=None, pool=None,
-    s=None,
-) -> np.ndarray:
-    """(1/J) sum_i grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) as a J x J array,
-    for q from ``_pair_kernel(x, x, h)``: the coupling matrix M without y,
-    the transport Newton Jacobian at displaced points y (qy from
-    ``_pair_kernel(y, x, h)``) with it.  Their gradient scales s and sy are
-    formed here by :func:`_grad_scale`, unless the caller passes the whole
-    of s.
+def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> np.ndarray:
+    """The coupling matrix M[l, m] = (1/J) sum_i grad_1 K(x_i, x_l) .
+    grad_1 K(x_i, x_m), written over the J x J array D, for q from
+    ``_pair_kernel(x, x, h)``; s is formed from q unless the caller passes
+    the whole of it.
 
-    Below ``_DISTANCE_GRAM_MIN_DIM``, M sums B^T B over row strips B of the
-    gradient blocks with dsyrk; each strip's rows of s, at most ``_S_STRIP``
-    elements, are formed in the pool's ``"s"`` first, and its blocks, at most
-    J(J+1)/2 elements like the factor that follows, in ``"G"``.  The
-    Jacobian multiplies the whole blocks of y and x.  From it on,
-    D[i, l] = ||x_i - x_l||^2 and (x_i - x_l).(x_i - x_m) = (D_il + D_im -
-    D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s,
-    one dsyr2k over the whole of s in ``"s"``, and, with
-    Dy[i, m] = ||y_i - x_m||^2 and n_i = ||y_i - x_i||^2,
-    jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s - D o (sy^T s)) / (2J).
-    Either form of M fills the lower triangle and mirrors it, so M is
-    exactly symmetric.
-
-    A caller that holds D = ``_pair_sq(x, x)`` or Dy = ``_pair_sq(y, x)``
-    passes it instead of a second pass (below ``_DISTANCE_GRAM_MIN_DIM``
-    neither is read); M is written to D's buffer when D is passed, the
-    Jacobian spends Dy's and leaves D intact.  M's scratch (the strips, or P
-    and T + T^T - P) is the pool's ``"G"``."""
+    Below ``_DISTANCE_GRAM_MIN_DIM`` D's values are not read: M sums B^T B
+    over row strips B of the gradient blocks with dsyrk, each strip's rows
+    of s (at most ``_S_STRIP`` elements) formed in the pool's ``"s"`` and its
+    blocks (at most J(J+1)/2 elements, like the factor that follows) in
+    ``"G"``, from differences made once per call.  From it on D is
+    ``_pair_sq(x, x)``, and D_il = ||x_i - x_l||^2 and (x_i - x_l).(x_i -
+    x_m) = (D_il + D_im - D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J)
+    with T = (D o s) s: one dsyr2k over the whole of s in ``"s"``, with
+    P = D o (s^T s) and then T + T^T - P in ``"G"``.  Either form fills the
+    lower triangle and mirrors it, so M is exactly symmetric."""
     J, d = x.shape
-    if y is None and d < _DISTANCE_GRAM_MIN_DIM:
-        M = np.empty((J, J)) if D is None else D
+    if d < _DISTANCE_GRAM_MIN_DIM:
         rows = max(1, min(_S_STRIP // J, (J + 1) // (2 * max(1, d))))
         sbuf = _scratch(pool, "s", (rows * J,)) if s is None else None
         buf = _scratch(pool, "G", (d * rows * J,))
+        diff = _differences(x, x)
         for i0 in range(0, J, rows):
             i1 = min(J, i0 + rows)
             if s is None:
@@ -429,29 +410,39 @@ def _grad_gram(
             else:
                 si = s[i0:i1]
             strip = buf[: d * (i1 - i0) * J].reshape(d, i1 - i0, J)
-            _grad_blocks(x[i0:i1], x, si, out=strip)
-            _rank_k_update(M, 1.0 if i0 else 0.0, strip.reshape(-1, J))
-        return np.divide(_mirror_lower(M), J, out=M)
+            for a in range(d):
+                diff(a, strip[a], slice(i0, i1))
+                strip[a] *= si
+            _rank_k_update(D, 1.0 if i0 else 0.0, strip.reshape(-1, J))
+        return np.divide(_mirror_lower(D), J, out=D)
     if s is None:
-        s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)) if y is None else None)
-    if y is not None:
-        sy = _grad_scale(qy, h)
+        s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
+    # s.T @ s, not s @ s: numpy sends it to syrk
+    P = np.matmul(s.T, s, out=_scratch(pool, "G", (J, J)))
+    P *= D
+    D *= s
+    _rank_k_update(P, -1.0, D, s)  # T + T^T - P, D o s being symmetric
+    return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
+
+
+def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, y, qy, D, Dy, s) -> np.ndarray:
+    """The transport Newton Jacobian (1/J) sum_i grad_1 K(y_i, x_l) .
+    grad_1 K(x_i, x_m) at displaced points y, a fresh J x J array, for q
+    and qy from ``_pair_kernel`` of (x, x) and (y, x) at h, and s the whole
+    gradient scale of q or None.  Below ``_DISTANCE_GRAM_MIN_DIM`` it
+    multiplies the whole gradient blocks of y and x (D and Dy unread); from
+    it on, with D = ``_pair_sq(x, x)``, Dy = ``_pair_sq(y, x)`` (spent, D is
+    left intact) and n_i = ||y_i - x_i||^2, jac = (sy^T ((Dy - n 1^T) o s) +
+    (D o sy)^T s - D o (sy^T s)) / (2J)."""
+    J, d = x.shape
+    if s is None:
+        s = _grad_scale(q, h)
+    sy = _grad_scale(qy, h)
     if d < _DISTANCE_GRAM_MIN_DIM:
         Gr = _grad_blocks(x, x, s).reshape(d * J, J)
         Gy = _grad_blocks(y, x, sy).reshape(d * J, J)
         out = np.matmul(Gy.T, Gr)
         return np.divide(out, J, out=out)
-    if D is None:
-        D = _pair_sq(x, x)
-    if y is None:
-        # s.T @ s, not s @ s: numpy sends it to syrk
-        P = np.matmul(s.T, s, out=_scratch(pool, "G", (J, J)))
-        P *= D
-        D *= s
-        _rank_k_update(P, -1.0, D, s)  # T + T^T - P, D o s being symmetric
-        return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
-    if Dy is None:
-        Dy = _pair_sq(y, x)
     Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
     Dy *= s
     out = sy.T @ Dy + (D * sy).T @ s
@@ -459,31 +450,43 @@ def _grad_gram(
     return np.divide(out, 2 * J, out=out)
 
 
-def _kernel_gram(x: np.ndarray, spec: KernelSpec, pool=None) -> tuple:
-    """(h, q) of ``_pair_kernel(x, x, spec)``, M = ``_grad_gram(x, q, h)``
-    and s from one pair pass, in the pool's ``"q"``, ``"D"`` and ``"s"``.
-    s is the whole gradient scale where the distance form of M needs it or
-    where it fits in one strip of ``_S_STRIP`` elements, and None
-    otherwise.  The pool's ``"G"`` and ``"q"`` are sized first, so that no
-    later part of the step grows them."""
+@dataclass
+class FlowWorkspace:
+    """Per-step derived quantities, all computed at one shared bandwidth
+    ``h``: the kernel matrix and M, each J x J whatever d is, and the
+    gradient scale ``s`` where the step keeps it whole, else None; the
+    products then form it from ``Kmat`` and ``h`` row strip by row strip."""
+
+    h: float
+    Kmat: np.ndarray
+    M: np.ndarray
+    s: np.ndarray | None = None
+
+
+def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
+    """The workspace of an Ensemble or (J, d) array from one pair pass: q in
+    the pool's ``"q"``, M over the distances in ``"D"``, and s in ``"s"``.
+    s is kept whole where the distance form of M needs it or where it fits
+    in one strip of ``_S_STRIP`` elements.  The pool's ``"G"`` and ``"q"``
+    are sized first, so that no later part of the step grows them."""
+    x = _positions(ensemble)
     J, d = x.shape
     if pool is not None:
         pool.get("G", (J * J if d >= _DISTANCE_GRAM_MIN_DIM else J * (J + 1) // 2,))
         pool.get("q", (J, J))
     D = _pair_sq(x, x, pool)
     h = _bandwidth_from_sq(spec, D, pool)
-    h, q = _kernel_from_sq(D, h, q=_scratch(pool, "q", D.shape))
+    q = _q_from_sq(D, h, out=_scratch(pool, "q", D.shape))
     s = None
     if d >= _DISTANCE_GRAM_MIN_DIM or J * J <= _S_STRIP:
         s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
-    return h, q, _grad_gram(x, q, h, D=D, pool=pool, s=s), s
+    return FlowWorkspace(h, q, _grad_gram(x, q, h, D, pool, s), s)
 
 
 def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:
     """J x J matrix with entries K(X_i, X_j); symmetric with unit diagonal."""
     x = _positions(ensemble)
-    d2 = _pair_sq(x, x)
-    return _q_from_sq(d2, _bandwidth_from_sq(spec, d2), out=d2)
+    return _pair_kernel(x, x, spec)[1]
 
 
 def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:

@@ -1,10 +1,10 @@
-"""Ensemble state and the per-step kernel workspace.
+"""Ensemble state, the coupling-matrix solve and importance weights.
 
 An :class:`Ensemble` is an immutable snapshot of J particle positions in R^d
-plus the pseudo-time t of the transport.  A :class:`FlowWorkspace` gathers the
-derived quantities every update rule needs: the kernel matrix, the gradient
-scale s of the kernel basis (grad_1 K(X_i, X_l) = (X_i - X_l) s[i, l]), and
-the Gram-type coupling matrix
+plus the pseudo-time t of the transport.  The per-step workspace of
+:mod:`kfrflow.kernels` (``build_workspace``, importable from here too)
+gathers the kernel matrix, the gradient scale and the Gram-type coupling
+matrix
 
     M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >.
 
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import _DPFTRF, _DPFTRS, _DTRTTF, KernelSpec, _kernel_gram, _scratch
+# build_workspace is re-exported for callers of kfrflow.particles
+from .kernels import _DPFTRF, _DPFTRS, _DTRTTF, _scratch, build_workspace  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -61,26 +62,6 @@ class Ensemble:
     @property
     def d(self) -> int:
         return self.positions.shape[1]
-
-
-@dataclass
-class FlowWorkspace:
-    """Per-step derived quantities, all computed at one shared bandwidth
-    ``h``: the kernel matrix and M, each J x J whatever d is, and the
-    gradient scale ``s`` of :func:`kernels._pair_kernel` where the step keeps
-    it whole (see :func:`kernels._kernel_gram`), else None; the products then
-    form it from ``Kmat`` and ``h`` row strip by row strip."""
-
-    h: float
-    Kmat: np.ndarray
-    M: np.ndarray
-    s: np.ndarray | None = None
-
-
-def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
-    x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    h, kmat, M, s = _kernel_gram(x, spec, pool)
-    return FlowWorkspace(h=float(h), Kmat=kmat, M=M, s=s)
 
 
 def _rfp_diagonal(J: int) -> np.ndarray:

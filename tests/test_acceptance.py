@@ -16,7 +16,6 @@ from kfrflow.baselines import RwmConfig, rwm_run
 from kfrflow.config import RunConfig
 from kfrflow.diagnostics import KsdConfig, ksd
 from kfrflow.flows import (
-    FlowConfig,
     kfrd_drift,
     kfrflow_i_step,
     kfrflow_velocity,
@@ -115,9 +114,8 @@ class TestCriterion2ShiftInvariance:
             kfrflow_i_step(ens, base, spec, 0.01, 0.0).positions
             - kfrflow_i_step(ens, plus, spec, 0.01, 0.0).positions
         ))
-        cfg = FlowConfig(lam=0.0, eps=0.5)
-        d0, c0 = kfrd_drift(ens, base, spec, cfg, 0.3)
-        d1, c1 = kfrd_drift(ens, plus, spec, cfg, 0.3)
+        d0, c0 = kfrd_drift(ens, base, spec, 0.0, 0.5, 0.3)
+        d1, c1 = kfrd_drift(ens, plus, spec, 0.0, 0.5, 0.3)
         k_diff = max(np.max(np.abs(d0 - d1)), abs(c0 - c1))
 
         # companion check on the raw target: the shift enters only through
@@ -273,9 +271,8 @@ class TestCriterion7Kfrd:
         def run_kfrd():
             rng = make_rng(17)
             ens = Ensemble(donut.sample_reference(rng, 30), 0.0)
-            cfg = FlowConfig(lam=lam, eps=0.0)
             stepper = sde_stepper(
-                lambda en: kfrd_drift(en, donut, spec, cfg, en.t), 1.0 / n, rng
+                lambda en: kfrd_drift(en, donut, spec, lam, 0.0, en.t), 1.0 / n, rng
             )
             return run_unit_time(ens, stepper, Schedule(n)).final.positions
 
@@ -291,14 +288,13 @@ class TestCriterion7Kfrd:
 
         # epsilon = 5 on the funnel: trajectories and final KSD stay finite
         funnel = make_funnel(5)
-        cfg = FlowConfig(lam=0.001, eps=5.0)
         ksd_cfg = KsdConfig()
 
         def one_trial(trial):
             rng = make_rng(70 + trial)
             ens = Ensemble(funnel.sample_reference(rng, 100), 0.0)
             stepper = sde_stepper(
-                lambda en: kfrd_drift(en, funnel, spec, cfg, en.t), 0.01, rng
+                lambda en: kfrd_drift(en, funnel, spec, 0.001, 5.0, en.t), 0.01, rng
             )
             trace = run_unit_time(ens, stepper, Schedule(100))
             final = trace.final.positions

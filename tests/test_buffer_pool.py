@@ -11,7 +11,6 @@ from kfrflow import harness, kernels
 from kfrflow.config import RunConfig
 from kfrflow.diagnostics import KsdConfig
 from kfrflow.flows import (
-    FlowConfig,
     kfrd_drift,
     kfrflow_i_step,
     kfrflow_velocity,
@@ -53,7 +52,7 @@ def test_results_do_not_live_in_the_pool(target):
         kfrflow_i_step(ens, tgt, spec, 0.1, 1e-3, pool=pool).positions,
         sample_ot_newton(ens, tgt, spec, 0.1, 1e-3, iters=3, pool=pool).positions,
         kfrflow_velocity(ens, tgt, spec, 1e-3, pool=pool),
-        kfrd_drift(ens, tgt, spec, FlowConfig(lam=1e-3, eps=0.1), 0.0, pool=pool)[0],
+        kfrd_drift(ens, tgt, spec, 1e-3, 0.1, 0.0, pool=pool)[0],
     ]
     for name in ("kfrflow-i", "kfrflow-euler", "kfrflow-ab4", "kfrd"):
         cfg = RunConfig(target=target, sampler=name, J=40, N=6, lam=1e-3, eps=0.1)

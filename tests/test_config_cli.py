@@ -448,6 +448,13 @@ class TestRunExperiment:
                 for (na, a), (nb, b) in itertools.product(first, second):
                     assert not np.shares_memory(a, b), (na, nb)
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", ""])
+    def test_bad_worker_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("KFRFLOW_WORKERS", value)
+        cfg = RunConfig(target="donut", sampler="kfrflow-i", J=10, N=2, trials=1)
+        with pytest.raises(ValueError, match="KFRFLOW_WORKERS must be an integer >= 1"):
+            run_experiment(cfg)
+
     def test_ula_and_svgd_run(self):
         for sampler in ("ula", "svgd"):
             cfg = RunConfig(

@@ -7,7 +7,6 @@ import pytest
 from kfrflow import flows, kernels
 from kfrflow.errors import CapabilityError
 from kfrflow.flows import (
-    FlowConfig,
     kfrd_drift,
     kfrflow_i_step,
     kfrflow_velocity,
@@ -276,7 +275,8 @@ class TestPairPasses:
         assert len(pair_passes) == 1
         if d >= kernels._DISTANCE_GRAM_MIN_DIM:
             # the shared D gives the M of a fresh pass bit for bit
-            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.Kmat, ws.h))
+            D = kernels._pair_sq(x, x)
+            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.Kmat, ws.h, D))
 
     def test_importance_step_makes_one_pass(self, pair_passes):
         e = Ensemble(np.random.default_rng(61).standard_normal((40, 20)), 0.0)
@@ -292,6 +292,27 @@ class TestPairPasses:
         e = Ensemble(np.random.default_rng(62).standard_normal((40, d)), 0.0)
         sample_ot_newton(e, make_funnel(d), KernelSpec(), 0.1, 1e-3, iters=iters)
         assert len(pair_passes) == 1 + (d >= kernels._DISTANCE_GRAM_MIN_DIM) + iters
+
+
+class TestGradApplies:
+    """Each Newton iteration applies the gradient basis once: its displacement
+    gives the next Jacobian's points and, after the last iteration, the
+    result."""
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_newton_applies_once_per_iteration(self, monkeypatch, d):
+        calls = {"_grad_apply": 0, "spd_solve": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(flows, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(flows, name, counted)
+        iters = 3
+        e = Ensemble(np.random.default_rng(62).standard_normal((40, d)), 0.0)
+        sample_ot_newton(e, make_funnel(d), KernelSpec(), 0.1, 1e-3, iters=iters)
+        # one solve: the bandwidth bound did not raise lambda on this fixture
+        assert calls == {"_grad_apply": iters, "spd_solve": 1}
 
 
 class TestTemperedScore:
@@ -319,7 +340,7 @@ class TestKfrdDrift:
         rng = np.random.default_rng(52)
         e = Ensemble(rng.standard_normal((12, 2)), 0.0)
         spec = KernelSpec()
-        drift, coeff = kfrd_drift(e, donut, spec, FlowConfig(lam=1e-6, eps=0.0), 0.3)
+        drift, coeff = kfrd_drift(e, donut, spec, 1e-6, 0.0, 0.3)
         v = kfrflow_velocity(e, donut, spec, 1e-6)
         assert np.array_equal(drift, v)
         assert coeff == 0.0
@@ -329,7 +350,7 @@ class TestKfrdDrift:
         g = make_gaussian(np.zeros(2), 1.0)
         rng = np.random.default_rng(53)
         e = Ensemble(rng.standard_normal((9, 2)), 0.0)
-        drift, coeff = kfrd_drift(e, g, KernelSpec(), FlowConfig(lam=1e-6, eps=1.0), 0.4)
+        drift, coeff = kfrd_drift(e, g, KernelSpec(), 1e-6, 1.0, 0.4)
         assert np.allclose(drift, -e.positions, rtol=1e-12, atol=1e-12)
         assert coeff == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
@@ -339,7 +360,7 @@ class TestKfrdDrift:
         f = make_funnel(10)
         rng = np.random.default_rng(54)
         e = Ensemble(f.sample_reference(rng, 100), 0.0)
-        drift, coeff = kfrd_drift(e, f, KernelSpec(), FlowConfig(lam=1e-3, eps=5.0), 0.5)
+        drift, coeff = kfrd_drift(e, f, KernelSpec(), 1e-3, 5.0, 0.5)
         assert np.isfinite(drift).all()
         assert coeff == pytest.approx(np.sqrt(10.0), rel=1e-15)
 
@@ -348,20 +369,20 @@ class TestKfrdDrift:
         rng = np.random.default_rng(55)
         e = Ensemble(rng.standard_normal((15, 2)), 0.0)
         spec = KernelSpec()
-        cfg = FlowConfig(lam=0.0, eps=0.5)
-        d0, c0 = kfrd_drift(e, base, spec, cfg, 0.25)
-        d1, c1 = kfrd_drift(e, shifted_target(base, 7.3), spec, cfg, 0.25)
+        d0, c0 = kfrd_drift(e, base, spec, 0.0, 0.5, 0.25)
+        d1, c1 = kfrd_drift(e, shifted_target(base, 7.3), spec, 0.0, 0.5, 0.25)
         assert np.array_equal(d0, d1)
         assert c0 == c1
 
-
-class TestFlowConfig:
-    def test_validation(self):
+    def test_rejects_bad_lambda_and_eps(self):
+        donut = make_bayesian_2d("donut")
+        e = Ensemble(np.random.default_rng(56).standard_normal((8, 2)), 0.0)
         with pytest.raises(ValueError):
-            FlowConfig(lam=-1.0)
+            kfrd_drift(e, donut, KernelSpec(), -1.0, 0.0, 0.3)
         with pytest.raises(ValueError):
-            FlowConfig(eps=-0.5)
-        for key in ("lam", "eps"):
-            for value in (float("nan"), float("inf")):
-                with pytest.raises(ValueError, match=f"{key} must be finite"):
-                    FlowConfig(**{key: value})
+            kfrd_drift(e, donut, KernelSpec(), 0.0, -0.5, 0.3)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                kfrd_drift(e, donut, KernelSpec(), value, 0.0, 0.3)
+            with pytest.raises(ValueError, match="eps must be finite"):
+                kfrd_drift(e, donut, KernelSpec(), 0.0, value, 0.3)

@@ -13,6 +13,7 @@ from kfrflow.kernels import (
     _differences,
     _grad_blocks,
     _grad_gram,
+    _grad_jacobian,
     _grad_scale,
     _pair_kernel,
     _pair_sq,
@@ -298,20 +299,45 @@ class TestGradGram:
             h, q = _pair_kernel(x, x, KernelSpec())
             _, qy = _pair_kernel(y, x, h)
             expected = basis_gradient_oracle(x, h, y) @ basis_gradient_oracle(x, h).T / J
-            assert rel_err(_grad_gram(x, q, h, y, qy), expected) <= 1e-13, d
+            jac = _grad_jacobian(x, q, h, y, qy, _pair_sq(x, x), _pair_sq(y, x), None)
+            assert rel_err(jac, expected) <= 1e-13, d
 
-    def test_passed_distances_give_the_same_bits(self):
-        # D and Dy handed over by the caller replace the second pair pass
+    def test_jacobian_leaves_distances_intact(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((40, 20))
         y = x + 0.3 * rng.standard_normal((40, 20))
         h, q = _pair_kernel(x, x, KernelSpec())
         _, qy = _pair_kernel(y, x, h)
         D = _pair_sq(x, x)
-        jac = _grad_gram(x, q, h, y, qy, D=D, Dy=_pair_sq(y, x))
-        assert np.array_equal(jac, _grad_gram(x, q, h, y, qy))
-        assert np.array_equal(D, _pair_sq(x, x))  # the Jacobian leaves D intact
-        assert np.array_equal(_grad_gram(x, q, h, D=D), _grad_gram(x, q, h))
+        _grad_jacobian(x, q, h, y, qy, D, _pair_sq(y, x), None)
+        assert np.array_equal(D, _pair_sq(x, x))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("whole_s", [True, False])
+    def test_strips_bitwise_equal_to_gradient_blocks_of_their_rows(self, monkeypatch, d, whole_s):
+        # J = 701 takes four or five row strips with a ragged last one; each
+        # strip that reaches dsyrk is _grad_blocks of its rows, bit for bit
+        strips = []
+        real = kernels._rank_k_update
+
+        def recorded(c, beta, a, b=None):
+            strips.append(a.copy())
+            return real(c, beta, a, b)
+
+        monkeypatch.setattr(kernels, "_rank_k_update", recorded)
+        J = 701
+        x = np.random.default_rng(16 + d).standard_normal((J, d)) + 30.0
+        h, q = _pair_kernel(x, x, KernelSpec())
+        s = _grad_scale(q, h)
+        _grad_gram(x, q, h, np.empty((J, J)), s=s if whole_s else None)
+        assert len(strips) >= 4
+        i0 = 0
+        for strip in strips:
+            i1 = i0 + strip.shape[0] // d
+            expected = _grad_blocks(x[i0:i1], x, s[i0:i1]).reshape(-1, J)
+            assert np.array_equal(_bits(strip), _bits(expected)), (i0, i1)
+            i0 = i1
+        assert i0 == J
 
 
 class TestMedianBandwidth:
