@@ -3,11 +3,10 @@
 Every run is determined by (config, seed): trial seeds are seed + trial_index,
 per-chain streams are spawned from the trial stream, and rows are assembled in
 (trial, step) order.  :func:`run_experiment`, and so :func:`sweep`, runs on
-one thread of numpy's OpenBLAS, so results do not depend on
-``OPENBLAS_NUM_THREADS``; the thread count is a setting of the whole process,
-saved on entry and restored on return.  A trial is unstable when it raises
-:class:`NumericalStabilityError`:
-a non-finite coordinate, velocity, log ratio or diagnostic, or a failed solve.
+one thread of numpy's OpenBLAS (:func:`kfrflow._blas.one_thread`), so results
+do not depend on ``OPENBLAS_NUM_THREADS``.  A trial is unstable when it
+raises :class:`NumericalStabilityError`: a non-finite coordinate, velocity,
+log ratio or diagnostic, or a failed solve.
 Unstable trials keep their rows up to the failure, are flagged, and are
 excluded from the cross-trial summary.  Every other error (a target
 returning the wrong shape, say) propagates.
@@ -25,7 +24,6 @@ noise in blocks (:class:`kfrflow.baselines._ChainNoise`).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .baselines import RwmConfig, _ChainNoise, rwm_run, svgd_step, ula_step
 from .config import _RUN_KEYS, _SWEEP_KEYS, RunConfig, UNIT_TIME_SAMPLERS, parse_sampler
 # perfbench/tracing.py rebinds kfrflow.harness.ksd
@@ -51,7 +49,7 @@ from .integrators import (
     sde_stepper,
     velocity_stepper,
 )
-from .kernels import _GET_THREADS, _SET_THREADS, _BufferPool
+from .kernels import _BufferPool
 from .particles import Ensemble
 
 SCHEMA_VERSION = 1
@@ -182,7 +180,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
     target = config.build_target()
     record = RunRecord(config=config, dim=target.dim)
 
-    with _one_blas_thread():
+    with _blas.one_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(
@@ -307,22 +305,6 @@ class BenchResult:
     times_ns: list
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one thread of numpy's OpenBLAS, then restore the
-    count, also when the block raises.  Both the save and the restore act on
-    the whole process, not on the calling thread alone."""
-    if _GET_THREADS is None:
-        yield
-        return
-    saved = _GET_THREADS()
-    _SET_THREADS(1)
-    try:
-        yield
-    finally:
-        _SET_THREADS(saved)
-
-
 def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResult:
     """Median wall time of one ensemble update, from a fixed warmed-up state.
 
@@ -342,7 +324,7 @@ def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResul
     stepper = _make_stepper(base, iters, config, target, config._kernel_spec(), rng, _BufferPool())
 
     times = []
-    with _one_blas_thread():
+    with _blas.one_thread():
         for _ in range(warmup):
             stepper(ens)
         for _ in range(max(int(reps), 30)):

@@ -52,22 +52,18 @@ the heads of ``"D"``, ``"q"`` and ``"s"``, its O(J d) operands and
 accumulators in the head of ``"G"``.  A result that outlives the step
 (positions, velocities) is never a pool buffer.
 
-The rank-k updates of M go to the BLAS of numpy's own linalg module (the
-ILP64 OpenBLAS of numpy's wheels) through ``ctypes``, as do the Cholesky
-routines of :mod:`kfrflow.particles` and the thread count of
-:mod:`kfrflow.harness`; where numpy exports no such symbol the handle is
-None, and the updates run through ``np.matmul`` with the same arithmetic up
-to rounding, allocating their products.
+The rank-k updates of M (dsyrk, dsyr2k) run on numpy's own OpenBLAS, or
+without it through ``np.matmul``, as :mod:`kfrflow._blas` decides.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from . import _blas
 
 # _grad_gram sums gradient blocks (d J^3 flops) below this dimension and
 # squared distances (3 J^3 flops) from it on; at d = 1 the distance form
@@ -93,50 +89,6 @@ _MIRROR_BLOCK = 64
 _UPPER = np.frombuffer(b"".join(
     bytes(r + 1) + b"\1" * (_MIRROR_BLOCK - 1 - r) for r in range(_MIRROR_BLOCK)
 ), bool).reshape(_MIRROR_BLOCK, _MIRROR_BLOCK)
-
-_BLAS = ctypes.CDLL(_umath_linalg.__file__)
-
-
-def _blas_symbol(name: str, argtypes: list, restype=None):
-    """The symbol ``name`` of numpy's OpenBLAS (numpy's wheels prefix it with
-    ``scipy_``), typed, or None when numpy exports neither spelling."""
-    f = getattr(_BLAS, "scipy_" + name, None) or getattr(_BLAS, name, None)
-    if f is not None:
-        f.argtypes, f.restype = argtypes, restype
-    return f
-
-
-_INT, _I64, _PTR = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-_I64_P = ctypes.POINTER(_I64)
-# row-major CBLAS; the enums are C ints and the sizes ILP64
-_DSYRK = _blas_symbol(
-    "cblas_dsyrk64_", [_INT] * 3 + [_I64, _I64, ctypes.c_double, _PTR, _I64]
-    + [ctypes.c_double, _PTR, _I64],
-)
-_DSYR2K = _blas_symbol(
-    "cblas_dsyr2k64_", [_INT] * 3 + [_I64, _I64, ctypes.c_double] + [_PTR, _I64] * 2
-    + [ctypes.c_double, _PTR, _I64],
-)
-# LAPACK's Cholesky factor, copy and solve in rectangular full packed (RFP)
-# storage, for particles.spd_solve: all three or none.  They are Fortran
-# routines, so each character argument has a trailing length.
-_CHAR, _LEN = ctypes.c_char_p, ctypes.c_size_t
-_DTRTTF = _blas_symbol(
-    "dtrttf_64_", [_CHAR, _CHAR, _I64_P, _PTR, _I64_P, _PTR, _I64_P, _LEN, _LEN]
-)
-_DPFTRF = _blas_symbol("dpftrf_64_", [_CHAR, _CHAR, _I64_P, _PTR, _I64_P, _LEN, _LEN])
-_DPFTRS = _blas_symbol(
-    "dpftrs_64_", [_CHAR, _CHAR, _I64_P, _I64_P, _PTR, _PTR, _I64_P, _I64_P, _LEN, _LEN]
-)
-if None in (_DTRTTF, _DPFTRF, _DPFTRS):
-    _DTRTTF = _DPFTRF = _DPFTRS = None
-# the thread count of numpy's OpenBLAS, read and set by the harness together
-_GET_THREADS = _blas_symbol("openblas_get_num_threads64_", [], _INT)
-_SET_THREADS = _blas_symbol("openblas_set_num_threads64_", [_INT])
-if _GET_THREADS is None or _SET_THREADS is None:
-    _GET_THREADS = _SET_THREADS = None
-_ROW_MAJOR, _LOWER, _TRANS = 101, 122, 112
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -340,34 +292,6 @@ def _grad_apply(x: np.ndarray, q: np.ndarray, h: float, f, pool=None, s=None) ->
         return xc * sf[:, :1] - sf[:, 1:]
 
 
-def _rank_k_update(c: np.ndarray, beta: float, a: np.ndarray, b=None) -> None:
-    """The lower triangle of c <- a^T a + beta c (``b`` None: dsyrk) or
-    c <- a^T b + b^T a + beta c (dsyr2k), for C-contiguous float64 (k, n)
-    arrays a and b and (n, n) array c; c is not read when beta is 0, and its
-    strict upper triangle is left undefined.  Without the BLAS symbol the
-    update runs through ``np.matmul`` on the whole of c and allocates the
-    product."""
-    k, n = a.shape
-    for arr, shape in ((a, (k, n)), (b, (k, n)), (c, (n, n))):
-        if arr is not None and not (
-            arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous
-        ):
-            raise ValueError(f"rank-k update needs C-contiguous float64 {shape}")
-    f = _DSYRK if b is None else _DSYR2K
-    if f is not None:
-        ops = (a.ctypes.data, n) if b is None else (a.ctypes.data, n, b.ctypes.data, n)
-        f(_ROW_MAJOR, _LOWER, _TRANS, n, k, 1.0, *ops, beta, c.ctypes.data, n)
-        return
-    p = np.matmul(a.T, a if b is None else b)
-    if beta == 0:
-        np.copyto(c, p)
-    else:
-        c *= beta
-        c += p
-    if b is not None:
-        c += p.T
-
-
 def _mirror_lower(a: np.ndarray) -> np.ndarray:
     """Copy the lower triangle of the square array ``a`` onto its upper one in
     place, ``_MIRROR_BLOCK`` rows at a time; a diagonal block, whose two
@@ -413,7 +337,7 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
             for a in range(d):
                 diff(a, strip[a], slice(i0, i1))
                 strip[a] *= si
-            _rank_k_update(D, 1.0 if i0 else 0.0, strip.reshape(-1, J))
+            _blas.rank_k_update(D, 1.0 if i0 else 0.0, strip.reshape(-1, J))
         return np.divide(_mirror_lower(D), J, out=D)
     if s is None:
         s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
@@ -421,7 +345,7 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
     P = np.matmul(s.T, s, out=_scratch(pool, "G", (J, J)))
     P *= D
     D *= s
-    _rank_k_update(P, -1.0, D, s)  # T + T^T - P, D o s being symmetric
+    _blas.rank_k_update(P, -1.0, D, s)  # T + T^T - P, D o s being symmetric
     return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
 
 

@@ -2,9 +2,8 @@
 
 An :class:`Ensemble` is an immutable snapshot of J particle positions in R^d
 plus the pseudo-time t of the transport.  The per-step workspace of
-:mod:`kfrflow.kernels` (``build_workspace``, importable from here too)
-gathers the kernel matrix, the gradient scale and the Gram-type coupling
-matrix
+:mod:`kfrflow.kernels` gathers the kernel matrix, the gradient scale and the
+Gram-type coupling matrix
 
     M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >.
 
@@ -16,23 +15,21 @@ Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in its
 buffers as described there, and is valid until the pool's next use;
 :func:`spd_solve` factors M + lam I in ``"G"``, whose scratch of M is dead
 once M is formed.  The factor takes J(J+1)/2 elements in LAPACK's
-rectangular full packed (RFP) format: ``dtrttf``, ``dpftrf`` and ``dpftrs``
-of numpy's OpenBLAS (bound in :mod:`kfrflow.kernels`) copy, factor and
-solve, or without them the same routines of ``scipy.linalg.lapack``.
+rectangular full packed (RFP) format, which the routines of
+:mod:`kfrflow._blas` copy, factor and solve.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import NonFiniteStateError, NumericalStabilityError
-# build_workspace is re-exported for callers of kfrflow.particles
-from .kernels import _DPFTRF, _DPFTRS, _DTRTTF, _scratch, build_workspace  # noqa: F401
+from .kernels import _scratch
 
 
 @dataclass(frozen=True)
@@ -46,9 +43,7 @@ class Ensemble:
             raise ValueError(f"positions must be a (J, d) array, got {pos.shape}")
         if not np.isfinite(pos).all():
             bad = np.argwhere(~np.isfinite(pos).all(axis=1)).ravel()
-            raise NonFiniteStateError(
-                f"non-finite coordinates for particles {bad.tolist()}"
-            )
+            raise NonFiniteStateError(f"non-finite coordinates for particles {bad.tolist()}")
         t = float(self.t)
         if not np.isfinite(t) or t < -1e-15:
             raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -76,41 +71,15 @@ def _rfp_diagonal(J: int) -> np.ndarray:
     return np.concatenate((1 + np.arange(n1) * (J + 2), np.arange(n1) * (J + 2)))
 
 
-def _scipy_lapack():
-    try:
-        from scipy.linalg import lapack
-    except ImportError as err:
-        raise ImportError(
-            "spd_solve needs scipy: numpy exports no dtrttf, dpftrf or dpftrs"
-        ) from err
-    return lapack
-
-
 def _rfp_cholesky(M: np.ndarray, lam: float, arf: np.ndarray, diag=None) -> bool:
     """Write M + lam I to ``arf`` in RFP storage and overwrite it there with
-    its Cholesky factor; False when it is not positive definite.  ``dtrttf``
-    reads the symmetric M as column-major with transr 'N' and uplo 'L', lam
-    is added at the RFP positions of the diagonal (``diag``, when the caller
-    holds them), and ``dpftrf`` factors."""
-    J = M.shape[0]
-    for arr, shape in ((M, (J, J)), (arf, (J * (J + 1) // 2,))):
-        if not (arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous):
-            raise ValueError(f"RFP Cholesky needs C-contiguous float64 {shape}, got {arr.shape}")
-    n, info = ctypes.c_int64(J), ctypes.c_int64(0)
-    if _DPFTRS is None:
-        lapack = _scipy_lapack()
-        arf[:] = lapack.dtrttf(M.T, transr="N", uplo="L")[0]
-    else:
-        _DTRTTF(b"N", b"L", n, M.ctypes.data, n, arf.ctypes.data, info, 1, 1)
+    its Cholesky factor; False when it is not positive definite.  The copy
+    reads the symmetric M, and lam is added at the RFP positions of the
+    diagonal (``diag``, when the caller holds them) before the factor."""
+    _blas.rfp_copy(M, arf)
     if lam > 0:
-        arf[_rfp_diagonal(J) if diag is None else diag] += lam
-    if _DPFTRS is None:
-        arf[:], info.value = lapack.dpftrf(J, arf, transr="N", uplo="L", overwrite_a=1)
-    else:
-        _DPFTRF(b"N", b"L", n, arf.ctypes.data, info, 1, 1)
-    if info.value < 0:
-        raise ValueError(f"dpftrf rejected argument {-info.value}")
-    return info.value == 0
+        arf[_rfp_diagonal(M.shape[0]) if diag is None else diag] += lam
+    return _blas.rfp_factor(arf, M.shape[0])
 
 
 def _lam_floor(M: np.ndarray) -> float:
@@ -135,7 +104,10 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     M = np.ascontiguousarray(M, dtype=np.float64)
-    J, diag = M.shape[0], _rfp_diagonal(M.shape[0])
+    J, x = M.shape[0], np.array(rhs, dtype=np.float64, order="C")
+    if x.shape != (J,):
+        raise ValueError(f"rhs must have shape ({J},), got {x.shape}")
+    diag = _rfp_diagonal(J)
     for retry in (False, True):
         arf = _scratch(pool, "G", (J * (J + 1) // 2,))
         if _rfp_cholesky(M, lam, arf, diag):
@@ -151,14 +123,7 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
     # the diagonal
     if not np.isfinite(arf[diag]).all():
         raise NumericalStabilityError("non-finite coupling matrix")
-    x = np.array(rhs, dtype=np.float64, order="C")
-    if x.shape != (J,):
-        raise ValueError(f"rhs must have shape ({J},), got {x.shape}")
-    if _DPFTRS is None:
-        return _scipy_lapack().dpftrs(J, arf, x[:, None], transr="N", uplo="L")[0][:, 0]
-    n, one, info = ctypes.c_int64(J), ctypes.c_int64(1), ctypes.c_int64(0)
-    _DPFTRS(b"N", b"L", n, one, arf.ctypes.data, x.ctypes.data, n, info, 1, 1)
-    return x
+    return _blas.rfp_solve(arf, x)
 
 
 def _log_ratio_rows(target, positions: np.ndarray) -> np.ndarray:
@@ -177,9 +142,7 @@ def _log_ratio_values(target, positions: np.ndarray) -> np.ndarray:
     r = _log_ratio_rows(target, positions)
     if not np.isfinite(r).all():
         bad = np.argwhere(~np.isfinite(r)).ravel()
-        raise NumericalStabilityError(
-            f"non-finite log density ratio for particles {bad.tolist()}"
-        )
+        raise NumericalStabilityError(f"non-finite log density ratio for particles {bad.tolist()}")
     return r
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import kfrflow
-from kfrflow import baselines, cli, config, harness, kernels
+from kfrflow import _blas, baselines, cli, config, harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
 from kfrflow.errors import NumericalStabilityError
@@ -581,7 +581,7 @@ class TestBench:
             bench_step(cfg)
 
     @pytest.mark.skipif(
-        harness._GET_THREADS is None, reason="numpy exports no OpenBLAS thread count"
+        _blas._GET_THREADS is None, reason="numpy exports no OpenBLAS thread count"
     )
     def test_times_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
         cfg = RunConfig(target="donut", sampler="kfrflow-euler", J=10, N=10, trials=1)
@@ -592,32 +592,32 @@ class TestBench:
             inner = step(*args)
 
             def stepper(ens):
-                seen.append(harness._GET_THREADS())
+                seen.append(_blas._GET_THREADS())
                 return inner(ens)
 
             return stepper
 
         def raising(*args):
             def stepper(ens):
-                seen.append(harness._GET_THREADS())
+                seen.append(_blas._GET_THREADS())
                 raise RuntimeError("stepper failed")
 
             return stepper
 
-        saved = harness._GET_THREADS()
+        saved = _blas._GET_THREADS()
         try:
             # two threads where the machine allows them, so that a restore shows
-            harness._SET_THREADS(2)
-            before = harness._GET_THREADS()
+            _blas._SET_THREADS(2)
+            before = _blas._GET_THREADS()
             monkeypatch.setattr(harness, "_make_stepper", counting)
             bench_step(cfg, reps=30)
-            assert harness._GET_THREADS() == before
+            assert _blas._GET_THREADS() == before
             monkeypatch.setattr(harness, "_make_stepper", raising)
             with pytest.raises(RuntimeError, match="stepper failed"):
                 bench_step(cfg)
-            assert harness._GET_THREADS() == before
+            assert _blas._GET_THREADS() == before
         finally:
-            harness._SET_THREADS(saved)
+            _blas._SET_THREADS(saved)
         assert len(seen) == 3 + 30 + 1 and set(seen) == {1}
 
     def test_ula_cheaper_than_kfrflow_at_large_J(self):

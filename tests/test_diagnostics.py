@@ -10,8 +10,8 @@ from kfrflow.diagnostics import KsdConfig, ksd, stein_discrepancies
 from kfrflow.errors import CapabilityError, NumericalStabilityError
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity, tempered_score
 from kfrflow.harness import _row
-from kfrflow.kernels import KernelSpec, _BufferPool
-from kfrflow.particles import Ensemble, build_workspace
+from kfrflow.kernels import KernelSpec, _BufferPool, build_workspace
+from kfrflow.particles import Ensemble
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_gaussian
 
 from helpers import (

@@ -14,8 +14,8 @@ from kfrflow.flows import (
     tempered_score,
 )
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec, _pair_kernel, median_bandwidth
-from kfrflow.particles import Ensemble, build_workspace, importance_weights
+from kfrflow.kernels import KernelSpec, _pair_kernel, build_workspace, median_bandwidth
+from kfrflow.particles import Ensemble, importance_weights
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_funnel, make_gaussian
 
 from helpers import velocity_oracle

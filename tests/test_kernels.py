@@ -7,7 +7,7 @@ import pytest
 
 from scipy.spatial.distance import cdist, pdist
 
-from kfrflow import kernels
+from kfrflow import _blas, kernels
 from kfrflow.kernels import (
     KernelSpec,
     _differences,
@@ -318,13 +318,13 @@ class TestGradGram:
         # J = 701 takes four or five row strips with a ragged last one; each
         # strip that reaches dsyrk is _grad_blocks of its rows, bit for bit
         strips = []
-        real = kernels._rank_k_update
+        real = _blas.rank_k_update
 
         def recorded(c, beta, a, b=None):
             strips.append(a.copy())
             return real(c, beta, a, b)
 
-        monkeypatch.setattr(kernels, "_rank_k_update", recorded)
+        monkeypatch.setattr(_blas, "rank_k_update", recorded)
         J = 701
         x = np.random.default_rng(16 + d).standard_normal((J, d)) + 30.0
         h, q = _pair_kernel(x, x, KernelSpec())

@@ -3,23 +3,20 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from kfrflow import kernels, particles
+from kfrflow import _blas, particles
 from kfrflow.errors import NumericalStabilityError
-from kfrflow.kernels import KernelSpec, _BufferPool
-from kfrflow.particles import (
-    Ensemble,
-    build_workspace,
-    importance_weights,
-    spd_solve,
-)
+from kfrflow.kernels import KernelSpec, _BufferPool, build_workspace
+from kfrflow.particles import Ensemble, importance_weights, spd_solve
 from kfrflow.targets import make_gaussian
 
 from helpers import basis_gradient_oracle, imq_eval, imq_grad1, rel_err
+from test_blas import HANDLES
 
 
 def brute_force_M(x, h):
@@ -242,16 +239,25 @@ def _factor_head(pool, J):
     return pool.get("G", (J * (J + 1) // 2,)).copy()
 
 
+def _without_native_rfp(monkeypatch):
+    """Unbind the RFP routines, as on a numpy that exports none of them."""
+    for name in ("_DTRTTF", "_DPFTRF", "_DPFTRS"):
+        monkeypatch.setattr(_blas, name, None)
+
+
 class TestTriangularSolves:
     """The RFP solve on numpy's OpenBLAS against scipy on the same factor,
     bit for bit, and the lazy scipy path when numpy exports none."""
 
     def test_numpy_blas_handle_resolved(self):
+        # a misspelt symbol would fall back silently, moving bits only
+        # within the reference tolerance
         from numpy.linalg import _umath_linalg
 
         if not getattr(_umath_linalg, "_ilp64", False):
             pytest.skip("numpy's linalg is not linked to an ILP64 OpenBLAS")
-        assert particles._DPFTRS is not None
+        for name in HANDLES:
+            assert getattr(_blas, name) is not None, name
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("J", [300, 1000])
@@ -283,6 +289,13 @@ class TestTriangularSolves:
         for rhs in (np.ones(4), np.ones((5, 2))):
             with pytest.raises(ValueError, match="rhs must have shape"):
                 spd_solve(np.eye(5), 0.0, rhs)
+        # checked before the factorization: neither an indefinite M nor one
+        # that would retry turns a bad call into a numerical failure
+        for M in (np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"rhs must have shape \(2,\)"):
+                    spd_solve(M, 0.0, np.ones(3))
 
     # scipy's wheels bundle their own OpenBLAS build, whose factor can differ
     # from numpy's in the last bit; the fallback gives scipy's bits
@@ -290,7 +303,7 @@ class TestTriangularSolves:
     def test_forced_scipy_fallback_gives_the_same_bits(self, monkeypatch, J):
         M, rhs = _spd_system(J, seed=J)
         fast = spd_solve(M, 1e-3, rhs)
-        monkeypatch.setattr(particles, "_DPFTRS", None)
+        _without_native_rfp(monkeypatch)
         pool = _BufferPool()
         x = spd_solve(M, 1e-3, rhs, pool=pool)
         arf = lapack.dtrttf(M.T, transr="N", uplo="L")[0]
@@ -301,7 +314,7 @@ class TestTriangularSolves:
         assert rel_err(x, fast) <= 1e-13
 
     def test_fallback_without_scipy_says_why(self, monkeypatch):
-        monkeypatch.setattr(particles, "_DPFTRS", None)
+        _without_native_rfp(monkeypatch)
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)
         with pytest.raises(ImportError, match="exports no dtrttf, dpftrf or dpftrs"):
             spd_solve(np.eye(2), 0.0, np.ones(2))
@@ -322,7 +335,7 @@ class TestInPlaceCholesky:
         assert np.allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
         assert np.array_equal(M, before)
         # the factor of scipy's OpenBLAS build agrees with numpy's to rounding
-        monkeypatch.setattr(particles, "_DPFTRS", None)
+        _without_native_rfp(monkeypatch)
         slow = np.empty_like(fast)
         assert particles._rfp_cholesky(M, 1e-3, slow)
         assert np.allclose(slow, fast, rtol=0, atol=1e-13 * np.abs(fast).max())
@@ -337,7 +350,7 @@ class TestInPlaceCholesky:
     @pytest.mark.parametrize("forced_fallback", [False, True])
     def test_indefinite_retries_then_raises(self, monkeypatch, forced_fallback):
         if forced_fallback:
-            monkeypatch.setattr(particles, "_DPFTRS", None)
+            _without_native_rfp(monkeypatch)
         assert not particles._rfp_cholesky(np.diag([1.0, -1.0]), 0.0, np.empty(3))
         M = np.array([[1.0, 2.0], [2.0, 1.0]])  # trace 2: the retry lambda is tiny
         with pytest.warns(RuntimeWarning, match="retrying"):
@@ -480,8 +493,8 @@ class TestGramWithoutBlas:
         ws = build_workspace(x, KernelSpec(), _BufferPool())
         blas = ws.M.copy()
         B = basis_gradient_oracle(x, ws.h)
-        monkeypatch.setattr(kernels, "_DSYRK", None)
-        monkeypatch.setattr(kernels, "_DSYR2K", None)
+        monkeypatch.setattr(_blas, "_DSYRK", None)
+        monkeypatch.setattr(_blas, "_DSYR2K", None)
         for pool in (None, _BufferPool()):
             M = build_workspace(x, KernelSpec(), pool).M
             assert np.array_equal(M, M.T)
