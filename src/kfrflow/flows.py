@@ -21,9 +21,10 @@ unknown normalizing constants -- cannot affect any update.
 Every rule takes an optional trailing ``pool``, the trial's buffer pool of
 :mod:`kfrflow.kernels`: the workspace, the solve and the row strips of the
 gradient scale s then live in its buffers, and the result (a new ensemble,
-velocity or drift) never does.  Newton iterations beyond the first allocate
-their own arrays, and each applies the gradient basis once: its displaced
-points are the next Jacobian's, and the last ones the result.
+velocity or drift) never does.  A Newton step's first iterate is the
+KFRFlow-I map, and later ones allocate their own arrays; each applies the
+gradient basis once: its displaced points are the next Jacobian's, and the
+last ones, or the best where the iteration diverges, the result.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
 from .kernels import (
-    _DISTANCE_GRAM_MIN_DIM,
     KernelSpec,
     _grad_apply,
     _grad_jacobian,
@@ -117,53 +117,31 @@ def sample_ot_newton(
         )
     uniform = np.full(J, 1.0 / J)
     b = w @ ws.Kmat
-    # the distance-form Jacobians of later iterations all read ||x_i - x_m||^2
-    # (a fresh pass: the pool's D holds M)
-    D = _pair_sq(x, x) if iters > 1 and x.shape[1] >= _DISTANCE_GRAM_MIN_DIM else None
-
-    s = np.zeros(J)
-    # at s = 0 the transported ensemble is the original one, so the residual
-    # is formed from the workspace and the Jacobian is exactly M
+    # the first iterate is the KFRFlow-I map: at s = 0 the residual comes
+    # from the workspace and the Jacobian is exactly M.  The map linearizes
+    # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam (kept
+    # for later iterations) until no particle moves farther.
     resid = uniform @ ws.Kmat - b
+    while True:
+        s = -spd_solve(ws.M, lam, resid, pool=pool)
+        disp = _grad_apply(x, ws.Kmat, ws.h, s, pool, ws.s)
+        if not np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
+            break
+        lam = max(10.0 * lam, _lam_floor(ws.M))
+    y = x + disp
+    if iters == 1:
+        return Ensemble(y, ensemble.t + dt)
+
+    jacobian = _grad_jacobian(x, ws.Kmat, ws.h, ws.s)
     norm = float(np.linalg.norm(resid))
-    best_s, best_norm = s, norm
-    grew = 0
-    for it in range(iters):
-        if it == 0:
-            # symmetric definite solve with M.  The map linearizes
-            # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam
-            # (kept for later iterations) until no particle moves farther.
-            delta = spd_solve(ws.M, lam, resid, pool=pool)
-            disp = _grad_apply(x, ws.Kmat, ws.h, s - delta, pool, ws.s)
-            while np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
-                lam = max(10.0 * lam, _lam_floor(ws.M))
-                delta = spd_solve(ws.M, lam, resid, pool=pool)
-                disp = _grad_apply(x, ws.Kmat, ws.h, s - delta, pool, ws.s)
-        else:
-            # the Jacobian at the displaced points y of the last iterate
-            jac = _grad_jacobian(x, ws.Kmat, ws.h, y, ky, D, Dy, ws.s)
-            if lam > 0:
-                jac = jac + lam * np.eye(J)
-            try:
-                delta = np.linalg.solve(jac, resid)
-            except np.linalg.LinAlgError as err:
-                raise NumericalStabilityError(
-                    "singular Jacobian in transport Newton iteration; "
-                    "increase the regularization lambda"
-                ) from err
-            disp = _grad_apply(x, ws.Kmat, ws.h, s - delta, pool, ws.s)
-        s = s - delta
-        y = x + disp
-        if iters == 1:
-            # single Newton step is the definition of the transport map;
-            # the divergence guard cannot trigger, skip the residual pass
-            return Ensemble(y, ensemble.t + dt)
-        Dy = _pair_sq(y, x)  # kept for the next Jacobian
+    best_y, best_norm, grew = x, norm, 0
+    for it in range(1, iters + 1):
+        Dy = _pair_sq(y, x)
         ky = _q_from_sq(Dy, ws.h)
         resid = uniform @ ky - b
         prev_norm, norm = norm, float(np.linalg.norm(resid))
         if norm < best_norm:
-            best_norm, best_s = norm, s
+            best_norm, best_y = norm, y
         grew = grew + 1 if norm > prev_norm else 0
         if grew >= 2:
             warnings.warn(
@@ -171,9 +149,20 @@ def sample_ot_newton(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            y = x + _grad_apply(x, ws.Kmat, ws.h, best_s, pool, ws.s)
+            return Ensemble(best_y, ensemble.t + dt)
+        if it == iters:
             break
-
+        jac = jacobian(y, ky, Dy)
+        if lam > 0:
+            jac.flat[:: J + 1] += lam
+        try:
+            s = s - np.linalg.solve(jac, resid)
+        except np.linalg.LinAlgError as err:
+            raise NumericalStabilityError(
+                "singular Jacobian in transport Newton iteration; "
+                "increase the regularization lambda"
+            ) from err
+        y = x + _grad_apply(x, ws.Kmat, ws.h, s, pool, ws.s)
     return Ensemble(y, ensemble.t + dt)
 
 

@@ -349,29 +349,38 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
     return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
 
 
-def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, y, qy, D, Dy, s) -> np.ndarray:
-    """The transport Newton Jacobian (1/J) sum_i grad_1 K(y_i, x_l) .
-    grad_1 K(x_i, x_m) at displaced points y, a fresh J x J array, for q
-    and qy from ``_pair_kernel`` of (x, x) and (y, x) at h, and s the whole
-    gradient scale of q or None.  Below ``_DISTANCE_GRAM_MIN_DIM`` it
-    multiplies the whole gradient blocks of y and x (D and Dy unread); from
-    it on, with D = ``_pair_sq(x, x)``, Dy = ``_pair_sq(y, x)`` (spent, D is
-    left intact) and n_i = ||y_i - x_i||^2, jac = (sy^T ((Dy - n 1^T) o s) +
-    (D o sy)^T s - D o (sy^T s)) / (2J)."""
+def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s):
+    """``jac(y, qy, Dy)``: the transport Newton Jacobian (1/J) sum_i
+    grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) at displaced points y, a fresh
+    J x J array, for q from ``_pair_kernel(x, x, h)``, s its whole gradient
+    scale or None, Dy = ``_pair_sq(y, x)`` (spent) and qy its kernel.
+
+    What depends on the centres x alone is formed here, once per Newton
+    step: below ``_DISTANCE_GRAM_MIN_DIM`` the gradient blocks of x (and s
+    for them, where the step keeps it in strips), and jac multiplies them by
+    those of y; from it on D = ``_pair_sq(x, x)``, and with n_i =
+    ||y_i - x_i||^2, jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s -
+    D o (sy^T s)) / (2J)."""
     J, d = x.shape
     if s is None:
         s = _grad_scale(q, h)
-    sy = _grad_scale(qy, h)
     if d < _DISTANCE_GRAM_MIN_DIM:
         Gr = _grad_blocks(x, x, s).reshape(d * J, J)
-        Gy = _grad_blocks(y, x, sy).reshape(d * J, J)
-        out = np.matmul(Gy.T, Gr)
-        return np.divide(out, J, out=out)
-    Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
-    Dy *= s
-    out = sy.T @ Dy + (D * sy).T @ s
-    out -= D * (sy.T @ s)
-    return np.divide(out, 2 * J, out=out)
+
+        def jac(y, qy, Dy):
+            out = np.matmul(_grad_blocks(y, x, _grad_scale(qy, h)).reshape(d * J, J).T, Gr)
+            return np.divide(out, J, out=out)
+        return jac
+    D = _pair_sq(x, x)
+
+    def jac(y, qy, Dy):
+        sy = _grad_scale(qy, h)
+        Dy -= np.sum((y - x) ** 2, axis=1)[:, None]
+        Dy *= s
+        out = sy.T @ Dy + (D * sy).T @ s
+        out -= D * (sy.T @ s)
+        return np.divide(out, 2 * J, out=out)
+    return jac
 
 
 @dataclass

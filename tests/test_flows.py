@@ -1,6 +1,9 @@
 """The transport update rules: velocity field, importance transport map, and
 the stochastic drift."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,38 @@ class TestPairPasses:
         assert len(pair_passes) == 1 + (d >= kernels._DISTANCE_GRAM_MIN_DIM) + iters
 
 
+class TestJacobianCentres:
+    """What the Newton Jacobian reads of the centres x alone, kernels forms
+    once per step; flows does not know its form."""
+
+    @pytest.mark.parametrize("J, d", [(40, 1), (40, 2), (400, 2)])
+    def test_newton_forms_the_centres_blocks_once(self, monkeypatch, J, d):
+        # J = 400 keeps s in row strips, so the blocks need the whole of it
+        centres = []
+        real = kernels._grad_blocks
+
+        def counted(xa, xb, s):
+            if xa is xb:
+                centres.append(xa)
+            return real(xa, xb, s)
+
+        monkeypatch.setattr(kernels, "_grad_blocks", counted)
+        e = Ensemble(np.random.default_rng(63).standard_normal((J, d)), 0.0)
+        sample_ot_newton(e, make_gaussian([1.0] * d, 0.5), KernelSpec(), 0.1, 1e-3, iters=3)
+        assert len(centres) == 1
+
+    def test_only_kernels_names_the_distance_form(self):
+        src = Path(kernels.__file__).parent
+        named = set()
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None))
+                if "_DISTANCE_GRAM_MIN_DIM" in names:
+                    named.add(path.name)
+        assert named == {"kernels.py"}
+
+
 class TestGradApplies:
     """Each Newton iteration applies the gradient basis once: its displacement
     gives the next Jacobian's points and, after the last iteration, the
@@ -313,6 +348,42 @@ class TestGradApplies:
         sample_ot_newton(e, make_funnel(d), KernelSpec(), 0.1, 1e-3, iters=iters)
         # one solve: the bandwidth bound did not raise lambda on this fixture
         assert calls == {"_grad_apply": iters, "spd_solve": 1}
+
+    def test_diverging_newton_keeps_best_iterate_without_reapplying(self, monkeypatch):
+        # at lambda = 0 the second step of this ensemble diverges after four
+        # of five iterations; the best one is neither x nor the last one
+        donut, spec = make_bayesian_2d("donut"), KernelSpec()
+        e = Ensemble(donut.sample_reference(make_rng(0), 40), 0.0)
+        e = sample_ot_newton(e, donut, spec, 0.1, 0.0, iters=5)
+        calls = {"_grad_apply": 0, "spd_solve": 0, "solve": 0}
+        measured = []  # the iterates whose residual the step measured
+        for module, name in ((flows, "_grad_apply"), (flows, "spd_solve"), (np.linalg, "solve")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        real_pair_sq = flows._pair_sq
+
+        def recorded(y, x, pool=None):
+            measured.append(y)
+            return real_pair_sq(y, x, pool)
+
+        monkeypatch.setattr(flows, "_pair_sq", recorded)
+        with pytest.warns(RuntimeWarning, match="diverging"):
+            out = sample_ot_newton(e, donut, spec, 0.1, 0.0, iters=5)
+        monkeypatch.undo()
+        # each solve, of M or of a Jacobian, is applied once, and no iterate again
+        assert calls["_grad_apply"] == calls["spd_solve"] + calls["solve"]
+        assert calls["solve"] == len(measured) - 1 < 4
+        x = e.positions
+        ws = build_workspace(e, spec)
+        b = importance_weights(e, donut, 0.1) @ ws.Kmat
+        iterates = [x, *measured]
+        norms = [np.linalg.norm(_pair_kernel(y, x, ws.h)[1].mean(axis=0) - b) for y in iterates]
+        best = int(np.argmin(norms))
+        assert 0 < best < len(measured)
+        assert np.array_equal(out.positions, iterates[best])
 
 
 class TestTemperedScore:
