@@ -9,25 +9,16 @@ equal-total-budget comparison protocol, and tunes its isotropic Gaussian
 proposal to a 23% acceptance rate before measuring.
 
 Parallel chains advance together: each step is one batched (J, d)
-log-target call and a masked accept.  Each chain still draws its proposals
-and uniforms from its own stream, in the order a single chain draws them,
-so the samples and accept counts equal those of running the chains one
-after another.  The pre-drawn proposals and uniforms hold 8*N*J*(d+1)
-bytes (4.8 MB at J=1000, N=200, d=2).
-
-ULA chains also draw from their own streams ahead of use, in blocks: a
-trial's :class:`_ChainNoise` refills max(1, _NOISE_BLOCK // (J d)) steps at
-a time with one ``standard_normal((steps, d))`` call per chain, which reads
-each stream in the order one draw per step reads it, so the samples equal
-those of per-step draws.  The block holds at most 8 * max(_NOISE_BLOCK, J d)
-bytes (256 KB up to J d = 32768).
+log-target call and a masked accept.  ULA and parallel RWM draw each step's
+noise for all chains in one call on the trial's generator, as the KFRD
+stepper does: ULA its (J, d) normals, RWM its (J, d) proposal steps and then
+its J uniforms.  Chain j reads row j, so chains share no noise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +28,6 @@ from .particles import Ensemble, _log_ratio_rows
 
 # tuned acceptance is accepted anywhere in this window around the 23% optimum
 ACCEPTANCE_WINDOW = (0.20, 0.26)
-
-# elements of one ULA noise block across all chains: 256 KB.  At J = 300,
-# d = 2 a twice larger block drew no faster and kept 0.45 MB more resident
-_NOISE_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -80,70 +67,38 @@ def _require_score(target):
     return target.score_target
 
 
-def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float) -> Ensemble:
+def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float,
+              pool=None) -> Ensemble:
     """One Stein variational gradient descent update with the IMQ kernel.
 
     phi(x) = (1/J) sum_j [ K(X_j, x) grad log pi_1(X_j) + grad_1 K(X_j, x) ],
-    bandwidth from the per-step median heuristic.  The ensemble time
+    bandwidth from the per-step median heuristic.  The J x J arrays (pair
+    pass, median, kernel, the apply's strips) live in the buffer pool
+    ``pool`` when one is given; the result is the same.  The ensemble time
     advances by the step size.
     """
     if not step_size > 0:
         raise ValueError(f"step_size must be > 0, got {step_size}")
     score = _require_score(target)
     x = ensemble.positions
-    h, q = _pair_kernel(x, x, spec)
+    h, q = _pair_kernel(x, x, spec, pool)
     # q is symmetric and grad_1 K(X_j, X_i) = -grad_1 K(X_i, X_j)
-    phi = (q @ score(x) - _grad_apply(x, q, h, 1.0)) / x.shape[0]
+    phi = (q @ score(x) - _grad_apply(x, q, h, 1.0, pool)) / x.shape[0]
     return Ensemble(x + step_size * phi, ensemble.t + step_size)
 
 
-class _ChainNoise:
-    """Standard normal rows for J chains, one stream each, drawn in blocks.
-
-    ``draw()`` returns the (J, d) noise of the next step, row j from
-    ``streams[j]``.  Every ``steps`` calls, each stream is asked for its next
-    ``steps`` rows at once, which reads it in the order one row per call
-    would.  Rows drawn past a trial's last step are never used."""
-
-    def __init__(self, streams: Sequence[np.random.Generator], d: int, steps=None):
-        self.streams = streams
-        self.steps = steps or max(1, _NOISE_BLOCK // (len(streams) * d))
-        self._block = np.empty((self.steps, len(streams), d))
-        self._next = self.steps
-
-    def draw(self) -> np.ndarray:
-        if self._next == self.steps:
-            for j, rng in enumerate(self.streams):
-                self._block[:, j] = rng.standard_normal(self._block[:, j].shape)
-            self._next = 0
-        self._next += 1
-        return self._block[self._next - 1]
-
-
-def ula_step(
-    ensemble: Ensemble,
-    target,
-    step_size: float,
-    rngs: Sequence[np.random.Generator] | _ChainNoise,
-) -> Ensemble:
+def ula_step(ensemble: Ensemble, target, step_size: float, rng: np.random.Generator) -> Ensemble:
     """Unadjusted Langevin update on J independent chains.
 
-    X_j <- X_j + step * grad log pi_1(X_j) + sqrt(2 step) * xi_j with one RNG
-    stream per chain, so chains never interact through the noise either.
-    A sequence of J generators gives one row each per call; a trial passes
-    its :class:`_ChainNoise`, which draws the same rows in blocks.  The
+    X_j <- X_j + step * grad log pi_1(X_j) + sqrt(2 step) * xi_j, with the
+    (J, d) noise xi drawn from ``rng`` in one call; row j is chain j's.  The
     ensemble time advances by the step size.
     """
     if not step_size > 0:
         raise ValueError(f"step_size must be > 0, got {step_size}")
     score = _require_score(target)
     x = ensemble.positions
-    noise = rngs if isinstance(rngs, _ChainNoise) else _ChainNoise(rngs, x.shape[1], 1)
-    if len(noise.streams) != x.shape[0]:
-        raise ValueError(
-            f"need one RNG stream per chain: {len(noise.streams)} vs J={x.shape[0]}"
-        )
-    xi = noise.draw()
+    xi = rng.standard_normal(x.shape)
     new = x + step_size * score(x) + np.sqrt(2.0 * step_size) * xi
     return Ensemble(new, ensemble.t + step_size)
 
@@ -177,29 +132,24 @@ def _mh_chain(lt, x0, n_steps, std, rng, keep_last=1):
     return np.asarray(tail), accepts
 
 
-def _lockstep_chains(lt, x0, n_steps, std, rngs):
+def _lockstep_chains(lt, x0, n_steps, std, rng):
     """J Metropolis chains from the rows of x0, advanced together.
 
-    Chain j draws from rngs[j] exactly what _mh_chain would, so its final
-    state and the exact total accept count equal those of J sequential
-    _mh_chain runs; each step makes one (J, d) log-target call.
+    Each step draws the (J, d) proposal steps and then the J uniforms of
+    all chains from ``rng`` and makes one (J, d) log-target call; chain j
+    reads row j.  Returns the final states and the exact total accept count.
     """
     J, d = x0.shape
-    steps = np.empty((n_steps, J, d))
-    logu = np.empty((n_steps, J))
-    for j, rng in enumerate(rngs):
-        steps[:, j] = rng.standard_normal((n_steps, d)) * std
-        logu[:, j] = np.log(rng.random(n_steps))
     x = x0.copy()
     lx = lt(x)
     accepts = 0
     # a chain at zero density meets -inf - -inf = nan, which rejects silently
     # in _mh_chain's float arithmetic; keep numpy as quiet
     with np.errstate(invalid="ignore"):
-        for k in range(n_steps):
-            prop = x + steps[k]
+        for _ in range(n_steps):
+            prop = x + rng.standard_normal((J, d)) * std
             lp = lt(prop)
-            accept = logu[k] < lp - lx
+            accept = np.log(rng.random(J)) < lp - lx
             x = np.where(accept[:, None], prop, x)
             lx = np.where(accept, lp, lx)
             accepts += int(np.count_nonzero(accept))
@@ -242,9 +192,8 @@ def rwm_run(target, config: RwmConfig, rng: np.random.Generator) -> RwmResult:
         samples, acc = _mh_chain(lt, x, N * J, std, rng, keep_last=J)
         measure_acc = acc / (N * J)
     else:
-        chain_rngs = rng.spawn(J)
         inits = rng.standard_normal((J, d))
-        samples, acc = _lockstep_chains(lt, inits, N, std, chain_rngs)
+        samples, acc = _lockstep_chains(lt, inits, N, std, rng)
         measure_acc = acc / (N * J)
     return RwmResult(
         samples=samples,

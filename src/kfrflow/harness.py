@@ -1,8 +1,8 @@
 """Experiment orchestration: seeded multi-trial runs, sweeps, and step timing.
 
 Every run is determined by (config, seed): trial seeds are seed + trial_index,
-per-chain streams are spawned from the trial stream, and rows are assembled in
-(trial, step) order.  :func:`run_experiment`, and so :func:`sweep`, runs on
+every draw of a trial comes from its one generator, and rows are assembled
+in (trial, step) order.  :func:`run_experiment`, and so :func:`sweep`, runs on
 one thread of numpy's OpenBLAS (:func:`kfrflow._blas.one_thread`), so results
 do not depend on ``OPENBLAS_NUM_THREADS``.  A trial is unstable when it
 raises :class:`NumericalStabilityError`: a non-finite coordinate, velocity,
@@ -15,11 +15,11 @@ Results serialize to one CSV per run plus a JSON sidecar echoing the resolved
 config.  ``KFRFLOW_WORKERS=n`` in the environment, an integer n >= 1, runs
 trials on n threads; the output is identical to a sequential run.
 
-Each kfrflow trial creates one buffer pool (:mod:`kfrflow.kernels`) that its
-steps and its KSD observations share, so no step allocates its J x J arrays
-again; trials never share a pool.  SVGD and ULA trials create one for their
-KSD observations only, and RWM trials none.  A ULA trial draws its chains'
-noise in blocks (:class:`kfrflow.baselines._ChainNoise`).
+Each kfrflow and SVGD trial creates one buffer pool (:mod:`kfrflow.kernels`)
+that its steps and its KSD observations share, so no step allocates its
+J x J arrays again; trials never share a pool.  ULA trials create one for
+their KSD observations only, and RWM trials none.  ULA, like KFRD, draws
+each step's noise in one call on the trial's generator.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, _blas
-from .baselines import RwmConfig, _ChainNoise, rwm_run, svgd_step, ula_step
+from .baselines import RwmConfig, rwm_run, svgd_step, ula_step
 from .config import _RUN_KEYS, _SWEEP_KEYS, RunConfig, UNIT_TIME_SAMPLERS, parse_sampler
 # perfbench/tracing.py rebinds kfrflow.harness.ksd
 from .diagnostics import ksd, stein_discrepancies  # noqa: F401
@@ -105,7 +105,7 @@ def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered, poo
 
 def _make_stepper(base, iters, config, target, spec, rng, pool=None):
     """The sampler's update as a stepper ``step(ens) -> Ensemble``; the
-    kfrflow samplers work in the buffer pool ``pool``."""
+    kfrflow samplers and SVGD work in the buffer pool ``pool``."""
     dt, lam, eps = config.dt, config.lam, config.eps
     if base in ("kfrflow-euler", "kfrflow-ab4"):
         return velocity_stepper(
@@ -121,10 +121,9 @@ def _make_stepper(base, iters, config, target, spec, rng, pool=None):
             lambda e: kfrd_drift(e, target, spec, lam, eps, e.t, pool=pool), dt, rng
         )
     if base == "svgd":
-        return lambda e: svgd_step(e, target, spec, dt)
+        return lambda e: svgd_step(e, target, spec, dt, pool)
     if base == "ula":
-        noise = _ChainNoise(rng.spawn(config.J), target.dim)
-        return lambda e: ula_step(e, target, dt, noise)
+        return lambda e: ula_step(e, target, dt, rng)
     raise ValueError(f"no stepper for sampler {base!r}")
 
 
@@ -136,7 +135,7 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     x0 = target.sample_reference(rng, config.J)
     obs_steps = set(range(0, config.N + 1, config.observe_every)) | {0, config.N}
     tempered = base in UNIT_TIME_SAMPLERS
-    # only the kfrflow steps work in the pool, and SVGD and ULA observe in it;
+    # the kfrflow and SVGD steps work in the pool, and ULA observes in it;
     # RWM keeps fresh arrays (a pool held across rwm_run raised its peak)
     pool = None if base.startswith("rwm-") else _BufferPool()
     rows = []

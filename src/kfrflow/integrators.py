@@ -39,8 +39,8 @@ def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) with a platform-stable stream.
 
     Identical seeds produce identical draw sequences across runs and
-    platforms; trial seeds are derived as base seed + trial index, and
-    per-chain streams are spawned from the trial stream.
+    platforms; trial seeds are derived as base seed + trial index, and each
+    trial draws everything, for all of its chains, from its one generator.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 

@@ -40,11 +40,15 @@ J x J arrays:
   elements, and otherwise formed from q in row strips of at most
   ``_S_STRIP`` elements where a product reads them (q^3 in the apply);
 * ``"G"``: J(J+1)/2 elements below ``_DISTANCE_GRAM_MIN_DIM``, J x J from it
-  on, and dead between its uses.  Within a step it holds in turn the
-  J(J-1)/2 distances that the median partitions in place, the scratch of M
-  (one row strip of the gradient blocks at a time, or P = D o (s^T s) and
-  then T + T^T - P), and the Cholesky factor of M + lam I in rectangular
-  full packed storage that ``particles.spd_solve`` writes.
+  on, and dead between its uses.  Within a step it holds in turn the upper
+  triangle of D, diagonal included, that the median partitions in place,
+  the scratch of M (one row strip of the gradient blocks at a time, or
+  P = D o (s^T s) and then T + T^T - P), and the Cholesky factor of
+  M + lam I in rectangular full packed storage that ``particles.spd_solve``
+  writes.
+
+An SVGD step borrows the same names: q formed over the distances in
+``"D"``, the median in ``"G"`` and the apply's strips of q^3 in ``"s"``.
 
 Between steps every buffer is dead, so the KSD of an observation borrows
 them: its row strips of at most ``diagnostics._KSD_STRIP`` elements live in
@@ -198,26 +202,28 @@ def _q_from_sq(d2: np.ndarray, h: float, out=None) -> np.ndarray:
 
 
 def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
-    """Bandwidth from the squared-distance matrix of an ensemble.
+    """Bandwidth from the squared-distance matrix of an ensemble, whose
+    diagonal is zero, as ``_pair_sq(x, x)`` makes it.
 
     med is the exact median of the J(J-1)/2 pairwise distances (for an even
-    count, the average of the two middle ones), read from the strict upper
-    triangle into the head of the pool's ``"G"`` and partitioned there;
+    count, the average of the two middle ones), read from the upper
+    triangle, diagonal included, into J(J+1)/2 elements at the head of the
+    pool's ``"G"`` (one RFP copy) and partitioned there: the J diagonal
+    zeros sort first, so the k-th pair is element J + k;
     h = sqrt(med^2 / log(J+1)), clamped below by h_floor.
     """
     J = d2.shape[0]
     if J < 2:
         return float(h_floor)
-    pairs = np.concatenate(
-        [d2[i, i + 1 :] for i in range(J - 1)],
-        out=_scratch(pool, "G", (J * (J - 1) // 2,)),
-    )
-    k = pairs.size // 2
-    pairs.partition(k)
-    med = float(np.sqrt(pairs[k]))
-    if pairs.size % 2 == 0:
-        # one partition: the (k-1)-th order statistic is the largest below k
-        med = (float(np.sqrt(pairs[:k].max())) + med) / 2.0
+    tri = _scratch(pool, "G", (J * (J + 1) // 2,))
+    _blas.rfp_copy(d2, tri)
+    n = J * (J - 1) // 2
+    k = n // 2
+    tri.partition(J + k)
+    med = float(np.sqrt(tri[J + k]))
+    if n % 2 == 0:
+        # one partition: the (k-1)-th pair is the largest left of J + k
+        med = (float(np.sqrt(tri[: J + k].max())) + med) / 2.0
     h = float(np.sqrt(med**2 / np.log(J + 1)))
     return max(h, float(h_floor))
 
@@ -229,14 +235,15 @@ def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray, pool=None) -> float:
     return _median_bw_from_sq(d2, spec.h_floor, pool)
 
 
-def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h) -> tuple:
+def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h, pool=None) -> tuple:
     """The pairwise primitive: (h, q) with q[i, l] = K(xa_i, xb_l); the
     gradient scale s = ``_grad_scale(q, h)`` gives grad_1 K(xa_i, xb_l) =
     (xa_i - xb_l) s[i, l].  ``h`` is the bandwidth, or a KernelSpec whose
-    policy is applied to these pairs (then xa and xb are the same ensemble)."""
-    d2 = _pair_sq(xa, xb)
+    policy is applied to these pairs (then xa and xb are the same ensemble).
+    q is formed over the distances of :func:`_pair_sq`, the pool's ``"D"``."""
+    d2 = _pair_sq(xa, xb, pool)
     if isinstance(h, KernelSpec):
-        h = _bandwidth_from_sq(h, d2)
+        h = _bandwidth_from_sq(h, d2, pool)
     return h, _q_from_sq(d2, h, out=d2)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 
 from kfrflow import harness
-from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain
+from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain, svgd_step
 from kfrflow.diagnostics import KsdConfig
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity
 from kfrflow.integrators import make_rng
@@ -177,11 +177,29 @@ def velocity_oracle(ensemble, target, spec, lam=0.0):
     return v
 
 
+def median_bw_gather_oracle(d2, h_floor):
+    """The median-heuristic bandwidth from a squared-distance matrix, its
+    strict upper triangle gathered one row slice at a time and partitioned
+    once (the library's form until it read the triangle with one RFP copy)."""
+    J = d2.shape[0]
+    if J < 2:
+        return float(h_floor)
+    pairs = np.concatenate([d2[i, i + 1 :] for i in range(J - 1)])
+    k = pairs.size // 2
+    pairs.partition(k)
+    med = float(np.sqrt(pairs[k]))
+    if pairs.size % 2 == 0:
+        med = (float(np.sqrt(pairs[:k].max())) + med) / 2.0
+    return max(float(np.sqrt(med**2 / np.log(J + 1))), float(h_floor))
+
+
 def rwm_parallel_oracle(target, config, rng):
     """Parallel-mode ``rwm_run`` with its chains run one after another: the
-    tuning loop, then one ``_mh_chain`` per chain on its own spawned stream.
-    Returns ``(samples, measure_acceptance, proposal_std, tune_acceptance)``;
-    it emits no tuning warning."""
+    tuning loop, then the measurement's per-step draws for all chains, (J, d)
+    proposal steps and then J uniforms, and each chain's Metropolis loop on
+    its rows with single-row log-target calls.  Returns ``(samples,
+    measure_acceptance, proposal_std, tune_acceptance)``; it emits no tuning
+    warning."""
     lt = _log_target(target)
     d = target.dim
     std = config.proposal_std
@@ -196,24 +214,35 @@ def rwm_parallel_oracle(target, config, rng):
         std *= float(np.exp(acc_rate - config.target_acceptance))
 
     J, N = config.n_samples, config.steps
-    chain_rngs = rng.spawn(J)
     inits = rng.standard_normal((J, d))
+    steps, logu = [], []
+    for _ in range(N):
+        steps.append(rng.standard_normal((J, d)) * std)
+        logu.append(np.log(rng.random(J)))
     rows = []
     total_acc = 0
     for j in range(J):
-        tail, acc = _mh_chain(lt, inits[j], N, std, chain_rngs[j])
-        rows.append(tail[-1])
-        total_acc += acc
+        x = inits[j].copy()
+        lx = float(lt(x)[0])
+        for k in range(N):
+            prop = x + steps[k][j]
+            lp = float(lt(prop)[0])
+            if logu[k][j] < lp - lx:
+                x, lx = prop, lp
+                total_acc += 1
+        rows.append(x)
     return np.asarray(rows), total_acc / (N * J), std, acc_rate
 
 
-# one pooled update at dt = 0.01, lambda = 1e-3, returning the new positions
+# one pooled update at dt = 0.01 (lambda = 1e-3 for the flows), returning the
+# new positions
 POOLED_STEPS = {
     "kfrflow-i": lambda e, tgt, spec, pool: kfrflow_i_step(
         e, tgt, spec, 0.01, 1e-3, pool=pool
     ).positions,
     "velocity": lambda e, tgt, spec, pool: e.positions
     + 0.01 * kfrflow_velocity(e, tgt, spec, 1e-3, pool=pool),
+    "svgd": lambda e, tgt, spec, pool: svgd_step(e, tgt, spec, 0.01, pool).positions,
 }
 
 

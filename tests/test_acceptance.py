@@ -181,7 +181,7 @@ class TestCriterion3GaussianTransport:
             3, ok,
             f"mean {mean1.round(4)} (exact {exact_mean}), "
             f"var(t=1) {var1.round(4)} (exact 0.25 +-15%), "
-            f"var(t=0.5) {var05.round(4)} (exact {mid_var} +-15%); {elapsed:.0f}s",
+            f"var(t=0.5) {var05.round(4)} (exact {mid_var} +-15%); {elapsed:.2f}s",
         )
 
 
@@ -227,7 +227,7 @@ class TestCriterion5DonutConcentration:
         report(
             5, ok,
             f"trial-mean radius {mean_radius:.4f} in [1.8, 2.2] "
-            f"(spread [{min(radii):.3f}, {max(radii):.3f}]); {elapsed:.0f}s",
+            f"(spread [{min(radii):.3f}, {max(radii):.3f}]); {elapsed:.2f}s",
         )
 
 
@@ -256,7 +256,7 @@ class TestCriterion6FunnelDimensionRobustness:
         report(
             6, ok,
             f"mean final KSD d=5: {means[5]:.4f}, d=20: {means[20]:.4f}, "
-            f"ratio {ratio:.3f} <= 3; {elapsed:.0f}s",
+            f"ratio {ratio:.3f} <= 3; {elapsed:.2f}s",
         )
 
 
@@ -437,7 +437,7 @@ class TestCriterion11StepCostScaling:
             11, ok,
             f"median step times {medians[100] / 1e6:.2f} / {medians[200] / 1e6:.2f} "
             f"/ {medians[400] / 1e6:.2f} ms; doubling ratios {r1:.2f}, {r2:.2f} "
-            f"in [2, 10]; {elapsed:.0f}s",
+            f"in [2, 10]; {elapsed:.2f}s",
         )
 
 

@@ -96,45 +96,43 @@ class TestUla:
     def test_fixed_noise_formula(self):
         g = make_gaussian([0.0], 1.0)
         e = Ensemble(np.zeros((1, 1)), 0.0)
-        out = ula_step(e, g, 0.01, [OnesRng()])
+        out = ula_step(e, g, 0.01, OnesRng())
         # x=0 at the mode: 0 + 0 + sqrt(0.02) * 1
         assert out.positions[0, 0] == pytest.approx(0.1414213562373095, rel=1e-14)
 
     def test_noise_scales_with_sqrt_step(self):
         g = make_gaussian([0.0], 1.0)
         e = Ensemble(np.zeros((1, 1)), 0.0)
-        big = ula_step(e, g, 0.04, [OnesRng()]).positions[0, 0]
-        small = ula_step(e, g, 0.01, [OnesRng()]).positions[0, 0]
+        big = ula_step(e, g, 0.04, OnesRng()).positions[0, 0]
+        small = ula_step(e, g, 0.01, OnesRng()).positions[0, 0]
         assert big == pytest.approx(2.0 * small, rel=1e-12)
 
-    def test_chains_have_independent_streams(self):
-        g = make_gaussian([0.0, 0.0], 1.0)
-        rng = np.random.default_rng(82)
-        x = rng.standard_normal((5, 2))
-        rngs_a = make_rng(3).spawn(5)
-        rngs_b = make_rng(3).spawn(5)
-        rngs_b[0] = make_rng(999)  # replace chain 0's stream
-        a = ula_step(Ensemble(x, 0.0), g, 0.01, rngs_a).positions
-        b = ula_step(Ensemble(x, 0.0), g, 0.01, rngs_b).positions
-        assert not np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1:], b[1:])
+    @pytest.mark.parametrize("target", ["donut", "funnel:20"])
+    def test_step_equals_formula_with_seeded_noise(self, target):
+        # x + h score(x) + sqrt(2h) xi, xi the (J, d) normals of an
+        # identically seeded generator: one draw per step, chain j row j
+        tgt = target_by_name(target)
+        x = tgt.sample_reference(make_rng(82), 5)
+        rng, twin = make_rng(3), make_rng(3)
+        e = Ensemble(x, 0.0)
+        for _ in range(3):
+            xi = twin.standard_normal(x.shape)
+            want = x + 0.01 * tgt.score_target(x) + np.sqrt(2.0 * 0.01) * xi
+            e = ula_step(e, tgt, 0.01, rng)
+            assert np.array_equal(e.positions, want)
+            x = want
 
     def test_long_run_stationary_variance(self):
         g = make_gaussian([0.0], 1.0)
-        rngs = make_rng(11).spawn(200)
+        rng = make_rng(11)
         e = Ensemble(make_rng(12).standard_normal((200, 1)), 0.0)
         pooled = []
         for k in range(10_000):
-            e = ula_step(e, g, 0.01, rngs)
+            e = ula_step(e, g, 0.01, rng)
             if k >= 2000 and k % 10 == 0:
                 pooled.append(e.positions[:, 0])
         var = np.concatenate(pooled).var()
         assert abs(var - 1.0) < 0.1
-
-    def test_wrong_stream_count_rejected(self):
-        g = make_gaussian([0.0], 1.0)
-        with pytest.raises(ValueError, match="per chain"):
-            ula_step(Ensemble(np.zeros((3, 1)), 0.0), g, 0.01, make_rng(0).spawn(2))
 
 
 def assert_equals_sequential(target, cfg, seed):

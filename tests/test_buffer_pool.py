@@ -23,7 +23,7 @@ from kfrflow.targets import target_by_name
 
 from helpers import POOLED_STEPS, pooled_step_peak, timeless_rows
 
-SAMPLERS = ("kfrflow-i", "kfrflow-i-newton:3", "kfrflow-euler", "kfrflow-ab4", "kfrd")
+SAMPLERS = ("kfrflow-i", "kfrflow-i-newton:3", "kfrflow-euler", "kfrflow-ab4", "kfrd", "svgd")
 
 
 # at dt = 1/6 one funnel:20 AB4 trial blows up; its rows up to the failure
@@ -54,7 +54,7 @@ def test_results_do_not_live_in_the_pool(target):
         kfrflow_velocity(ens, tgt, spec, 1e-3, pool=pool),
         kfrd_drift(ens, tgt, spec, 1e-3, 0.1, 0.0, pool=pool)[0],
     ]
-    for name in ("kfrflow-i", "kfrflow-euler", "kfrflow-ab4", "kfrd"):
+    for name in ("kfrflow-i", "kfrflow-euler", "kfrflow-ab4", "kfrd", "svgd"):
         cfg = RunConfig(target=target, sampler=name, J=40, N=6, lam=1e-3, eps=0.1)
         step = harness._make_stepper(name, None, cfg, tgt, spec, make_rng(33), pool)
         e = ens
@@ -68,7 +68,7 @@ def test_results_do_not_live_in_the_pool(target):
 
 
 @pytest.mark.parametrize("target", ["donut", "funnel:20"])
-@pytest.mark.parametrize("rule", ["kfrflow-i", "velocity"])
+@pytest.mark.parametrize("rule", sorted(POOLED_STEPS))
 def test_warm_step_allocates_less_than_one_jxj_array(target, rule):
     J = 200
     tgt = target_by_name(target)
@@ -78,20 +78,19 @@ def test_warm_step_allocates_less_than_one_jxj_array(target, rule):
     ksd_cfg = KsdConfig()
 
     def step_and_observe():
-        if rule == "kfrflow-i":
-            out = kfrflow_i_step(ens, tgt, spec, 0.01, 1e-3, pool=pool).positions
-        else:
-            out = ens.positions + 0.01 * kfrflow_velocity(ens, tgt, spec, 1e-3, pool=pool)
+        out = POOLED_STEPS[rule](ens, tgt, spec, pool)
         harness._row(tgt.dim, 0, 1, 0.01, out, 0, ksd_cfg, tgt, True, pool)
+        return out
 
     step_and_observe()  # the first step fills the pool
     tracemalloc.start()
     try:
-        step_and_observe()
+        out = step_and_observe()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < J * J * 8, peak
+    assert np.array_equal(out, POOLED_STEPS[rule](ens, tgt, spec, None))
 
 
 # the pool's four J x J buffers, and room for the (J, d) arrays of the step

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import kfrflow
-from kfrflow import _blas, baselines, cli, config, harness, kernels
+from kfrflow import _blas, cli, config, harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
 from kfrflow.errors import NumericalStabilityError
@@ -415,7 +415,9 @@ class TestRunExperiment:
                 target="donut", sampler=sampler, J=150, N=6, lam=1e-6,
                 seed=12, trials=4, observe_every=1,
             )
-            for sampler in ("kfrflow-i", "kfrflow-ab4")
+            for sampler in ("kfrflow-i", "kfrflow-ab4", "svgd")
+        ] + [
+            RunConfig(target="donut", sampler="rwm-parallel", J=150, N=20, seed=13, trials=4),
         ]
         for cfg in cfgs:
             monkeypatch.delenv("KFRFLOW_WORKERS", raising=False)
@@ -523,25 +525,26 @@ class TestSweep:
 
 
 class TestUlaTrials:
-    """ULA trials with block-drawn noise."""
+    """ULA trials draw each step's noise from the trial's generator."""
 
+    # per_block: steps of noise that the reference draws in one call (None:
+    # one call per step); the stepper reads the stream in order either way
     @pytest.mark.parametrize("per_block", [None, 3])
     @pytest.mark.parametrize("d", [1, 2, 20])
-    def test_ula_stepper_equals_per_step_draws(self, monkeypatch, d, per_block):
+    def test_ula_stepper_equals_per_step_draws(self, d, per_block):
         J, N = 7, 10
-        if per_block is not None:
-            # per_block steps per refill: N steps refill ceil(N / per_block) = 4 times
-            monkeypatch.setattr(baselines, "_NOISE_BLOCK", per_block * J * d)
-            assert baselines._ChainNoise(make_rng(0).spawn(J), d).steps == per_block
         target = make_gaussian(np.zeros(d), 1.0)
         cfg = RunConfig(target="donut", sampler="ula", J=J, N=N, T=1.0, trials=1)
         step = _make_stepper("ula", None, cfg, target, KernelSpec(), make_rng(40))
-        streams = make_rng(40).spawn(J)
-        blocked = single = Ensemble(make_rng(41).standard_normal((J, d)), 0.0)
+        twin = make_rng(40)
+        x = make_rng(41).standard_normal((J, d))
+        ens, block = Ensemble(x, 0.0), []
         for _ in range(N):
-            blocked = step(blocked)
-            single = baselines.ula_step(single, target, cfg.dt, streams)
-            assert np.array_equal(blocked.positions, single.positions)
+            if not block:
+                block = list(twin.standard_normal((per_block or 1, J, d)))
+            ens = step(ens)
+            x = x + cfg.dt * target.score_target(x) + np.sqrt(2.0 * cfg.dt) * block.pop(0)
+            assert np.array_equal(ens.positions, x)
 
     def test_worker_pool_matches_sequential(self, monkeypatch):
         cfg = RunConfig(

@@ -21,7 +21,14 @@ from kfrflow.kernels import (
     median_bandwidth,
 )
 
-from helpers import basis_gradient_oracle, central_diff_grad, imq_eval, imq_grad1, rel_err
+from helpers import (
+    basis_gradient_oracle,
+    central_diff_grad,
+    imq_eval,
+    imq_grad1,
+    median_bw_gather_oracle,
+    rel_err,
+)
 
 
 class TestImqEval:
@@ -386,6 +393,20 @@ class TestMedianBandwidth:
                 med = float(hi) if pairs.size % 2 else (float(lo) + float(hi)) / 2.0
                 expected = max(float(np.sqrt(med**2 / np.log(J + 1))), 1e-6)
                 assert median_bandwidth(x) == expected, (J, pairs.size % 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_rfp_copy_matches_row_slice_gather(self, d):
+        # pair counts J (J - 1) / 2 odd (2, 3, 6, 7, 302) and even (4, 5, 8,
+        # 300, 301); integer points give duplicate particles and tied pairs
+        rng = np.random.default_rng(16)
+        for J in (2, 3, 4, 5, 6, 7, 8, 300, 301, 302):
+            for x in (rng.standard_normal((J, d)), rng.integers(0, 2, (J, d)) * 1.0):
+                d2 = _pair_sq(x, x)
+                want = median_bw_gather_oracle(d2.copy(), 1e-6)
+                pool = kernels._BufferPool()
+                for p in (None, pool, pool):  # fresh, cold pool, warm pool
+                    assert kernels._median_bw_from_sq(d2, 1e-6, p) == want, (J, d)
+                assert np.array_equal(d2, _pair_sq(x, x))  # d2 is not written
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)

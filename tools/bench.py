@@ -1,13 +1,15 @@
-"""Record this checkout's benchmark figures in one JSON file.
+"""Record this checkout's benchmark figures in one JSON file, or compare
+this checkout with a git revision.
 
 Run from the root of a source checkout:
 
     python3 tools/bench.py --out BENCH_22.json
+    python3 tools/bench.py --base HEAD~1
 
-It runs the unchanged ``perfbench/run.py --trace 0 --seconds 8`` eight
-times on each workload of ``BENCHMARK.json`` (run i, seed i, takes every
-workload in turn, so that a drift of the machine's speed spreads over all
-of them),
+With ``--out`` it runs the unchanged ``perfbench/run.py --trace 0 --seconds
+8`` eight times on each workload of ``BENCHMARK.json`` (run i, seed i, takes
+every workload in turn, so that a drift of the machine's speed spreads over
+all of them),
 then the Tier-1 suite once, as ROADMAP.md gives it, with ``-rP`` so that
 the acceptance criteria's lines are kept.  The file holds, per workload and
 metric, the median, the quartiles and the IQR; whether every run was
@@ -16,18 +18,29 @@ correct; the Tier-1 summary and wall time; the durations that criteria 3,
 nproc, numpy and its BLAS with the OpenBLAS core name, the git revision
 and the digest of ``src/kfrflow``, as perfbench reports them.
 ``blas_provenance`` is also the platform key of ``tests/references``.
+
+With ``--base REV`` it checks REV out with ``git worktree add --detach``
+into a temporary directory, which is removed on every exit, and runs ten
+pairs of the same perfbench runs per workload, one on REV's tree and one on
+this checkout, with the same seed and in alternating order.  Per workload
+and metric it prints both medians and IQRs, the change of the median, and
+in how many pairs this checkout was lower.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
 import re
+import shutil
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,6 +49,7 @@ from numpy.linalg import _umath_linalg
 
 RUNS = 8  # perfbench runs per workload, seeds 1..RUNS: enough for quartiles
 SECONDS = 8  # perfbench --seconds
+PAIRS = 10  # alternated pairs per workload in a --base comparison
 CRITERIA = (3, 5, 6, 11)
 # "PASS criterion 11: median step times 0.47 / 1.27 / 7.22 ms; ...; 41s"
 CRITERION_LINE = re.compile(r"^(PASS|FAIL) criterion (\d+): (.*); (\d+(?:\.\d+)?)s$")
@@ -48,12 +62,13 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def perfbench(workload: str, seed: int, seconds: int) -> tuple:
-    """One ``perfbench/run.py --trace 0`` run: its JSON result and provenance."""
+def perfbench(workload: str, seed: int, seconds: int, tree: Path = Path(".")) -> tuple:
+    """One ``perfbench/run.py --trace 0`` run in the checkout ``tree``: its
+    JSON result and provenance."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     provenance = next(json.loads(line.removeprefix("provenance "))
                       for line in lines if line.startswith("provenance "))
@@ -107,14 +122,68 @@ def src_modified() -> bool | None:
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
+@contextlib.contextmanager
+def worktree(rev: str):
+    """A detached checkout of ``rev`` in a temporary directory, removed, with
+    its git worktree entry, however the block exits."""
+    tmp = Path(tempfile.mkdtemp(prefix="kfrflow-base-"))
+    tree = tmp / "tree"
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), rev],
+                       check=True)
+        yield tree
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], capture_output=True)
+
+
+def compare(rev: str, workloads: list) -> int:
+    """PAIRS alternated perfbench pairs per workload on ``rev`` and on this
+    checkout; prints medians, IQRs and "lower in k of n" per metric."""
+    runs = {w: {"base": [], "head": []} for w in workloads}
+    with worktree(rev) as base:
+        for seed in range(1, PAIRS + 1):
+            sides = [("base", base), ("head", Path("."))]
+            for w in workloads:
+                for side, tree in sides if seed % 2 else sides[::-1]:
+                    runs[w][side].append(perfbench(w, seed, SECONDS, tree)[0])
+                print(f"{w} pair {seed}: " + ", ".join(
+                    f"{k} {runs[w]['base'][-1]['metrics'][k]['value']:.4g} -> "
+                    f"{m['value']:.4g}" for k, m in runs[w]["head"][-1]["metrics"].items()),
+                    flush=True)
+
+    print(f"base {rev} against this checkout, {PAIRS} alternated pairs "
+          f"(perfbench --trace 0 --seconds {SECONDS}); lower is better")
+    for w, sides in runs.items():
+        failed = {side: sum(r["failed"] for r in rs) for side, rs in sides.items()}
+        print(f"{w}: failed trials base {failed['base']}, head {failed['head']}")
+        for name in sides["head"][0]["metrics"]:
+            base_v, head_v = ([r["metrics"][name]["value"] for r in sides[s]]
+                              for s in ("base", "head"))
+            b, h = quartiles(base_v), quartiles(head_v)
+            lower = sum(y < x for x, y in zip(base_v, head_v))
+            print(f"  {name:12s} base {b['median']:.4g} [IQR {b['q1']:.4g}-{b['q3']:.4g}]  "
+                  f"head {h['median']:.4g} [IQR {h['q1']:.4g}-{h['q3']:.4g}]  "
+                  f"{h['median'] / b['median'] - 1:+.1%}  lower in {lower} of {PAIRS}")
+    return 0 if all(r["correct"] for sides in runs.values() for rs in sides.values()
+                    for r in rs) else 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="JSON file to write")
+    mode.add_argument("--base", metavar="REV", help="git revision to compare this checkout with")
     args = parser.parse_args()
     if not Path("perfbench/run.py").is_file() or not Path("src/kfrflow").is_dir():
         parser.error("run from the root of a source checkout")
+    # a terminated run still leaves through the worktree's cleanup
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     workloads = [w["name"] for w in json.loads(Path("BENCHMARK.json").read_text())["workloads"]]
+    if args.base:
+        return compare(args.base, workloads)
     results = {w: [] for w in workloads}
     provenance = None
     for seed in range(1, RUNS + 1):
