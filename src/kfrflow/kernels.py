@@ -18,9 +18,15 @@ Every coordinate difference xa_ia - xb_la is an element of an exact BLAS
 product (:func:`_differences`).  The pair pass, :func:`_pair_sq`, adds their
 squares in coordinate order, exactly as ``scipy.spatial.distance.pdist``
 does, so bandwidths and kernel values match it bit for bit.  A
-:class:`FlowWorkspace` (:func:`build_workspace`) makes it once, and its
-bandwidth, q and, from ``_DISTANCE_GRAM_MIN_DIM`` on, its Gram matrix all
-read the same D.
+:class:`FlowWorkspace` (:func:`build_workspace`) measures its ensemble's
+pairs once, and its bandwidth, q and, from ``_DISTANCE_GRAM_MIN_DIM`` on,
+its Gram matrix all read the same D.  Below that dimension D is this exact
+pass; from it on D comes from one rank-2k product of the mean-centred
+points (:func:`_pair_sq_product`), within 8 eps (n_i + n_l) of the pass,
+n_i = ||x_i - mean(x)||^2, and so does the Newton Jacobian's D of the
+centres.  The exact pass remains for the KSD, Newton's cross distances of
+the displaced points, SVGD and the public :func:`kernel_matrix` and
+:func:`median_bandwidth`.
 
 A step's J x J arrays can live in a :class:`_BufferPool`: J and d stay
 fixed over a trial, so one trial creates a pool and hands it to every step
@@ -32,20 +38,21 @@ J x J arrays:
 
 * ``"D"``: the squared distances of the pair pass, then the coupling matrix
   M, which is formed over them once q is (at every d);
-* ``"q"``: the kernel matrix; its head holds the pair pass's scratch, at
-  most two row strips of ``_PAIR_BLOCK`` pairs (512 KB while J <= 2^15),
-  which is dead before q is written;
+* ``"q"``: the kernel matrix; below ``_DISTANCE_GRAM_MIN_DIM`` its head
+  holds the pair pass's scratch, at most two row strips of ``_PAIR_BLOCK``
+  pairs (512 KB while J <= 2^15), which is dead before q is written;
 * ``"s"``: the gradient scale, whole where the distance form of M needs it
   (from ``_DISTANCE_GRAM_MIN_DIM`` on) or where J x J fits in ``_S_STRIP``
   elements, and otherwise formed from q in row strips of at most
   ``_S_STRIP`` elements where a product reads them (q^3 in the apply);
 * ``"G"``: J(J+1)/2 elements below ``_DISTANCE_GRAM_MIN_DIM``, J x J from it
-  on, and dead between its uses.  Within a step it holds in turn the upper
-  triangle of D, diagonal included, that the median partitions in place,
-  the scratch of M (one row strip of the gradient blocks at a time, or
-  P = D o (s^T s) and then T + T^T - P), and the Cholesky factor of
-  M + lam I in rectangular full packed storage that ``particles.spd_solve``
-  writes.
+  on (and at least 2 (d + 2) J), and dead between its uses.  Within a step
+  it holds in turn the two (d + 2, J) operands of the product form of D
+  (from ``_DISTANCE_GRAM_MIN_DIM`` on), the upper triangle of D, diagonal
+  included, that the median partitions in place, the scratch of M (one row
+  strip of the gradient blocks at a time, or P = D o (s^T s) and then
+  T + T^T - P), and the Cholesky factor of M + lam I in rectangular full
+  packed storage that ``particles.spd_solve`` writes.
 
 An SVGD step borrows the same names: q formed over the distances in
 ``"D"``, the median in ``"G"`` and the apply's strips of q^3 in ``"s"``.
@@ -56,8 +63,9 @@ the heads of ``"D"``, ``"q"`` and ``"s"``, its O(J d) operands and
 accumulators in the head of ``"G"``.  A result that outlives the step
 (positions, velocities) is never a pool buffer.
 
-The rank-k updates of M (dsyrk, dsyr2k) run on numpy's own OpenBLAS, or
-without it through ``np.matmul``, as :mod:`kfrflow._blas` decides.
+The rank-k updates of M and of the product form of D (dsyrk, dsyr2k) run
+on numpy's own OpenBLAS, or without it through ``np.matmul``, as
+:mod:`kfrflow._blas` decides.
 """
 
 from __future__ import annotations
@@ -73,7 +81,10 @@ from . import _blas
 # squared distances (3 J^3 flops) from it on; at d = 1 the distance form
 # misses the 1e-10 oracle bound of criterion 4.  The distance form reuses the
 # D that the kernel of the same step was built from, so a workspace makes one
-# pair pass at every d.
+# pair pass at every d.  From this dimension on that D, and the Newton
+# Jacobian's D of the centres, is one rank-2k product (_pair_sq_product),
+# 1.4 times faster than _pair_sq at d = 3 and 6 times at d = 20 (J = 300);
+# below it D stays the exact coordinate pass, and d <= 2 keeps its bits.
 _DISTANCE_GRAM_MIN_DIM = 3
 
 # pairs in one row strip of _pair_sq: its sum and one coordinate's squares,
@@ -192,6 +203,30 @@ def _pair_sq(xa: np.ndarray, xb: np.ndarray, pool=None) -> np.ndarray:
     return d2
 
 
+def _pair_sq_product(x: np.ndarray, pool=None) -> np.ndarray:
+    """||x_i - x_l||^2 of one ensemble as a J x J array, the pool's ``"D"``,
+    from one dsyr2k instead of d coordinate passes.  With xc the mean-centred
+    points and n_i = ||xc_i||^2, U = [xc^T; n; 1] and V = [-xc^T; 1/2; n/2],
+    both (d + 2, J) in the head of the pool's ``"G"``, give U^T V + V^T U =
+    n_i + n_l - 2 xc_i . xc_l, within a few eps (n_i + n_l) of
+    :func:`_pair_sq`.  Negatives from cancellation are clamped to 0, the
+    diagonal is set to exactly 0 and the lower triangle is mirrored, so the
+    result is exactly symmetric."""
+    J, d = x.shape
+    U, V = _scratch(pool, "G", (2, d + 2, J))
+    xc = np.subtract(x.T, x.mean(axis=0)[:, None], out=U[:d])
+    np.einsum("aj,aj->j", xc, xc, out=U[d])
+    U[d + 1] = 1.0
+    np.negative(xc, out=V[:d])
+    V[d] = 0.5
+    np.multiply(U[d], 0.5, out=V[d + 1])
+    D = _scratch(pool, "D", (J, J))
+    _blas.rank_k_update(D, 0.0, U, V)
+    np.maximum(D, 0.0, out=D)
+    D.flat[:: J + 1] = 0.0
+    return _mirror_lower(D)
+
+
 def _q_from_sq(d2: np.ndarray, h: float, out=None) -> np.ndarray:
     if h * h != 1.0:  # d2 / 1 is d2: the KSD's default h = 1 skips the divide
         d2 = out = np.divide(d2, h * h, out=out)
@@ -201,29 +236,38 @@ def _q_from_sq(d2: np.ndarray, h: float, out=None) -> np.ndarray:
     return out
 
 
+def _partitioned_median(tri: np.ndarray, J: int) -> float:
+    """The median distance of J points from the J(J+1)/2 squared distances
+    of their upper triangle, diagonal included, partitioned at J + k with
+    k = n // 2 for n = J(J-1)/2 pairs.  The J diagonal zeros sort first, so
+    the k-th pair is element J + k; for an even n the (k-1)-th pair is the
+    largest element left of J + k, which may lie left of J among the zeros."""
+    n = J * (J - 1) // 2
+    k = n // 2
+    med = float(np.sqrt(tri[J + k]))
+    if n % 2 == 0:
+        med = (float(np.sqrt(tri[: J + k].max())) + med) / 2.0
+    return med
+
+
 def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
     """Bandwidth from the squared-distance matrix of an ensemble, whose
-    diagonal is zero, as ``_pair_sq(x, x)`` makes it.
+    diagonal is zero, as ``_pair_sq(x, x)`` and ``_pair_sq_product`` make it.
 
     med is the exact median of the J(J-1)/2 pairwise distances (for an even
     count, the average of the two middle ones), read from the upper
     triangle, diagonal included, into J(J+1)/2 elements at the head of the
-    pool's ``"G"`` (one RFP copy) and partitioned there: the J diagonal
-    zeros sort first, so the k-th pair is element J + k;
-    h = sqrt(med^2 / log(J+1)), clamped below by h_floor.
+    pool's ``"G"`` (one RFP copy) and partitioned there once
+    (:func:`_partitioned_median`); h = sqrt(med^2 / log(J+1)), clamped
+    below by h_floor.
     """
     J = d2.shape[0]
     if J < 2:
         return float(h_floor)
     tri = _scratch(pool, "G", (J * (J + 1) // 2,))
     _blas.rfp_copy(d2, tri)
-    n = J * (J - 1) // 2
-    k = n // 2
-    tri.partition(J + k)
-    med = float(np.sqrt(tri[J + k]))
-    if n % 2 == 0:
-        # one partition: the (k-1)-th pair is the largest left of J + k
-        med = (float(np.sqrt(tri[: J + k].max())) + med) / 2.0
+    tri.partition(J + J * (J - 1) // 2 // 2)
+    med = _partitioned_median(tri, J)
     h = float(np.sqrt(med**2 / np.log(J + 1)))
     return max(h, float(h_floor))
 
@@ -323,11 +367,12 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
     of s (at most ``_S_STRIP`` elements) formed in the pool's ``"s"`` and its
     blocks (at most J(J+1)/2 elements, like the factor that follows) in
     ``"G"``, from differences made once per call.  From it on D is
-    ``_pair_sq(x, x)``, and D_il = ||x_i - x_l||^2 and (x_i - x_l).(x_i -
-    x_m) = (D_il + D_im - D_lm) / 2 give M = (T + T^T - D o (s^T s)) / (2J)
-    with T = (D o s) s: one dsyr2k over the whole of s in ``"s"``, with
-    P = D o (s^T s) and then T + T^T - P in ``"G"``.  Either form fills the
-    lower triangle and mirrors it, so M is exactly symmetric."""
+    ``_pair_sq_product(x)``, and D_il = ||x_i - x_l||^2 and
+    (x_i - x_l).(x_i - x_m) = (D_il + D_im - D_lm) / 2 give
+    M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s: one dsyr2k over
+    the whole of s in ``"s"``, with P = D o (s^T s) and then T + T^T - P in
+    ``"G"``.  Either form fills the lower triangle and mirrors it, so M is
+    exactly symmetric."""
     J, d = x.shape
     if d < _DISTANCE_GRAM_MIN_DIM:
         rows = max(1, min(_S_STRIP // J, (J + 1) // (2 * max(1, d))))
@@ -365,7 +410,7 @@ def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s):
     What depends on the centres x alone is formed here, once per Newton
     step: below ``_DISTANCE_GRAM_MIN_DIM`` the gradient blocks of x (and s
     for them, where the step keeps it in strips), and jac multiplies them by
-    those of y; from it on D = ``_pair_sq(x, x)``, and with n_i =
+    those of y; from it on D = ``_pair_sq_product(x)``, and with n_i =
     ||y_i - x_i||^2, jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s -
     D o (sy^T s)) / (2J)."""
     J, d = x.shape
@@ -378,7 +423,7 @@ def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s):
             out = np.matmul(_grad_blocks(y, x, _grad_scale(qy, h)).reshape(d * J, J).T, Gr)
             return np.divide(out, J, out=out)
         return jac
-    D = _pair_sq(x, x)
+    D = _pair_sq_product(x)
 
     def jac(y, qy, Dy):
         sy = _grad_scale(qy, h)
@@ -404,21 +449,24 @@ class FlowWorkspace:
 
 
 def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
-    """The workspace of an Ensemble or (J, d) array from one pair pass: q in
-    the pool's ``"q"``, M over the distances in ``"D"``, and s in ``"s"``.
-    s is kept whole where the distance form of M needs it or where it fits
-    in one strip of ``_S_STRIP`` elements.  The pool's ``"G"`` and ``"q"``
-    are sized first, so that no later part of the step grows them."""
+    """The workspace of an Ensemble or (J, d) array from one pass over its
+    pairs (:func:`_pair_sq`, or :func:`_pair_sq_product` from
+    ``_DISTANCE_GRAM_MIN_DIM`` on): q in the pool's ``"q"``, M over the
+    distances in ``"D"``, and s in ``"s"``.  s is kept whole where the
+    distance form of M needs it or where it fits in one strip of
+    ``_S_STRIP`` elements.  The pool's ``"G"`` and ``"q"`` are sized first,
+    so that no later part of the step grows them."""
     x = _positions(ensemble)
     J, d = x.shape
+    distance_form = d >= _DISTANCE_GRAM_MIN_DIM
     if pool is not None:
-        pool.get("G", (J * J if d >= _DISTANCE_GRAM_MIN_DIM else J * (J + 1) // 2,))
+        pool.get("G", (J * max(J, 2 * d + 4) if distance_form else J * (J + 1) // 2,))
         pool.get("q", (J, J))
-    D = _pair_sq(x, x, pool)
+    D = _pair_sq_product(x, pool) if distance_form else _pair_sq(x, x, pool)
     h = _bandwidth_from_sq(spec, D, pool)
     q = _q_from_sq(D, h, out=_scratch(pool, "q", D.shape))
     s = None
-    if d >= _DISTANCE_GRAM_MIN_DIM or J * J <= _S_STRIP:
+    if distance_form or J * J <= _S_STRIP:
         s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
     return FlowWorkspace(h, q, _grad_gram(x, q, h, D, pool, s), s)
 

@@ -255,16 +255,23 @@ class TestNewtonTransport:
 
 @pytest.fixture
 def pair_passes(monkeypatch):
-    """Every _pair_sq call made through the modules that measure pairs."""
+    """Every pass over the pairs made through the modules that measure them:
+    the coordinate pass _pair_sq and, from _DISTANCE_GRAM_MIN_DIM on, the
+    product form _pair_sq_product of one ensemble."""
     calls = []
-    real = kernels._pair_sq
+    real, real_product = kernels._pair_sq, kernels._pair_sq_product
 
     def counted(xa, xb, pool=None):
         calls.append((xa.shape, xb.shape))
         return real(xa, xb, pool)
 
+    def counted_product(x, pool=None):
+        calls.append((x.shape, x.shape))
+        return real_product(x, pool)
+
     for module in (kernels, flows):
         monkeypatch.setattr(module, "_pair_sq", counted)
+    monkeypatch.setattr(kernels, "_pair_sq_product", counted_product)
     return calls
 
 
@@ -277,8 +284,8 @@ class TestPairPasses:
         ws = build_workspace(x, KernelSpec())
         assert len(pair_passes) == 1
         if d >= kernels._DISTANCE_GRAM_MIN_DIM:
-            # the shared D gives the M of a fresh pass bit for bit
-            D = kernels._pair_sq(x, x)
+            # the shared D gives the M of a fresh product-form pass bit for bit
+            D = kernels._pair_sq_product(x)
             assert np.array_equal(ws.M, kernels._grad_gram(x, ws.Kmat, ws.h, D))
 
     def test_importance_step_makes_one_pass(self, pair_passes):

@@ -17,6 +17,8 @@ from kfrflow.kernels import (
     _grad_scale,
     _pair_kernel,
     _pair_sq,
+    _pair_sq_product,
+    build_workspace,
     kernel_matrix,
     median_bandwidth,
 )
@@ -295,6 +297,51 @@ class TestPairSq:
         assert np.array_equal(_pair_sq(np.empty((3, 0)), np.empty((2, 0))), np.zeros((3, 2)))
 
 
+def _ensembles(rng, J: int, d: int) -> dict:
+    """Normal, far-out, funnel-like, clustered and duplicated point sets."""
+    z = rng.standard_normal((J, d))
+    funnel = z.copy()
+    funnel[:, 1:] *= np.exp(1.5 * z[:, :1])
+    centres = 5.0 * rng.standard_normal((5, d))
+    dup = z.copy()
+    dup[1::2] = z[: J // 2]
+    return {"normal": z, "offset 40": z + 40.0, "funnel": funnel,
+            "clustered": centres[rng.integers(0, 5, J)] + 0.01 * z, "duplicated": dup}
+
+
+class TestPairSqProduct:
+    """From _DISTANCE_GRAM_MIN_DIM on, a workspace's D comes from one dsyr2k:
+    exactly symmetric, a zero diagonal, no negatives, and within
+    8 eps (n_i + n_l) of the coordinate pass, n_i = ||x_i - mean(x)||^2."""
+
+    @pytest.mark.parametrize("d", [3, 5, 20])
+    def test_within_eight_eps_of_the_coordinate_pass(self, d):
+        rng = np.random.default_rng(70 + d)
+        for J in (7, 300):
+            for name, x in _ensembles(rng, J, d).items():
+                D = _pair_sq_product(x)
+                assert np.array_equal(D, D.T), (J, name)
+                assert not np.diagonal(D).any(), (J, name)
+                assert not (D < 0).any(), (J, name)
+                xc = x - x.mean(axis=0)
+                n = np.sum(xc * xc, axis=1)
+                bound = 8 * np.finfo(float).eps * (n[:, None] + n)
+                assert (np.abs(D - _pair_sq(x, x)) <= bound).all(), (J, name)
+
+    @pytest.mark.parametrize("J, d", [(7, 20), (300, 3), (300, 20)])
+    def test_pooled_equals_fresh_and_grows_no_buffer(self, J, d):
+        # J = 7, d = 20: the operands, 2 (d + 2) J elements, exceed J x J
+        x = np.random.default_rng(J + d).standard_normal((J, d))
+        pool = kernels._BufferPool()
+        build_workspace(x, KernelSpec(), pool)  # sizes the pool as a step does
+        sizes = {name: buf.size for name, buf in pool._flat.items()}
+        for _ in range(2):  # the pool's stale M and factor are not read
+            got = _pair_sq_product(x, pool)
+            assert np.shares_memory(got, pool._flat["D"])
+            assert np.array_equal(got, _pair_sq_product(x))
+        assert {name: buf.size for name, buf in pool._flat.items()} == sizes
+
+
 class TestGradGram:
     def test_newton_jacobian_at_displaced_points_matches_oracle(self):
         # both routes: stacked blocks at d = 2, squared distances at d = 20
@@ -407,6 +454,16 @@ class TestMedianBandwidth:
                 for p in (None, pool, pool):  # fresh, cold pool, warm pool
                     assert kernels._median_bw_from_sq(d2, 1e-6, p) == want, (J, d)
                 assert np.array_equal(d2, _pair_sq(x, x))  # d2 is not written
+
+    def test_partitioned_median_reads_the_pair_left_of_the_diagonal_zeros(self):
+        # J = 4: six pairs at squared distances 1, 4, 9, 16, 25, 36, so k = 3
+        # and med = (3 + 4) / 2.  Partitioned at J + k = 7 by hand, with the
+        # (k-1)-th pair, 9, at index 0, left of J among the diagonal zeros
+        tri = np.array([9.0, 0.0, 1.0, 0.0, 0.0, 4.0, 0.0, 16.0, 36.0, 25.0])
+        assert kernels._partitioned_median(tri, 4) == 3.5
+        # J = 3, an odd count: the k-th pair alone
+        tri = np.array([0.0, 1.0, 0.0, 0.0, 4.0, 9.0])
+        assert kernels._partitioned_median(tri, 3) == 2.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)

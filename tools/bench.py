@@ -19,12 +19,14 @@ nproc, numpy and its BLAS with the OpenBLAS core name, the git revision
 and the digest of ``src/kfrflow``, as perfbench reports them.
 ``blas_provenance`` is also the platform key of ``tests/references``.
 
-With ``--base REV`` it checks REV out with ``git worktree add --detach``
-into a temporary directory, which is removed on every exit, and runs ten
-pairs of the same perfbench runs per workload, one on REV's tree and one on
-this checkout, with the same seed and in alternating order.  Per workload
-and metric it prints both medians and IQRs, the change of the median, and
-in how many pairs this checkout was lower.
+With ``--base REV`` it resolves REV to a commit, or prints one line and
+exits with status 2 where git cannot.  It checks the commit out with ``git
+worktree add --detach`` into a temporary directory, which is removed on
+every exit, and runs ten pairs of the same perfbench runs per workload,
+one on REV's tree and one on this checkout, with the same seed and in
+alternating order.  Per workload and metric it prints both medians and
+IQRs, the change of the median, and in how many pairs this checkout was
+lower.
 """
 
 from __future__ import annotations
@@ -122,6 +124,15 @@ def src_modified() -> bool | None:
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
+def resolve(rev: str) -> str | None:
+    """The commit that git resolves ``rev`` to, or None where it cannot
+    (also outside a git checkout)."""
+    proc = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", "--end-of-options", rev + "^{commit}"],
+        capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 @contextlib.contextmanager
 def worktree(rev: str):
     """A detached checkout of ``rev`` in a temporary directory, removed, with
@@ -138,11 +149,12 @@ def worktree(rev: str):
         subprocess.run(["git", "worktree", "prune"], capture_output=True)
 
 
-def compare(rev: str, workloads: list) -> int:
-    """PAIRS alternated perfbench pairs per workload on ``rev`` and on this
-    checkout; prints medians, IQRs and "lower in k of n" per metric."""
+def compare(rev: str, commit: str, workloads: list) -> int:
+    """PAIRS alternated perfbench pairs per workload on ``commit``, which
+    ``rev`` names, and on this checkout; prints medians, IQRs and "lower in
+    k of n" per metric."""
     runs = {w: {"base": [], "head": []} for w in workloads}
-    with worktree(rev) as base:
+    with worktree(commit) as base:
         for seed in range(1, PAIRS + 1):
             sides = [("base", base), ("head", Path("."))]
             for w in workloads:
@@ -183,7 +195,11 @@ def main() -> int:
 
     workloads = [w["name"] for w in json.loads(Path("BENCHMARK.json").read_text())["workloads"]]
     if args.base:
-        return compare(args.base, workloads)
+        commit = resolve(args.base)
+        if commit is None:
+            print(f"bench.py: git cannot resolve {args.base!r} to a commit", file=sys.stderr)
+            return 2
+        return compare(args.base, commit, workloads)
     results = {w: [] for w in workloads}
     provenance = None
     for seed in range(1, RUNS + 1):
