@@ -5,8 +5,11 @@ gradient-based (they need grad log pi_1); RWM only needs the unnormalized
 target log density, here log pi_0 + log(pi_1/pi_0).  RWM supports a "serial"
 mode (one chain of N*J steps, keep the last J states) and a "parallel" mode
 (J chains of N steps, keep each chain's last state), matching the
-equal-total-budget comparison protocol, and tunes its isotropic Gaussian
-proposal to a 23% acceptance rate before measuring.
+equal-total-budget comparison protocol.  Before measuring, RWM tunes its
+isotropic Gaussian proposal to the 23% optimum: from std 1.0 it runs up to
+20 rounds of 400 single-chain steps, multiplies the std by
+exp(acceptance - 0.23) after each round, and keeps the std of the first
+round whose acceptance lies in ``ACCEPTANCE_WINDOW``, or of the last.
 
 Parallel chains advance together: each step is one batched (J, d)
 log-target call and a masked accept.  ULA and parallel RWM draw each step's
@@ -28,27 +31,10 @@ from .particles import Ensemble, _log_ratio_rows
 
 # tuned acceptance is accepted anywhere in this window around the 23% optimum
 ACCEPTANCE_WINDOW = (0.20, 0.26)
-
-
-@dataclass(frozen=True)
-class RwmConfig:
-    steps: int
-    n_samples: int
-    mode: str = "parallel"
-    proposal_std: float = 1.0
-    target_acceptance: float = 0.23
-    tune_rounds: int = 20
-    tune_batch: int = 400
-
-    def __post_init__(self):
-        if self.mode not in ("serial", "parallel"):
-            raise ValueError(f"mode must be 'serial' or 'parallel', got {self.mode!r}")
-        if not self.proposal_std > 0:
-            raise ValueError("proposal_std must be > 0")
-        if not 0 < self.target_acceptance < 1:
-            raise ValueError("target_acceptance must be in (0, 1)")
-        if self.steps < 1 or self.n_samples < 1:
-            raise ValueError("steps and n_samples must be >= 1")
+TARGET_ACCEPTANCE = 0.23
+PROPOSAL_STD = 1.0  # the tuner's starting std
+TUNE_ROUNDS = 20
+TUNE_BATCH = 400  # steps per tuning round
 
 
 @dataclass
@@ -156,50 +142,50 @@ def _lockstep_chains(lt, x0, n_steps, std, rng):
     return x, accepts
 
 
-def rwm_run(target, config: RwmConfig, rng: np.random.Generator) -> RwmResult:
-    """Tune the proposal to ~23% acceptance, then run the measurement phase.
-
-    Tuning adapts the proposal std multiplicatively (factor exp(acc - 0.23))
-    over batches until the batch acceptance lands in [0.20, 0.26]; the std is
-    then frozen, keeping the measurement chain a valid Markov chain.
+def rwm_run(target, steps: int, n_samples: int, mode: str,
+            rng: np.random.Generator) -> RwmResult:
+    """Tune the proposal, then draw ``n_samples`` states in ``mode`` with the
+    std frozen, so that the measurement chain is a valid Markov chain; a
+    parallel chain runs ``steps`` steps, the serial one ``steps * n_samples``.
     """
+    if mode not in ("serial", "parallel"):
+        raise ValueError(f"mode must be 'serial' or 'parallel', got {mode!r}")
+    if steps < 1 or n_samples < 1:
+        raise ValueError("steps and n_samples must be >= 1")
     lt = _log_target(target)
     d = target.dim
-    std = config.proposal_std
+    std = PROPOSAL_STD
     x = rng.standard_normal(d)
     acc_rate = float("nan")
     tuned = False
     rounds = 0
-    for rounds in range(1, config.tune_rounds + 1):
-        tail, acc = _mh_chain(lt, x, config.tune_batch, std, rng)
+    for rounds in range(1, TUNE_ROUNDS + 1):
+        tail, acc = _mh_chain(lt, x, TUNE_BATCH, std, rng)
         x = tail[-1]
-        acc_rate = acc / config.tune_batch
+        acc_rate = acc / TUNE_BATCH
         if ACCEPTANCE_WINDOW[0] <= acc_rate <= ACCEPTANCE_WINDOW[1]:
             tuned = True
             break
-        std *= float(np.exp(acc_rate - config.target_acceptance))
+        std *= float(np.exp(acc_rate - TARGET_ACCEPTANCE))
     if not tuned:
         warnings.warn(
             f"proposal tuning did not reach {ACCEPTANCE_WINDOW} in "
-            f"{config.tune_rounds} rounds (last acceptance {acc_rate:.3f}); "
+            f"{TUNE_ROUNDS} rounds (last acceptance {acc_rate:.3f}); "
             "proceeding with the last std",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    J, N = config.n_samples, config.steps
-    if config.mode == "serial":
-        samples, acc = _mh_chain(lt, x, N * J, std, rng, keep_last=J)
-        measure_acc = acc / (N * J)
+    if mode == "serial":
+        samples, acc = _mh_chain(lt, x, steps * n_samples, std, rng, keep_last=n_samples)
     else:
-        inits = rng.standard_normal((J, d))
-        samples, acc = _lockstep_chains(lt, inits, N, std, rng)
-        measure_acc = acc / (N * J)
+        inits = rng.standard_normal((n_samples, d))
+        samples, acc = _lockstep_chains(lt, inits, steps, std, rng)
     return RwmResult(
         samples=samples,
         proposal_std=std,
         tune_acceptance=acc_rate,
         tune_rounds_used=rounds,
         tuned=tuned,
-        measure_acceptance=measure_acc,
+        measure_acceptance=acc / (steps * n_samples),
     )

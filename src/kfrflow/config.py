@@ -13,7 +13,6 @@ the keys a [sweep] may grid, in the order of the sweep's cells and columns.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import operator
@@ -138,7 +137,9 @@ def _parse(key: str, raw: str, where: str):
         raise ValueError(f"{where}: {err}") from err
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
+def _read_ini(path: str):
+    import configparser  # only a --config file needs it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str  # keep key case (J vs j matters)
     read = parser.read(path)

@@ -30,13 +30,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, _blas
-from .baselines import RwmConfig, rwm_run, svgd_step, ula_step
+from .baselines import rwm_run, svgd_step, ula_step
 from .config import _RUN_KEYS, _SWEEP_KEYS, RunConfig, UNIT_TIME_SAMPLERS, parse_sampler
 # perfbench/tracing.py rebinds kfrflow.harness.ksd
 from .diagnostics import ksd, stein_discrepancies  # noqa: F401
@@ -54,6 +53,7 @@ from .particles import Ensemble
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KFRFLOW_WORKERS"
+BENCH_WARMUP = 3  # untimed bench_step calls, enough for AB4's history
 
 
 @dataclass
@@ -148,11 +148,8 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     try:
         if base.startswith("rwm-"):
             observe(0, 0.0, x0, 0)
-            rcfg = RwmConfig(
-                steps=config.N, n_samples=config.J, mode=base.removeprefix("rwm-")
-            )
             tic = time.perf_counter_ns()
-            result = rwm_run(target, rcfg, rng)
+            result = rwm_run(target, config.N, config.J, base.removeprefix("rwm-"), rng)
             elapsed = time.perf_counter_ns() - tic
             observe(config.N, 1.0, result.samples, elapsed // config.N)
         else:
@@ -181,6 +178,9 @@ def run_experiment(config: RunConfig) -> RunRecord:
 
     with _blas.one_thread():
         if workers > 1:
+            # imported here: it loads logging, which a sequential run never needs
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(
                     pool.map(lambda i: _run_trial(config, target, i), range(config.trials))
@@ -304,11 +304,11 @@ class BenchResult:
     times_ns: list
 
 
-def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResult:
+def bench_step(config: RunConfig, reps: int = 30) -> BenchResult:
     """Median wall time of one ensemble update, from a fixed warmed-up state.
 
     Every call steps the same initial ensemble; stateful steppers keep their
-    state, so after the three default warm-up calls kfrflow-ab4 times the
+    state, so after the ``BENCH_WARMUP`` untimed calls kfrflow-ab4 times the
     Adams-Bashforth update.  The steps share one buffer pool, as in a trial,
     so the timed steps run with it warm.  They run on one thread of numpy's
     OpenBLAS, so no thread-pool stall enters the timings; the thread count
@@ -324,7 +324,7 @@ def bench_step(config: RunConfig, reps: int = 30, warmup: int = 3) -> BenchResul
 
     times = []
     with _blas.one_thread():
-        for _ in range(warmup):
+        for _ in range(BENCH_WARMUP):
             stepper(ens)
         for _ in range(max(int(reps), 30)):
             tic = time.perf_counter_ns()

@@ -5,8 +5,11 @@ positive definite, with values in (0, 1] and K(x, x) = 1.  Batch routines take
 points as rows of ``(n, d)`` arrays; gradients are taken with respect to the
 first argument.
 
-Every batch quantity comes from one pairwise primitive, :func:`_pair_kernel`,
-which gives q[i, l] = K(xa_i, xb_l); the gradient scale s = -q^3 / h^2, so that
+Every kernel matrix q[i, l] = K(xa_i, xb_l) is formed by :func:`_q_from_sq`
+from squared distances, those of :func:`_pair_sq` or :func:`_pair_sq_product`.
+:func:`_pair_kernel` composes the pass, the bandwidth and q for SVGD and
+:func:`kernel_matrix`; the workspace, Newton and the KSD compose them
+themselves.  The gradient scale s = -q^3 / h^2, so that
 grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is formed from q by
 :func:`_grad_scale`, whole where that costs no more than a row strip and
 otherwise for the rows that a product reads.  Every product with the

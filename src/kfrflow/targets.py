@@ -5,7 +5,8 @@ sampler for the reference pi_0 = N(0, I_d), and (where available) the scores
 grad log pi_0 and grad log pi_1.  The density ratio is the only target
 information the gradient-free samplers consume; scores are needed by the
 stochastic and gradient-based methods and by the Stein discrepancy
-diagnostics.
+diagnostics.  Every callback takes an (n, d) array of rows and returns one
+value (log ratio) or one (d,) row (scores) per input row.
 """
 
 from __future__ import annotations
@@ -32,20 +33,6 @@ class TargetModel:
     @property
     def has_scores(self) -> bool:
         return self.score_reference is not None and self.score_target is not None
-
-
-def _rows_fn(fn, scalar: bool):
-    """Adapt an (n, d) -> (n,) (``scalar``) or (n, d) callback to also accept a
-    single (d,) point, which gives a float or a (d,) vector."""
-
-    def wrapped(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            out = fn(x[None, :])[0]
-            return float(out) if scalar else out
-        return fn(x)
-
-    return wrapped
 
 
 def _gaussian_reference_sampler(dim):
@@ -121,10 +108,10 @@ def make_bayesian_2d(kind: str) -> TargetModel:
     return TargetModel(
         name=key,
         dim=2,
-        log_ratio=_rows_fn(log_ratio, scalar=True),
+        log_ratio=log_ratio,
         sample_reference=_gaussian_reference_sampler(2),
-        score_reference=_rows_fn(_reference_score, scalar=False),
-        score_target=_rows_fn(score_target, scalar=False),
+        score_reference=_reference_score,
+        score_target=score_target,
     )
 
 
@@ -159,10 +146,10 @@ def make_funnel(d: int) -> TargetModel:
     return TargetModel(
         name=f"funnel:{d}",
         dim=d,
-        log_ratio=_rows_fn(log_ratio, scalar=True),
+        log_ratio=log_ratio,
         sample_reference=_gaussian_reference_sampler(d),
-        score_reference=_rows_fn(_reference_score, scalar=False),
-        score_target=_rows_fn(score_target, scalar=False),
+        score_reference=_reference_score,
+        score_target=score_target,
     )
 
 
@@ -198,10 +185,10 @@ def make_gaussian(mean, stdev: float) -> TargetModel:
     return TargetModel(
         name=f"gaussian:{','.join(repr(float(m)) for m in mean)},{s!r}",
         dim=d,
-        log_ratio=_rows_fn(log_ratio, scalar=True),
+        log_ratio=log_ratio,
         sample_reference=_gaussian_reference_sampler(d),
-        score_reference=_rows_fn(_reference_score, scalar=False),
-        score_target=_rows_fn(score_target, scalar=False),
+        score_reference=_reference_score,
+        score_target=score_target,
         tempered_moments=tempered_moments,
     )
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from kfrflow import harness
+from kfrflow import baselines, harness
 from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain, svgd_step
 from kfrflow.diagnostics import KsdConfig
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity
@@ -193,7 +193,7 @@ def median_bw_gather_oracle(d2, h_floor):
     return max(float(np.sqrt(med**2 / np.log(J + 1))), float(h_floor))
 
 
-def rwm_parallel_oracle(target, config, rng):
+def rwm_parallel_oracle(target, steps, n_samples, rng):
     """Parallel-mode ``rwm_run`` with its chains run one after another: the
     tuning loop, then the measurement's per-step draws for all chains, (J, d)
     proposal steps and then J uniforms, and each chain's Metropolis loop on
@@ -202,22 +202,22 @@ def rwm_parallel_oracle(target, config, rng):
     warning."""
     lt = _log_target(target)
     d = target.dim
-    std = config.proposal_std
+    std = baselines.PROPOSAL_STD
     x = rng.standard_normal(d)
     acc_rate = float("nan")
-    for _ in range(config.tune_rounds):
-        tail, acc = _mh_chain(lt, x, config.tune_batch, std, rng)
+    for _ in range(baselines.TUNE_ROUNDS):
+        tail, acc = _mh_chain(lt, x, baselines.TUNE_BATCH, std, rng)
         x = tail[-1]
-        acc_rate = acc / config.tune_batch
+        acc_rate = acc / baselines.TUNE_BATCH
         if ACCEPTANCE_WINDOW[0] <= acc_rate <= ACCEPTANCE_WINDOW[1]:
             break
-        std *= float(np.exp(acc_rate - config.target_acceptance))
+        std *= float(np.exp(acc_rate - baselines.TARGET_ACCEPTANCE))
 
-    J, N = config.n_samples, config.steps
+    J, N = n_samples, steps
     inits = rng.standard_normal((J, d))
-    steps, logu = [], []
+    moves, logu = [], []
     for _ in range(N):
-        steps.append(rng.standard_normal((J, d)) * std)
+        moves.append(rng.standard_normal((J, d)) * std)
         logu.append(np.log(rng.random(J)))
     rows = []
     total_acc = 0
@@ -225,7 +225,7 @@ def rwm_parallel_oracle(target, config, rng):
         x = inits[j].copy()
         lx = float(lt(x)[0])
         for k in range(N):
-            prop = x + steps[k][j]
+            prop = x + moves[k][j]
             lp = float(lt(prop)[0])
             if logu[k][j] < lp - lx:
                 x, lx = prop, lp

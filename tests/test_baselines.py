@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from kfrflow.baselines import RwmConfig, rwm_run, svgd_step, ula_step
+from kfrflow import baselines
+from kfrflow.baselines import rwm_run, svgd_step, ula_step
 from kfrflow.errors import CapabilityError
 from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec, median_bandwidth
@@ -135,10 +136,10 @@ class TestUla:
         assert abs(var - 1.0) < 0.1
 
 
-def assert_equals_sequential(target, cfg, seed):
+def assert_equals_sequential(target, steps, n_samples, seed):
     """Parallel ``rwm_run`` equals its chains run one by one, bit for bit."""
-    result = rwm_run(target, cfg, make_rng(seed))
-    samples, acc, std, tune_acc = rwm_parallel_oracle(target, cfg, make_rng(seed))
+    result = rwm_run(target, steps, n_samples, "parallel", make_rng(seed))
+    samples, acc, std, tune_acc = rwm_parallel_oracle(target, steps, n_samples, make_rng(seed))
     assert np.array_equal(result.samples, samples)
     assert result.measure_acceptance == acc
     assert (result.proposal_std, result.tune_acceptance) == (std, tune_acc)
@@ -146,35 +147,31 @@ def assert_equals_sequential(target, cfg, seed):
 
 
 class TestRwm:
-    def test_tuner_grows_vanishing_proposal(self):
+    def test_tuner_grows_vanishing_proposal(self, monkeypatch):
         g = make_gaussian([0.0], 1.0)  # target is N(0,1) itself
-        cfg = RwmConfig(
-            steps=50, n_samples=20, mode="serial", proposal_std=1e-6, tune_rounds=60
-        )
-        result = rwm_run(g, cfg, make_rng(21))
+        monkeypatch.setattr(baselines, "PROPOSAL_STD", 1e-6)
+        monkeypatch.setattr(baselines, "TUNE_ROUNDS", 60)
+        result = rwm_run(g, 50, 20, "serial", make_rng(21))
         assert result.proposal_std > 1e-3
         assert result.tuned
         assert 0.20 <= result.tune_acceptance <= 0.26
 
     def test_tuned_acceptance_on_gaussian(self):
         g = make_gaussian([0.0], 1.0)
-        cfg = RwmConfig(steps=100, n_samples=50, mode="serial")
-        result = rwm_run(g, cfg, make_rng(22))
+        result = rwm_run(g, 100, 50, "serial", make_rng(22))
         assert result.tuned
         assert 0.20 <= result.tune_acceptance <= 0.26
 
     def test_parallel_mean_near_zero(self):
         g = make_gaussian([0.0], 1.0)
-        cfg = RwmConfig(steps=30, n_samples=10_000, mode="parallel")
-        result = rwm_run(g, cfg, make_rng(23))
+        result = rwm_run(g, 30, 10_000, "parallel", make_rng(23))
         assert result.samples.shape == (10_000, 1)
         se = result.samples.std() / math.sqrt(result.samples.shape[0])
         assert abs(result.samples.mean()) < 3 * se
 
     def test_serial_keeps_last_states(self):
         g = make_gaussian([0.0], 1.0)
-        cfg = RwmConfig(steps=40, n_samples=25, mode="serial")
-        result = rwm_run(g, cfg, make_rng(24))
+        result = rwm_run(g, 40, 25, "serial", make_rng(24))
         assert result.samples.shape == (25, 1)
         assert np.isfinite(result.samples).all()
 
@@ -182,8 +179,7 @@ class TestRwm:
         # three-bin discretization of N(0,1): long-run occupancy within
         # total-variation 0.05 of the true cell probabilities
         g = make_gaussian([0.0], 1.0)
-        cfg = RwmConfig(steps=1, n_samples=100_000, mode="serial")
-        result = rwm_run(g, cfg, make_rng(25))
+        result = rwm_run(g, 1, 100_000, "serial", make_rng(25))
         states = result.samples[:, 0]
         edges = [-1.0, 1.0]
         counts = np.array([
@@ -196,30 +192,29 @@ class TestRwm:
         ])
         assert 0.5 * np.abs(counts - truth).sum() < 0.05
 
-    def test_acceptance_counts_are_exact(self):
+    def test_acceptance_counts_are_exact(self, monkeypatch):
         # a proposal so large every move is rejected from far out in the tail
         g = make_gaussian([0.0], 0.01)
-        cfg = RwmConfig(
-            steps=100, n_samples=10, mode="serial", proposal_std=1000.0, tune_rounds=1,
-            tune_batch=50,
-        )
+        monkeypatch.setattr(baselines, "PROPOSAL_STD", 1000.0)
+        monkeypatch.setattr(baselines, "TUNE_ROUNDS", 1)
+        monkeypatch.setattr(baselines, "TUNE_BATCH", 50)
         with pytest.warns(RuntimeWarning, match="tuning"):
-            result = rwm_run(g, cfg, make_rng(26))
+            result = rwm_run(g, 100, 10, "serial", make_rng(26))
         assert 0.0 <= result.measure_acceptance < 0.05
 
     @pytest.mark.parametrize("name", ["donut", "funnel:20"])
     def test_parallel_equals_sequential_chains(self, name):
-        cfg = RwmConfig(steps=50, n_samples=200)
-        result = assert_equals_sequential(target_by_name(name), cfg, 27)
+        result = assert_equals_sequential(target_by_name(name), 50, 200, 27)
         assert result.tuned
 
-    def test_parallel_equals_sequential_chains_when_rejecting(self):
+    def test_parallel_equals_sequential_chains_when_rejecting(self, monkeypatch):
         # every chain starts far out in the tail of N(0, 0.01^2) and a
         # std-1000 proposal almost never lands back in it
         g = target_by_name("gaussian:0,0.01")
-        cfg = RwmConfig(steps=50, n_samples=200, proposal_std=1000.0, tune_rounds=1)
+        monkeypatch.setattr(baselines, "PROPOSAL_STD", 1000.0)
+        monkeypatch.setattr(baselines, "TUNE_ROUNDS", 1)
         with pytest.warns(RuntimeWarning, match="tuning"):
-            result = assert_equals_sequential(g, cfg, 28)
+            result = assert_equals_sequential(g, 50, 200, 28)
         assert result.measure_acceptance < 0.05
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -230,7 +225,7 @@ class TestRwm:
         half = dataclasses.replace(
             g, log_ratio=lambda x: np.where(x[:, 0] < 0, -np.inf, g.log_ratio(x))
         )
-        result = assert_equals_sequential(half, RwmConfig(steps=30, n_samples=100), 29)
+        result = assert_equals_sequential(half, 30, 100, 29)
         assert (result.samples[:, 0] >= 0).mean() > 0.9
 
     def test_parallel_measurement_batches_all_chains(self):
@@ -242,16 +237,15 @@ class TestRwm:
             return donut.log_ratio(x)
 
         J, N = 30, 20
-        cfg = RwmConfig(steps=N, n_samples=J)
-        result = rwm_run(dataclasses.replace(donut, log_ratio=log_ratio), cfg, make_rng(30))
-        tune_calls = result.tune_rounds_used * (cfg.tune_batch + 1)
+        result = rwm_run(dataclasses.replace(donut, log_ratio=log_ratio), N, J, "parallel",
+                         make_rng(30))
+        tune_calls = result.tune_rounds_used * (baselines.TUNE_BATCH + 1)
         assert shapes[:tune_calls] == [(1, 2)] * tune_calls
         assert shapes[tune_calls:] == [(J, 2)] * (N + 1)
 
     def test_config_validation(self):
+        g = make_gaussian([0.0], 1.0)
         with pytest.raises(ValueError):
-            RwmConfig(steps=10, n_samples=5, mode="diagonal")
+            rwm_run(g, 10, 5, "diagonal", make_rng(31))
         with pytest.raises(ValueError):
-            RwmConfig(steps=10, n_samples=5, proposal_std=0.0)
-        with pytest.raises(ValueError):
-            RwmConfig(steps=0, n_samples=5)
+            rwm_run(g, 0, 5, "parallel", make_rng(31))

@@ -1,5 +1,8 @@
 """``tools/bench.py``, the command that records and compares benchmark runs."""
 
+import contextlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +27,45 @@ def test_base_that_git_cannot_resolve_exits_2_with_one_line(tmp_path):
     assert "no-such-revision" in proc.stderr
     assert not any(tmp_path.iterdir())
     assert _worktrees() == before
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root: Path) -> Path:
+    # a checkout with stale bytecode under src and perfbench
+    for sub in ("src/kfrflow/__pycache__", "perfbench/__pycache__"):
+        (root / sub).mkdir(parents=True)
+        (root / sub / "stale.cpython-311.pyc").write_bytes(b"")
+    return root
+
+
+def test_compare_runs_both_sides_without_bytecode(tmp_path, monkeypatch, capsys):
+    bench = _load_bench()
+    base, head = _tree(tmp_path / "base"), _tree(tmp_path / "head")
+    runs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        tree = Path(cwd).resolve()
+        runs.append((tree, env.get("PYTHONDONTWRITEBYTECODE"),
+                     sorted(str(p) for p in tree.rglob("__pycache__"))))
+        result = {"metrics": {"run_s": {"value": 1.0 + len(runs), "unit": "s"}},
+                  "failed": 0, "correct": True}
+        return subprocess.CompletedProcess(cmd, 0, f"provenance {{}}\n{json.dumps(result)}\n", "")
+
+    @contextlib.contextmanager
+    def fake_worktree(rev):
+        yield base
+
+    monkeypatch.chdir(head)
+    monkeypatch.setattr(bench, "worktree", fake_worktree)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.compare("HEAD", "0" * 40, ["w"]) == 0
+    assert {tree for tree, _, _ in runs} == {base.resolve(), head.resolve()}
+    assert len(runs) == 2 * bench.PAIRS
+    assert all(flag == "1" and caches == [] for _, flag, caches in runs)
+    assert "lower in" in capsys.readouterr().out

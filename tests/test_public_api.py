@@ -52,7 +52,28 @@ def test_import_leaves_scipy_out():
         "import sys, kfrflow, kfrflow.cli, kfrflow.harness; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
+    assert _run_python(code) == "[]"
+
+
+def test_default_run_loads_nothing_it_does_not_use():
+    # the thread pool (which loads logging) serves KFRFLOW_WORKERS > 1 only
+    # and the INI parser a config file only; every run's set-up paid for both
+    code = (
+        "import sys, kfrflow\n"
+        "cfg = kfrflow.parse_config(overrides=dict(target='donut', sampler='kfrflow-i', "
+        "J=20, N=2, trials=2))\n"
+        "kfrflow.run_experiment(cfg)\n"
+        "print(sorted(m for m in ('concurrent.futures', 'configparser', 'logging', 'scipy') "
+        "if m in sys.modules))"
+    )
+    assert _run_python(code) == "[]"
+
+
+def _run_python(code: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter on this kfrflow,
+    trials sequential."""
     src = str(Path(kfrflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("KFRFLOW_WORKERS", None)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()

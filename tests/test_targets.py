@@ -23,7 +23,7 @@ def log_target_density(target):
     """Unnormalized log pi_1 = log pi_0 + log ratio (reference is N(0, I))."""
 
     def lt(x):
-        return -0.5 * float(np.sum(np.asarray(x) ** 2)) + target.log_ratio(x)
+        return -0.5 * float(np.sum(np.asarray(x) ** 2)) + target.log_ratio(x[None])[0]
 
     return lt
 
@@ -31,20 +31,20 @@ def log_target_density(target):
 class TestBayesian2d:
     def test_donut_on_the_ring(self):
         donut = make_bayesian_2d("donut")
-        assert donut.log_ratio(np.array([2.0, 0.0])) == 0.0
+        assert donut.log_ratio(np.array([[2.0, 0.0]]))[0] == 0.0
 
     def test_donut_at_origin(self):
         donut = make_bayesian_2d("donut")
-        assert donut.log_ratio(np.array([0.0, 0.0])) == pytest.approx(-64.0, rel=1e-13)
+        assert donut.log_ratio(np.array([[0.0, 0.0]]))[0] == pytest.approx(-64.0, rel=1e-13)
 
     def test_butterfly_at_origin(self):
         bf = make_bayesian_2d("butterfly")
         # G(0,0) = 1, exponent -(1/0.36) * (-2)^2
-        assert bf.log_ratio(np.zeros(2)) == pytest.approx(-4.0 / 0.36, rel=1e-13)
+        assert bf.log_ratio(np.zeros((1, 2)))[0] == pytest.approx(-4.0 / 0.36, rel=1e-13)
 
     def test_spaceships_at_origin(self):
         sp = make_bayesian_2d("spaceships")
-        assert sp.log_ratio(np.zeros(2)) == pytest.approx(-16.0, rel=1e-13)
+        assert sp.log_ratio(np.zeros((1, 2)))[0] == pytest.approx(-16.0, rel=1e-13)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -58,21 +58,21 @@ class TestBayesian2d:
         for _ in range(10):
             x = rng.standard_normal(2)
             fd = central_diff_grad(lt, x)
-            assert rel_err(target.score_target(x), fd) < 1e-5
+            assert rel_err(target.score_target(x[None])[0], fd) < 1e-5
 
 
 class TestFunnel:
     def test_log_ratio_at_origin(self):
         for d in (2, 5, 20):
             f = make_funnel(d)
-            assert f.log_ratio(np.zeros(d)) == pytest.approx(-math.log(3.0), rel=1e-13)
+            assert f.log_ratio(np.zeros((1, d)))[0] == pytest.approx(-math.log(3.0), rel=1e-13)
 
     def test_score_at_origin(self):
         d = 7
         f = make_funnel(d)
         expected = np.zeros(d)
         expected[0] = -(d - 1) / 2.0
-        assert np.allclose(f.score_target(np.zeros(d)), expected, atol=1e-14)
+        assert np.allclose(f.score_target(np.zeros((1, d)))[0], expected, atol=1e-14)
 
     def test_scores_match_finite_differences(self):
         f = make_funnel(6)
@@ -80,7 +80,7 @@ class TestFunnel:
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = rng.standard_normal(6)
-            assert rel_err(f.score_target(x), central_diff_grad(lt, x)) < 1e-5
+            assert rel_err(f.score_target(x[None])[0], central_diff_grad(lt, x)) < 1e-5
 
     def test_too_small_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestGaussian:
     def test_frozen_value_1d(self):
         # log 2 - 1.5
         g = make_gaussian([0.0], 0.5)
-        assert g.log_ratio(np.array([1.0])) == pytest.approx(
+        assert g.log_ratio(np.array([[1.0]]))[0] == pytest.approx(
             -0.8068528194400547, rel=1e-14
         )
 
@@ -142,7 +142,7 @@ class TestGaussian:
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = rng.standard_normal(2)
-            assert rel_err(g.score_target(x), central_diff_grad(lt, x)) < 1e-5
+            assert rel_err(g.score_target(x[None])[0], central_diff_grad(lt, x)) < 1e-5
 
     def test_ratio_normalization_by_quadrature(self):
         # exp(log_ratio) * pi_0 integrates to 1 when both densities are normalized
@@ -150,7 +150,7 @@ class TestGaussian:
 
         def integrand(x):
             x = np.array([x])
-            return math.exp(g.log_ratio(x)) * math.exp(-0.5 * x[0] ** 2) / math.sqrt(2 * math.pi)
+            return math.exp(g.log_ratio(x[None])[0]) * math.exp(-0.5 * x[0] ** 2) / math.sqrt(2 * math.pi)
 
         val, _ = quad(integrand, -12, 12, limit=200)
         assert val == pytest.approx(1.0, abs=1e-6)
@@ -172,7 +172,7 @@ class TestReferenceSampler:
     def test_reference_score(self):
         target = make_funnel(4)
         x = np.array([0.3, -1.2, 0.0, 2.0])
-        assert np.array_equal(target.score_reference(x), -x)
+        assert np.array_equal(target.score_reference(x[None])[0], -x)
 
 
 class TestTargetByName:
@@ -185,7 +185,7 @@ class TestTargetByName:
     def test_gaussian_parsing(self):
         g = target_by_name("gaussian:1;0,0.5")
         assert g.dim == 2
-        assert g.log_ratio(np.array([1.0, 0.0])) == pytest.approx(
+        assert g.log_ratio(np.array([[1.0, 0.0]]))[0] == pytest.approx(
             math.log(4.0) + 0.5, rel=1e-12
         )
         g1 = target_by_name("gaussian:0,1")

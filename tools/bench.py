@@ -27,6 +27,11 @@ one on REV's tree and one on this checkout, with the same seed and in
 alternating order.  Per workload and metric it prints both medians and
 IQRs, the change of the median, and in how many pairs this checkout was
 lower.
+
+Every perfbench run, in either mode, runs as the benchmark runs a fresh
+checkout: with no bytecode cache under ``src`` or ``perfbench`` (the tool
+removes this checkout's) and with ``PYTHONDONTWRITEBYTECODE=1``.  A stale
+cache on one side only moved ``peak_rss_mb`` by 0.2-0.3 MB.
 """
 
 from __future__ import annotations
@@ -66,11 +71,15 @@ def quartiles(values: list) -> dict:
 
 def perfbench(workload: str, seed: int, seconds: int, tree: Path = Path(".")) -> tuple:
     """One ``perfbench/run.py --trace 0`` run in the checkout ``tree``: its
-    JSON result and provenance."""
+    JSON result and provenance.  The tree's bytecode caches go first, and
+    none is written (see the module docstring)."""
+    for cache in [*(tree / "src").rglob("__pycache__"), *(tree / "perfbench").rglob("__pycache__")]:
+        shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     provenance = next(json.loads(line.removeprefix("provenance "))
                       for line in lines if line.startswith("provenance "))
