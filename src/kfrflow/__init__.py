@@ -24,7 +24,7 @@ from .harness import (
     write_selection_csv,
     write_sidecar,
 )
-from .integrators import Schedule, make_rng, run_unit_time
+from .integrators import make_rng, run_unit_time
 from .kernels import KernelSpec, build_workspace, kernel_matrix, median_bandwidth
 from .particles import Ensemble
 from .targets import make_funnel, make_gaussian, target_by_name
@@ -32,7 +32,7 @@ from .targets import make_funnel, make_gaussian, target_by_name
 __all__ = [
     "__version__",
     "CapabilityError", "Ensemble", "KernelSpec", "KsdConfig",
-    "NumericalStabilityError", "RunConfig", "Schedule",
+    "NumericalStabilityError", "RunConfig",
     "bench_step", "build_workspace", "kernel_matrix", "kfrflow_i_step", "ksd",
     "make_funnel", "make_gaussian", "make_rng", "median_bandwidth",
     "parse_config", "parse_grid", "run_experiment", "run_unit_time", "sweep",

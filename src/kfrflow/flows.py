@@ -22,9 +22,11 @@ Every rule takes an optional trailing ``pool``, the trial's buffer pool of
 :mod:`kfrflow.kernels`: the workspace, the solve and the row strips of the
 gradient scale s then live in its buffers, and the result (a new ensemble,
 velocity or drift) never does.  A Newton step's first iterate is the
-KFRFlow-I map, and later ones allocate their own arrays; each applies the
-gradient basis once: its displaced points are the next Jacobian's, and the
-last ones, or the best where the iteration diverges, the result.
+KFRFlow-I map, and later ones allocate their own arrays, but for the
+Jacobian's D of the centres (from d = 3 on), which is written over the
+spent M in the pool's ``"D"``; each iterate applies the gradient basis
+once: its displaced points are the next Jacobian's, and the last ones, or
+the best where the iteration diverges, the result.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def sample_ot_newton(
     if iters == 1:
         return Ensemble(y, ensemble.t + dt)
 
-    jacobian = _grad_jacobian(x, ws.Kmat, ws.h, ws.s)
+    jacobian = _grad_jacobian(x, ws.Kmat, ws.h, ws.s, pool)
     norm = float(np.linalg.norm(resid))
     best_y, best_norm, grew = x, norm, 0
     for it in range(1, iters + 1):

@@ -15,11 +15,11 @@ Results serialize to one CSV per run plus a JSON sidecar echoing the resolved
 config.  ``KFRFLOW_WORKERS=n`` in the environment, an integer n >= 1, runs
 trials on n threads; the output is identical to a sequential run.
 
-Each kfrflow and SVGD trial creates one buffer pool (:mod:`kfrflow.kernels`)
-that its steps and its KSD observations share, so no step allocates its
-J x J arrays again; trials never share a pool.  ULA trials create one for
-their KSD observations only, and RWM trials none.  ULA, like KFRD, draws
-each step's noise in one call on the trial's generator.
+Every trial creates one buffer pool (:mod:`kfrflow.kernels`) that its
+steps and its KSD observations share, so no step allocates its J x J arrays
+again; trials never share a pool.  The ULA and RWM steps hold no J x J
+array, so there only the observations use it.  ULA, like KFRD, draws each
+step's noise in one call on the trial's generator.
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ from .config import _RUN_KEYS, _SWEEP_KEYS, RunConfig, UNIT_TIME_SAMPLERS, parse
 from .diagnostics import ksd, stein_discrepancies  # noqa: F401
 from .errors import NumericalStabilityError
 from .flows import kfrd_drift, kfrflow_i_step, kfrflow_velocity, sample_ot_newton
-from .integrators import (
-    Schedule,
-    make_rng,
-    run_unit_time,
-    sde_stepper,
-    velocity_stepper,
-)
+from .integrators import make_rng, run_unit_time, sde_stepper, velocity_stepper
 from .kernels import _BufferPool
 from .particles import Ensemble
 
@@ -73,7 +67,7 @@ class RunRecord:
         return self.summary[-1]["ksd_target"] if self.summary else float("nan")
 
 
-def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered, pool=None):
+def _row(trial, step, t, positions, step_ns, ksd_cfg, target, tempered, pool=None):
     ksd_target = ksd_temp = float("nan")
     if target.score_target is not None:
         # one Stein pass scores both; pi_t's score reuses the target score
@@ -85,8 +79,9 @@ def _row(dim, trial, step, t, positions, step_ns, ksd_cfg, target, tempered, poo
         ksd_temp = rest[0] if rest else ksd_temp
         if not math.isfinite(ksd_target):
             raise NumericalStabilityError("non-finite KSD", step=step)
+    J, dim = positions.shape
     mean = positions.mean(axis=0)
-    var = positions.var(axis=0, ddof=1) if positions.shape[0] > 1 else np.zeros(dim)
+    var = positions.var(axis=0, ddof=1) if J > 1 else np.zeros(dim)
     row = {
         "schema_version": SCHEMA_VERSION,
         "trial": trial,
@@ -135,15 +130,12 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     x0 = target.sample_reference(rng, config.J)
     obs_steps = set(range(0, config.N + 1, config.observe_every)) | {0, config.N}
     tempered = base in UNIT_TIME_SAMPLERS
-    # the kfrflow and SVGD steps work in the pool, and ULA observes in it;
-    # RWM keeps fresh arrays (a pool held across rwm_run raised its peak)
-    pool = None if base.startswith("rwm-") else _BufferPool()
+    pool = _BufferPool()
     rows = []
 
     def observe(k, t, positions, step_ns):
         if k in obs_steps:
-            rows.append(_row(target.dim, trial, k, t, positions, step_ns,
-                             ksd_cfg, target, tempered, pool))
+            rows.append(_row(trial, k, t, positions, step_ns, ksd_cfg, target, tempered, pool))
 
     try:
         if base.startswith("rwm-"):
@@ -156,7 +148,7 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
             run_unit_time(
                 Ensemble(x0, 0.0),
                 _make_stepper(base, iters, config, target, spec, rng, pool),
-                Schedule(config.N), [lambda k, t, ens, ns: observe(k, t, ens.positions, ns)],
+                config.N, [lambda k, t, ens, ns: observe(k, t, ens.positions, ns)],
                 total_time=config.T,
             )
     except NumericalStabilityError:
@@ -220,13 +212,17 @@ def _format(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_record_csv(record: RunRecord, path: str) -> None:
-    """Rows then summary rows (trial column -1), in (trial, step) order."""
-    cols = _columns(record.dim)
+def _write_csv(path: str, cols: list, rows: list) -> None:
+    """A header of ``cols``, then one line per row dict; a missing value is nan."""
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in record.rows + record.summary:
+        for row in rows:
             fh.write(",".join(_format(row.get(c, float("nan"))) for c in cols) + "\n")
+
+
+def write_record_csv(record: RunRecord, path: str) -> None:
+    """Rows then summary rows (trial column -1), in (trial, step) order."""
+    _write_csv(path, _columns(record.dim), record.rows + record.summary)
 
 
 def write_sidecar(record: RunRecord, path: str) -> None:
@@ -291,11 +287,7 @@ def sweep(config: RunConfig, grid: dict) -> SweepResult:
 
 
 def write_selection_csv(result: SweepResult, path: str) -> None:
-    cols = [*_SWEEP_KEYS, "final_ksd", "unstable_trials"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for entry in result.selection:
-            fh.write(",".join(_format(entry[c]) for c in cols) + "\n")
+    _write_csv(path, [*_SWEEP_KEYS, "final_ksd", "unstable_trials"], result.selection)
 
 
 @dataclass

@@ -24,17 +24,6 @@ from .particles import Ensemble
 AB4_COEFFS = (55.0, -59.0, 37.0, -9.0)  # divided by 24
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Uniform grid of N steps over [0, 1] (or [0, T] when a driver rescales)."""
-
-    n_steps: int
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) with a platform-stable stream.
 
@@ -105,11 +94,11 @@ class RunTrace:
 def run_unit_time(
     initial: Ensemble,
     stepper: Callable,
-    schedule: Schedule,
+    n_steps: int,
     observers: Sequence[Callable] = (),
     total_time: float = 1.0,
 ) -> RunTrace:
-    """Apply N steps and invoke observers at every grid time, 0 and T included.
+    """Apply ``n_steps`` steps and invoke observers at every grid time, 0 and T included.
 
     ``stepper`` is any callable ``step(ensemble) -> Ensemble``; the result is
     placed at the grid time.  Observers are called as
@@ -120,14 +109,15 @@ def run_unit_time(
     attached; rows already collected by the observers survive.  Every other
     error propagates unchanged.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if abs(initial.t) > 1e-12:
         raise ValueError(f"initial ensemble must start at t=0, got t={initial.t}")
-    n = schedule.n_steps
     ens = initial
     for obs in observers:
         obs(0, 0.0, ens, 0)
-    for k in range(n):
-        t_next = (k + 1) * total_time / n
+    for k in range(n_steps):
+        t_next = (k + 1) * total_time / n_steps
         tic = time.perf_counter_ns()
         try:
             ens = Ensemble(stepper(ens).positions, t_next)

@@ -40,7 +40,9 @@ holds four named buffers and nothing else: below ``_DISTANCE_GRAM_MIN_DIM``
 J x J arrays:
 
 * ``"D"``: the squared distances of the pair pass, then the coupling matrix
-  M, which is formed over them once q is (at every d);
+  M, which is formed over them once q is (at every d), and in a Newton step
+  from ``_DISTANCE_GRAM_MIN_DIM`` on the Jacobian's D of the centres, which
+  is written over M once the first iterate has spent it;
 * ``"q"``: the kernel matrix; below ``_DISTANCE_GRAM_MIN_DIM`` its head
   holds the pair pass's scratch, at most two row strips of ``_PAIR_BLOCK``
   pairs (512 KB while J <= 2^15), which is dead before q is written;
@@ -404,7 +406,7 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
     return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
 
 
-def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s):
+def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s, pool=None):
     """``jac(y, qy, Dy)``: the transport Newton Jacobian (1/J) sum_i
     grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) at displaced points y, a fresh
     J x J array, for q from ``_pair_kernel(x, x, h)``, s its whole gradient
@@ -413,9 +415,10 @@ def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s):
     What depends on the centres x alone is formed here, once per Newton
     step: below ``_DISTANCE_GRAM_MIN_DIM`` the gradient blocks of x (and s
     for them, where the step keeps it in strips), and jac multiplies them by
-    those of y; from it on D = ``_pair_sq_product(x)``, and with n_i =
-    ||y_i - x_i||^2, jac = (sy^T ((Dy - n 1^T) o s) + (D o sy)^T s -
-    D o (sy^T s)) / (2J)."""
+    those of y; from it on D = ``_pair_sq_product(x, pool)``, made in the
+    pool's ``"D"`` and ``"G"`` once the caller has spent its M and factor,
+    and with n_i = ||y_i - x_i||^2, jac = (sy^T ((Dy - n 1^T) o s) +
+    (D o sy)^T s - D o (sy^T s)) / (2J)."""
     J, d = x.shape
     if s is None:
         s = _grad_scale(q, h)
@@ -426,7 +429,7 @@ def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s):
             out = np.matmul(_grad_blocks(y, x, _grad_scale(qy, h)).reshape(d * J, J).T, Gr)
             return np.divide(out, J, out=out)
         return jac
-    D = _pair_sq_product(x)
+    D = _pair_sq_product(x, pool)
 
     def jac(y, qy, Dy):
         sy = _grad_scale(qy, h)

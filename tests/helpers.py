@@ -7,7 +7,7 @@ import numpy as np
 from kfrflow import baselines, harness
 from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain, svgd_step
 from kfrflow.diagnostics import KsdConfig
-from kfrflow.flows import kfrflow_i_step, kfrflow_velocity
+from kfrflow.flows import kfrflow_i_step, kfrflow_velocity, sample_ot_newton
 from kfrflow.integrators import make_rng
 from kfrflow.kernels import KernelSpec, _BufferPool, median_bandwidth
 from kfrflow.particles import Ensemble
@@ -244,20 +244,28 @@ POOLED_STEPS = {
     + 0.01 * kfrflow_velocity(e, tgt, spec, 1e-3, pool=pool),
     "svgd": lambda e, tgt, spec, pool: svgd_step(e, tgt, spec, 0.01, pool).positions,
 }
+# a Newton step's later iterates allocate their own J x J arrays, so it is
+# measured apart from the steps that a warm pool holds entirely
+NEWTON_STEP = {
+    "newton:3": lambda e, tgt, spec, pool: sample_ot_newton(
+        e, tgt, spec, 0.01, 1e-3, iters=3, pool=pool
+    ).positions,
+}
 
 
 def pooled_step_peak(target, rule, J, seed=34):
-    """The ``tracemalloc`` peak of one update ``POOLED_STEPS[rule]`` in a
-    fresh buffer pool plus the harness observation of its result in the same
-    pool, in units of one J x J float64 array."""
+    """The ``tracemalloc`` peak of one update ``POOLED_STEPS[rule]`` (or
+    ``NEWTON_STEP[rule]``) in a fresh buffer pool plus the harness
+    observation of its result in the same pool, in units of one J x J
+    float64 array."""
     tgt = target_by_name(target)
     spec = KernelSpec()
     ens = Ensemble(tgt.sample_reference(make_rng(seed), J), 0.0)
     pool = _BufferPool()
     tracemalloc.start()
     try:
-        out = POOLED_STEPS[rule](ens, tgt, spec, pool)
-        harness._row(tgt.dim, 0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
+        out = {**POOLED_STEPS, **NEWTON_STEP}[rule](ens, tgt, spec, pool)
+        harness._row(0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,7 +22,6 @@ from kfrflow.flows import (
 )
 from kfrflow.harness import bench_step
 from kfrflow.integrators import (
-    Schedule,
     make_rng,
     run_unit_time,
     sde_stepper,
@@ -154,7 +153,7 @@ class TestCriterion3GaussianTransport:
             stepper = velocity_stepper(
                 lambda e: kfrflow_velocity(e, target, spec, lam), 1.0 / n, "euler"
             )
-            run_unit_time(ens, stepper, Schedule(n), [obs])
+            run_unit_time(ens, stepper, n, [obs])
             return (
                 grabbed[100].mean(axis=0),
                 grabbed[100].var(axis=0, ddof=1),
@@ -274,7 +273,7 @@ class TestCriterion7Kfrd:
             stepper = sde_stepper(
                 lambda en: kfrd_drift(en, donut, spec, lam, 0.0, en.t), 1.0 / n, rng
             )
-            return run_unit_time(ens, stepper, Schedule(n)).final.positions
+            return run_unit_time(ens, stepper, n).final.positions
 
         def run_euler():
             rng = make_rng(17)
@@ -282,7 +281,7 @@ class TestCriterion7Kfrd:
             stepper = velocity_stepper(
                 lambda e: kfrflow_velocity(e, donut, spec, lam), 1.0 / n, "euler"
             )
-            return run_unit_time(ens, stepper, Schedule(n)).final.positions
+            return run_unit_time(ens, stepper, n).final.positions
 
         bitwise = np.array_equal(run_kfrd(), run_euler())
 
@@ -296,7 +295,7 @@ class TestCriterion7Kfrd:
             stepper = sde_stepper(
                 lambda en: kfrd_drift(en, funnel, spec, 0.001, 5.0, en.t), 0.01, rng
             )
-            trace = run_unit_time(ens, stepper, Schedule(100))
+            trace = run_unit_time(ens, stepper, 100)
             final = trace.final.positions
             return np.isfinite(final).all() and np.isfinite(
                 ksd(final, funnel.score_target, ksd_cfg)
@@ -402,7 +401,7 @@ class TestCriterion10Ab4VersusEuler:
             stepper = velocity_stepper(
                 lambda e: kfrflow_velocity(e, butterfly, spec, lam), 1.0 / n, method
             )
-            trace = run_unit_time(ens, stepper, Schedule(n))
+            trace = run_unit_time(ens, stepper, n)
             return method, ksd(trace.final.positions, butterfly.score_target, ksd_cfg)
 
         jobs = [(m, t) for m in ("euler", "ab4") for t in range(30)]

@@ -93,6 +93,16 @@ class TestSvgd:
             svgd_step(Ensemble(np.zeros((2, 1)), 0.0), bare, KernelSpec(), 0.1)
 
 
+@pytest.mark.parametrize("step", [
+    lambda e, g: svgd_step(e, g, KernelSpec(), 0.0),
+    lambda e, g: ula_step(e, g, 0.0, OnesRng()),
+], ids=["svgd", "ula"])
+def test_zero_step_size_rejected(step):
+    e = Ensemble(np.zeros((2, 1)), 0.0)
+    with pytest.raises(ValueError, match="^step_size must be > 0, got 0.0$"):
+        step(e, make_gaussian([0.0], 1.0))
+
+
 class TestUla:
     def test_fixed_noise_formula(self):
         g = make_gaussian([0.0], 1.0)

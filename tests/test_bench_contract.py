@@ -77,7 +77,7 @@ def test_record_and_trace_fields_read_by_the_runner():
     assert record.rows and record.summary and record.dim == 2
     assert record.config.target == "donut"
     ens = kfrflow.Ensemble(np.zeros((2, 1)), 0.0)
-    trace = kfrflow.run_unit_time(ens, lambda e: e, kfrflow.Schedule(2))
+    trace = kfrflow.run_unit_time(ens, lambda e: e, 2)
     assert trace.final.t == 1.0
 
 

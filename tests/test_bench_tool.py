@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -69,3 +71,36 @@ def test_compare_runs_both_sides_without_bytecode(tmp_path, monkeypatch, capsys)
     assert len(runs) == 2 * bench.PAIRS
     assert all(flag == "1" and caches == [] for _, flag, caches in runs)
     assert "lower in" in capsys.readouterr().out
+
+
+# base runs alternate between two values; the head side reads one value
+@pytest.mark.parametrize("base, head, unresolved", [
+    ((1.0, 2.0), 1.5, True),  # base IQR 1 > 0.25 * median 1.5
+    ((1.0, 2.0), 0.9, False),  # as wide, but every head run is lower
+    ((1.0, 1.01), 1.2, False),  # base IQR 0.01 < 0.25 * median 1.005
+], ids=["wide", "wide-all-lower", "narrow"])
+def test_compare_marks_a_base_spread_wider_than_the_bound(
+        tmp_path, monkeypatch, capsys, base, head, unresolved):
+    bench = _load_bench()
+    base_tree, head_tree = tmp_path / "base", tmp_path / "head"
+    base_tree.mkdir(), head_tree.mkdir()
+    served = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        is_base = Path(cwd).resolve() == base_tree.resolve()
+        served.append(is_base)
+        value = base[sum(served) % 2] if is_base else head
+        result = {"metrics": {"run_s": {"value": value, "unit": "s"}},
+                  "failed": 0, "correct": True}
+        return subprocess.CompletedProcess(cmd, 0, f"provenance {{}}\n{json.dumps(result)}\n", "")
+
+    @contextlib.contextmanager
+    def fake_worktree(rev):
+        yield base_tree
+
+    monkeypatch.chdir(head_tree)
+    monkeypatch.setattr(bench, "worktree", fake_worktree)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.compare("HEAD", "0" * 40, ["w"]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("  run_s"))
+    assert line.endswith("unresolved") == unresolved, line

@@ -79,7 +79,7 @@ def test_warm_step_allocates_less_than_one_jxj_array(target, rule):
 
     def step_and_observe():
         out = POOLED_STEPS[rule](ens, tgt, spec, pool)
-        harness._row(tgt.dim, 0, 1, 0.01, out, 0, ksd_cfg, tgt, True, pool)
+        harness._row(0, 1, 0.01, out, 0, ksd_cfg, tgt, True, pool)
         return out
 
     step_and_observe()  # the first step fills the pool
@@ -113,6 +113,29 @@ def test_cold_step_and_observation_peak_at_two_and_a_half_jxj_arrays_below_d3(ta
     assert peak <= 2.8, peak
 
 
+# the Newton Jacobian's D of the centres is written over the spent M in
+# "D" (12.05 J x J when it was a fresh array, 11.05 in "D")
+def test_cold_newton_step_and_observation_peak_from_d3():
+    peak = pooled_step_peak("funnel:20", "newton:3", 1000)
+    assert peak <= 11.3, peak
+
+
+@pytest.mark.parametrize("sampler", ["rwm-parallel", "rwm-serial", "ula", "svgd", "kfrflow-i"])
+def test_every_trial_creates_one_pool(monkeypatch, sampler):
+    pools = []
+
+    class CountedPool(_BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    monkeypatch.setattr(harness, "_BufferPool", CountedPool)
+    cfg = RunConfig(target="donut", sampler=sampler, J=20, N=4, T=1.0, seed=36, trials=2)
+    harness.run_experiment(cfg)
+    assert len(pools) == 2
+    assert all(pool._flat for pool in pools)  # the observations used it
+
+
 def documented_buffers():
     """The buffer names that the bullet list of the kernels docstring gives."""
     bullets = [line for line in kernels.__doc__.splitlines() if line.startswith("* ")]
@@ -125,5 +148,5 @@ def test_pool_holds_the_documented_buffers(target):
     pool = _BufferPool()
     ens = Ensemble(tgt.sample_reference(make_rng(35), 40), 0.0)
     out = POOLED_STEPS["kfrflow-i"](ens, tgt, KernelSpec(), pool)
-    harness._row(tgt.dim, 0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
+    harness._row(0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
     assert set(pool._flat) == documented_buffers()

@@ -72,6 +72,11 @@ class TestRunConfig:
         cfg = RunConfig(target="donut", sampler="ula", J=10, N=10, T=5.0)
         assert cfg.dt == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_non_positive_T_rejected(self, T):
+        with pytest.raises(ValueError, match=f"^T must be > 0, got {T}$"):
+            RunConfig(target="donut", sampler="ula", J=10, N=10, T=T)
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             RunConfig(target="donut", sampler="kfrflow-i", J=0, N=10)
@@ -118,6 +123,22 @@ class TestIniParsing:
         path.write_text("[run]\ntarget = donut\nsampler = ula\nJ = 5\nN = 5\nfoo = 1\n")
         with pytest.raises(ValueError, match="run.foo"):
             parse_config(str(path))
+
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "absent.ini"
+        with pytest.raises(FileNotFoundError, match=f"^config file not found: {path}$"):
+            parse_config(str(path))
+
+    def test_unknown_override_key(self):
+        run = {"target": "donut", "sampler": "ula", "J": 5, "N": 5}
+        with pytest.raises(ValueError, match="^foo: unknown key$"):
+            parse_config(None, {**run, "foo": 1})
+
+    def test_unknown_sweep_key_in_file(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[run]\ntarget = donut\nsampler = ula\nJ = 5\nN = 5\n[sweep]\nQ = 1\n")
+        with pytest.raises(ValueError, match="^sweep.Q: unknown key$"):
+            parse_grid(str(path))
 
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -507,6 +528,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown sweep"):
             sweep(cfg, {"Q": [1]})
 
+    def test_empty_grid_values_rejected(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg: calls.append(cfg))
+        cfg = RunConfig(target="donut", sampler="kfrflow-i", J=5, N=2, trials=1)
+        with pytest.raises(ValueError, match="^sweep.J: empty grid$"):
+            sweep(cfg, {"lambda": [0.1], "J": []})
+        assert calls == []
+
     def test_reduced_grid_completes_quickly(self):
         import time
 
@@ -698,6 +727,27 @@ class TestCli:
             assert main(["ksd", "--samples", str(path), "--target", "donut"]) == 0
             vals.append(float(capsys.readouterr().out.strip()))
         assert vals[0] == vals[1]
+
+    def test_run_subcommand_exits_1_and_names_unstable_trials(self, tmp_path, capsys):
+        # the config of TestRunExperiment.test_unstable_trial_flagged_and_excluded,
+        # whose unregularized solve falls back to a larger lambda once
+        with pytest.warns(RuntimeWarning, match="coupling-matrix solve failed"):
+            code = main([
+                "run", "--target", "gaussian:50,0.02", "--sampler", "kfrflow-euler",
+                "--J", "8", "--N", "6", "--lambda", "0", "--seed", "2", "--trials", "2",
+                "--observe_every", "1", "--out", str(tmp_path),
+            ])
+        assert code == 1
+        sidecar = next(tmp_path.glob("*.json"))
+        unstable = json.loads(sidecar.read_text())["unstable_trials"]
+        assert unstable
+        assert capsys.readouterr().err == f"unstable trials: {unstable}\n"
+
+    def test_ksd_subcommand_rejects_samples_of_the_wrong_width(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.zeros((4, 3)), delimiter=",")
+        with pytest.raises(SystemExit, match="^samples have d=3 but target 'donut' has d=2$"):
+            main(["ksd", "--samples", str(path), "--target", "donut"])
 
     def test_bench_subcommand(self, capsys):
         code = main([

@@ -230,7 +230,7 @@ def bare_target(dim):
 def row_moments(x):
     """The mean and variance columns that the harness writes for ``x``."""
     d = x.shape[1]
-    row = _row(d, 0, 0, 0.0, x, 0, KsdConfig(), bare_target(d), False)
+    row = _row(0, 0, 0.0, x, 0, KsdConfig(), bare_target(d), False)
     return (np.array([row[f"mean_{a + 1}"] for a in range(d)]),
             np.array([row[f"var_{a + 1}"] for a in range(d)]))
 
@@ -295,7 +295,7 @@ class TestTemperedTrace:
         # a harness row scores the ensemble against pi_t at the row's time
         g = make_gaussian(np.zeros(1), 1.5)
         e = Ensemble(np.array([[0.1], [0.4]]), 0.25)
-        row = _row(1, 0, 0, e.t, e.positions, 0, KsdConfig(), g, True)
+        row = _row(0, 0, e.t, e.positions, 0, KsdConfig(), g, True)
         assert row["t"] == 0.25
         assert row["ksd_tempered"] == pytest.approx(tempered_ksd(e.positions, g, 0.25), rel=1e-12)
 

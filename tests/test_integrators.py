@@ -5,7 +5,6 @@ import pytest
 
 from kfrflow.errors import NumericalStabilityError
 from kfrflow.integrators import (
-    Schedule,
     make_rng,
     run_unit_time,
     sde_stepper,
@@ -20,7 +19,7 @@ class TestSchedule:
         for n in (1, 3, 7, 64, 100):
             times = []
             run_unit_time(
-                e, lambda ens: ens, Schedule(n), [lambda k, t, *_: times.append(t)]
+                e, lambda ens: ens, n, [lambda k, t, *_: times.append(t)]
             )
             grid = np.asarray(times)
             assert grid[0] == 0.0
@@ -28,8 +27,9 @@ class TestSchedule:
             assert np.all(np.abs(grid - np.arange(n + 1) / n) < 1e-12)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            Schedule(0)
+        e = Ensemble(np.zeros((1, 1)), 0.0)
+        with pytest.raises(ValueError, match=r"^n_steps must be >= 1, got 0$"):
+            run_unit_time(e, lambda ens: ens, 0)
 
 
 def euler(e, velocity_fn, dt):
@@ -64,6 +64,10 @@ class TestEulerStep:
         e = Ensemble(np.zeros((1, 1)), 0.0)
         with pytest.raises(ValueError):
             euler(e, lambda _: np.zeros((1, 1)), 0.0)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'rk4'$"):
+            velocity_stepper(lambda _: np.zeros((1, 1)), 0.1, "rk4")
 
 
 class TestAb4Step:
@@ -128,6 +132,11 @@ class TestEulerMaruyama:
         var = out.positions.var()
         assert abs(var - 0.02) < 0.002  # rel err < 10%
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_bad_dt(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be > 0, got {dt}$"):
+            sde_stepper(self.drift_zero(1.0), dt, make_rng(3))
+
     def test_fixed_seed_reproducible(self):
         e = Ensemble(np.zeros((50, 2)), 0.0)
         a = sde_stepper(self.drift_zero(1.0), 0.1, make_rng(42))(e)
@@ -140,7 +149,7 @@ class TestRunUnitTime:
         e = Ensemble(np.ones((4, 1)), 0.0)
         seen = []
         stepper = lambda ens: Ensemble(ens.positions, ens.t)
-        trace = run_unit_time(e, stepper, Schedule(1), [lambda *a: seen.append(a[0])])
+        trace = run_unit_time(e, stepper, 1, [lambda *a: seen.append(a[0])])
         assert seen == [0, 1]
         assert np.array_equal(trace.final.positions, e.positions)
         assert trace.final.t == 1.0
@@ -150,7 +159,7 @@ class TestRunUnitTime:
         count = [0]
         stepper = lambda ens: ens
         trace = run_unit_time(
-            e, stepper, Schedule(100), [lambda *a: count.__setitem__(0, count[0] + 1)]
+            e, stepper, 100, [lambda *a: count.__setitem__(0, count[0] + 1)]
         )
         assert count[0] == 101
         assert abs(trace.final.t - 1.0) < 1e-12
@@ -158,7 +167,7 @@ class TestRunUnitTime:
     def test_requires_time_zero_start(self):
         e = Ensemble(np.zeros((1, 1)), 0.5)
         with pytest.raises(ValueError, match="t=0"):
-            run_unit_time(e, lambda ens: ens, Schedule(2))
+            run_unit_time(e, lambda ens: ens, 2)
 
     def test_step_error_carries_index(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
@@ -172,7 +181,18 @@ class TestRunUnitTime:
             return ens
 
         with pytest.raises(NumericalStabilityError, match="step 3"):
-            run_unit_time(e, stepper, Schedule(10))
+            run_unit_time(e, stepper, 10)
+
+    def test_step_error_keeps_its_own_index(self):
+        # an error that a stepper already attributed to a step is not re-filed
+        e = Ensemble(np.zeros((1, 1)), 0.0)
+
+        def stepper(ens):
+            raise NumericalStabilityError("boom", step=7)
+
+        with pytest.raises(NumericalStabilityError) as info:
+            run_unit_time(e, stepper, 3)
+        assert info.value.step == 7 and str(info.value) == "step 7: boom"
 
     def test_other_step_errors_propagate_unchanged(self):
         # only numerical failures are attributed to a step; a ValueError (a
@@ -183,7 +203,7 @@ class TestRunUnitTime:
             raise ValueError("log_ratio returned shape (0,)")
 
         with pytest.raises(ValueError, match=r"^log_ratio returned shape \(0,\)$") as info:
-            run_unit_time(e, stepper, Schedule(3))
+            run_unit_time(e, stepper, 3)
         assert not isinstance(info.value, NumericalStabilityError)
 
     def test_blowup_positions_flagged_with_step(self):
@@ -199,14 +219,14 @@ class TestRunUnitTime:
             return SimpleNamespace(positions=pos)
 
         with pytest.raises(NumericalStabilityError, match="step 2") as info:
-            run_unit_time(e, stepper, Schedule(4))
+            run_unit_time(e, stepper, 4)
         assert "non-finite coordinates" in str(info.value)
 
     def test_total_time_rescales_grid(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
         times = []
         stepper = lambda ens: ens
-        run_unit_time(e, stepper, Schedule(4), [lambda k, t, *_: times.append(t)], total_time=2.0)
+        run_unit_time(e, stepper, 4, [lambda k, t, *_: times.append(t)], total_time=2.0)
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC = [
     "__version__",
     "CapabilityError", "Ensemble", "KernelSpec", "KsdConfig",
-    "NumericalStabilityError", "RunConfig", "Schedule",
+    "NumericalStabilityError", "RunConfig",
     "bench_step", "build_workspace", "kernel_matrix", "kfrflow_i_step", "ksd",
     "make_funnel", "make_gaussian", "make_rng", "median_bandwidth",
     "parse_config", "parse_grid", "run_experiment", "run_unit_time", "sweep",

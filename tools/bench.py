@@ -26,7 +26,11 @@ every exit, and runs ten pairs of the same perfbench runs per workload,
 one on REV's tree and one on this checkout, with the same seed and in
 alternating order.  Per workload and metric it prints both medians and
 IQRs, the change of the median, and in how many pairs this checkout was
-lower.
+lower.  Where REV's own runs spread wider than the metric's ``bound`` in
+``BENCHMARK.json`` (an IQR above that fraction of REV's median), a change
+within the bound cannot be told from noise, so the line ends in
+``unresolved``, unless every run of this checkout is lower than every run
+of REV.
 
 Every perfbench run, in either mode, runs as the benchmark runs a fresh
 checkout: with no bytecode cache under ``src`` or ``perfbench`` (the tool
@@ -54,6 +58,7 @@ from pathlib import Path
 import numpy
 from numpy.linalg import _umath_linalg
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUNS = 8  # perfbench runs per workload, seeds 1..RUNS: enough for quartiles
 SECONDS = 8  # perfbench --seconds
 PAIRS = 10  # alternated pairs per workload in a --base comparison
@@ -161,7 +166,8 @@ def worktree(rev: str):
 def compare(rev: str, commit: str, workloads: list) -> int:
     """PAIRS alternated perfbench pairs per workload on ``commit``, which
     ``rev`` names, and on this checkout; prints medians, IQRs and "lower in
-    k of n" per metric."""
+    k of n" per metric, and "unresolved" where the module docstring says."""
+    bounds = {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     runs = {w: {"base": [], "head": []} for w in workloads}
     with worktree(commit) as base:
         for seed in range(1, PAIRS + 1):
@@ -184,9 +190,12 @@ def compare(rev: str, commit: str, workloads: list) -> int:
                               for s in ("base", "head"))
             b, h = quartiles(base_v), quartiles(head_v)
             lower = sum(y < x for x, y in zip(base_v, head_v))
+            unresolved = (b["iqr"] > bounds[name] * b["median"]
+                          and not max(head_v) < min(base_v))
             print(f"  {name:12s} base {b['median']:.4g} [IQR {b['q1']:.4g}-{b['q3']:.4g}]  "
                   f"head {h['median']:.4g} [IQR {h['q1']:.4g}-{h['q3']:.4g}]  "
-                  f"{h['median'] / b['median'] - 1:+.1%}  lower in {lower} of {PAIRS}")
+                  f"{h['median'] / b['median'] - 1:+.1%}  lower in {lower} of {PAIRS}"
+                  + ("  unresolved" if unresolved else ""))
     return 0 if all(r["correct"] for sides in runs.values() for rs in sides.values()
                     for r in rs) else 1
 
@@ -202,7 +211,7 @@ def main() -> int:
     # a terminated run still leaves through the worktree's cleanup
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
-    workloads = [w["name"] for w in json.loads(Path("BENCHMARK.json").read_text())["workloads"]]
+    workloads = [w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]]
     if args.base:
         commit = resolve(args.base)
         if commit is None:
