@@ -50,19 +50,21 @@ def _check(what: str, *arrays) -> None:
             raise ValueError(f"{what} needs C-contiguous float64 {shape}, got {arr.shape}")
 
 
-def rank_k_update(c: np.ndarray, beta: float, a: np.ndarray, b=None) -> None:
-    """The lower triangle of c <- a^T a + beta c (``b`` None: dsyrk) or
-    c <- a^T b + b^T a + beta c (dsyr2k), for (k, n) arrays a and b and an
-    (n, n) array c; c is not read when beta is 0, and its strict upper
-    triangle is left undefined."""
+def rank_k_update(c: np.ndarray, beta: float, a: np.ndarray, b=None, alpha: float = 1.0) -> None:
+    """The lower triangle of c <- alpha a^T a + beta c (``b`` None: dsyrk) or
+    c <- alpha (a^T b + b^T a) + beta c (dsyr2k), for (k, n) arrays a and b
+    and an (n, n) array c; c is not read when beta is 0, and its strict
+    upper triangle is left undefined."""
     k, n = a.shape
     _check("rank-k update", (a, (k, n)), (b, (k, n)), (c, (n, n)))
     f = _DSYRK if b is None else _DSYR2K
     if f is not None:
         ops = (a.ctypes.data, n) if b is None else (a.ctypes.data, n, b.ctypes.data, n)
-        f(_ROW_MAJOR, _LOWER, _TRANS, n, k, 1.0, *ops, beta, c.ctypes.data, n)
+        f(_ROW_MAJOR, _LOWER, _TRANS, n, k, alpha, *ops, beta, c.ctypes.data, n)
         return
     p = np.matmul(a.T, a if b is None else b)
+    if alpha != 1.0:
+        p *= alpha
     c[:] = p if beta == 0 else beta * c + p
     if b is not None:
         c += p.T

@@ -9,13 +9,18 @@ IMQ base kernel with fixed bandwidth (default h = 1):
 with, for u = x - y and q = (1 + ||u||^2/h^2)^(-1/2),
 
     grad_x K = -u/h^2 q^3,  grad_y K = +u/h^2 q^3,
-    trace grad_x grad_y K = (d/h^2) q^3 - (3 ||u||^2/h^4) q^5.
+    trace grad_x grad_y K = (d/h^2) q^3 - (3 ||u||^2/h^4) q^5
+                          = ((d - 3) q^3 + 3 q^5) / h^2,
+
+the last since ||u||^2 q^2 = h^2 (1 - q^2).
 
 KSD consumes only the score of the distribution under test, so it is
 insensitive to normalizing constants.  The V-statistic is the default; the
 U-statistic (diagonal removed) is available via the config.
 :func:`stein_discrepancies` is the one implementation: it scores an ensemble
-against several scores in one pass over the pairs.
+against several scores in one pass over the pairs.  Below d = 3, in a
+trial's buffer pool that holds a J x J ``"D"``, that pass is the one the
+next step reads (see :mod:`kfrflow.kernels`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, NumericalStabilityError
-from .kernels import _BufferPool, _pair_sq, _q_from_sq
+from .kernels import _BufferPool, _pair_sq, _pair_sq_handoff, _q_from_sq
 
 # elements of one row strip of the KSD pass: three such arrays stay small
 # whatever J is
@@ -48,13 +53,15 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
     """KSD of one ensemble against each (J, d) score array in ``scores``.
 
     The score-free parts of the Stein kernel sum are computed once.  With
-    G_i = sum_j q_ij^3 (x_i - x_j), the sum over all pairs is
+    G_i = sum_j q_ij^3 (x_i - x_j) and ||u||^2 q^2 = h^2 (1 - q^2), the sum
+    over all pairs is
 
-        (d/h^2) sum q^3 - (3/h^4) sum ||u||^2 q^5 + (2/h^2) <S, G> + <S, q S>,
+        ((d - 3) sum q^3 + 3 sum q^5) / h^2 + (2/h^2) <S, G> + <S, q S>,
 
     since (u_ij . s_i - u_ij . s_j) summed against the symmetric q^3 gives
-    2 <S, G>.  The diagonal of the kernel matrix, removed by the U-statistic,
-    is d/h^2 + ||s_i||^2.  Overflow on far-out ensembles is left to the
+    2 <S, G>; the trace term reads q and its powers, never ||u||^2.  The
+    diagonal of the kernel matrix, removed by the U-statistic, is
+    d/h^2 + ||s_i||^2.  Overflow on far-out ensembles is left to the
     non-finite result, so it raises no floating-point warnings.
 
     The pairs are visited once each, in row strips [i0, i1) against the
@@ -69,6 +76,16 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
     trial's ``"D"``, ``"q"`` and ``"s"`` (see :mod:`kfrflow.kernels`), which
     are dead between steps, and the operands, accumulators and products the
     head of its ``"G"``; without a pool the call makes its own.
+
+    Where the next step reads the exact pair pass (d < 3) and the pool's
+    ``"D"`` already holds J x J elements, the pass is made there whole and
+    handed on (``kernels._pair_sq_handoff``), and the strips read their
+    distances from it; otherwise each strip makes its own, in the head of
+    ``"D"``.  Both come from the uncentred positions, and the pass is exact
+    element by element, so the result has the same bits either way.  Calls
+    without a pool keep the strips, and so do ULA and RWM trials, whose
+    pools hold a J x J ``"D"`` only where one strip covers every pair
+    (J^2 <= ``_KSD_STRIP``).
     """
     cfg = cfg or KsdConfig()
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -79,6 +96,7 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
             raise ValueError(f"score shape {s.shape} does not match samples {x.shape}")
     if cfg.estimator == "u" and J < 2:
         raise ValueError("U-statistic needs at least two samples")
+    D = _pair_sq_handoff(x, pool)
     pool = _BufferPool() if pool is None else pool
     h2 = cfg.h * cfg.h
     # columns [1 | xc | S_1 ... S_k]: q^3 multiplies the first 1 + d and q the
@@ -100,22 +118,21 @@ def stein_discrepancies(samples, scores, cfg: KsdConfig | None = None, pool=None
         while i0 < J:
             i1 = min(J, i0 + max(1, _KSD_STRIP // (J - i0)))
             n = i1 - i0
-            d2 = _pair_sq(xc[i0:i1], xc[i0:], pool)
+            d2 = _pair_sq(x[i0:i1], x[i0:], pool) if D is None else D[i0:i1, i0:]
             q = _q_from_sq(d2, cfg.h, out=pool.get("q", d2.shape))
             q3 = np.multiply(q, q, out=pool.get("s", d2.shape))
             q3 *= q
-            d2 *= q3
-            d2 *= q
-            d2 *= q
-            sum_q5 += 2.0 * float(d2.sum()) - float(d2[:, :n].sum())
             for m, c in ((q3, slice(0, nx)), (q, slice(nx, width))):
                 k = c.stop - c.start
                 A[i0:i1, c] += np.matmul(m, W[i0:, c], out=mm[: n * k].reshape(n, k))
                 A[i1:, c] += np.matmul(
                     m[:, n:].T, W[i0:i1, c], out=mm[: (J - i1) * k].reshape(J - i1, k)
                 )
+            q *= q
+            q3 *= q  # q^5
+            sum_q5 += 2.0 * float(q3.sum()) - float(q3[:, :n].sum())
             i0 = i1
-        base = (d / h2) * float(A[:, 0].sum()) - (3.0 / (h2 * h2)) * sum_q5
+        base = ((d - 3) * float(A[:, 0].sum()) + 3.0 * sum_q5) / h2
         G = A[:, :1] * xc - A[:, 1:nx]
         for k, s in enumerate(scores):
             qs = A[:, nx + k * d : nx + (k + 1) * d]

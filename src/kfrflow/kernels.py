@@ -6,16 +6,21 @@ points as rows of ``(n, d)`` arrays; gradients are taken with respect to the
 first argument.
 
 Every kernel matrix q[i, l] = K(xa_i, xb_l) is formed by :func:`_q_from_sq`
-from squared distances, those of :func:`_pair_sq` or :func:`_pair_sq_product`.
-:func:`_pair_kernel` composes the pass, the bandwidth and q for SVGD and
-:func:`kernel_matrix`; the workspace, Newton and the KSD compose them
-themselves.  The gradient scale s = -q^3 / h^2, so that
-grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is formed from q by
-:func:`_grad_scale`, whole where that costs no more than a row strip and
-otherwise for the rows that a product reads.  Every product with the
-gradients is the apply :func:`_grad_apply`, the coupling matrix M of
-:func:`_grad_gram` or the Newton Jacobian of :func:`_grad_jacobian`, each
-with one job; no (d, J, J) array leaves this module.
+from squared distances D, those of :func:`_pair_sq` or
+:func:`_pair_sq_product`, as q = sqrt(h^2 / (h^2 + D)): one add, one divide
+and one square root over the pairs (1 / sqrt(1 + D) at h = 1, the KSD's
+default, also three).  :func:`_pair_kernel` composes the pass, the
+bandwidth and q for SVGD and :func:`kernel_matrix`; the workspace, Newton
+and the KSD compose them themselves.  The gradient scale s = -q^3 / h^2, so
+that grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is formed from q by
+:func:`_grad_scale` as q times the constant -1/h^2, then twice times q,
+whole where that costs no more than a row strip and otherwise for the rows
+that a product reads.  Every product with the gradients is the apply
+:func:`_grad_apply`, the coupling matrix M of :func:`_grad_gram` or the
+Newton Jacobian of :func:`_grad_jacobian`, each with one job; no (d, J, J)
+array leaves this module.  M's 1/J is the alpha of its rank-k updates below
+``_DISTANCE_GRAM_MIN_DIM`` and a multiply by 1/(2J) from it on, so neither
+s nor M takes a divide sweep.
 
 Every coordinate difference xa_ia - xb_la is an element of an exact BLAS
 product (:func:`_differences`).  The pair pass, :func:`_pair_sq`, adds their
@@ -31,6 +36,17 @@ centres.  The exact pass remains for the KSD, Newton's cross distances of
 the displaced points, SVGD and the public :func:`kernel_matrix` and
 :func:`median_bandwidth`.
 
+Below ``_DISTANCE_GRAM_MIN_DIM`` an observation and the step after it
+measure the same positions, so they share one pass: where the pool's
+``"D"`` already holds J x J elements, the KSD makes the pass whole there
+(:func:`_pair_sq_handoff`) and records in the pool which positions array it
+measured; the next :func:`build_workspace` or SVGD step on that same array
+takes it (:func:`_self_pair_sq`) instead of measuring again.  Every
+``get("D")`` clears the record, as its caller is about to write there, so
+a handed-on D is taken once and never read after M or another pass has
+overwritten it.  Positions are never changed in place, so the same array
+means the same pairs.
+
 A step's J x J arrays can live in a :class:`_BufferPool`: J and d stay
 fixed over a trial, so one trial creates a pool and hands it to every step
 and observation, and no step allocates those arrays again.  Without a pool
@@ -39,10 +55,11 @@ holds four named buffers and nothing else: below ``_DISTANCE_GRAM_MIN_DIM``
 2.5 J x J arrays and at most ``_S_STRIP`` elements of s, and from it on 4
 J x J arrays:
 
-* ``"D"``: the squared distances of the pair pass, then the coupling matrix
-  M, which is formed over them once q is (at every d), and in a Newton step
-  from ``_DISTANCE_GRAM_MIN_DIM`` on the Jacobian's D of the centres, which
-  is written over M once the first iterate has spent it;
+* ``"D"``: the squared distances of the pair pass, made by the step or
+  handed on by the observation before it, then the coupling matrix M, which
+  is formed over them once q is (at every d), and in a Newton step from
+  ``_DISTANCE_GRAM_MIN_DIM`` on the Jacobian's D of the centres, which is
+  written over M once the first iterate has spent it;
 * ``"q"``: the kernel matrix; below ``_DISTANCE_GRAM_MIN_DIM`` its head
   holds the pair pass's scratch, at most two row strips of ``_PAIR_BLOCK``
   pairs (512 KB while J <= 2^15), which is dead before q is written;
@@ -64,8 +81,9 @@ An SVGD step borrows the same names: q formed over the distances in
 
 Between steps every buffer is dead, so the KSD of an observation borrows
 them: its row strips of at most ``diagnostics._KSD_STRIP`` elements live in
-the heads of ``"D"``, ``"q"`` and ``"s"``, its O(J d) operands and
-accumulators in the head of ``"G"``.  A result that outlives the step
+the heads of ``"q"`` and ``"s"``, and their distances in the head of
+``"D"``, or in the whole of it where it hands them on; its O(J d) operands
+and accumulators live in the head of ``"G"``.  A result that outlives the step
 (positions, velocities) is never a pool buffer.
 
 The rank-k updates of M and of the product form of D (dsyrk, dsyr2k) run
@@ -135,13 +153,18 @@ class _BufferPool:
 
     ``get(name, shape)`` returns the leading ``prod(shape)`` elements of the
     name's storage, reallocated only when too small, so two shapes asked for
-    under one name share memory.  A pool belongs to one trial: it is never
-    shared between threads."""
+    under one name share memory.  ``d_of`` is the positions array whose
+    whole pair pass ``"D"`` holds for the next step to take, or None; every
+    ``get("D")`` clears it.  A pool belongs to one trial: it is never shared
+    between threads."""
 
     def __init__(self):
         self._flat = {}
+        self.d_of = None
 
     def get(self, name: str, shape: tuple) -> np.ndarray:
+        if name == "D":  # its caller is about to write there
+            self.d_of = None
         n = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < n:
@@ -208,6 +231,29 @@ def _pair_sq(xa: np.ndarray, xb: np.ndarray, pool=None) -> np.ndarray:
     return d2
 
 
+def _self_pair_sq(x: np.ndarray, pool=None) -> np.ndarray:
+    """``_pair_sq(x, x, pool)``, or the pool's ``"D"`` where it holds that
+    pass for this same array (the KSD of an observation leaves it there for
+    the next step).  Taking it clears the record, so it is taken once."""
+    if pool is not None and pool.d_of is x:
+        return pool.get("D", (x.shape[0],) * 2)
+    return _pair_sq(x, x, pool)
+
+
+def _pair_sq_handoff(x: np.ndarray, pool) -> np.ndarray | None:
+    """``_pair_sq(x, x, pool)`` whole, recorded for the next step on x to
+    take (:func:`_self_pair_sq`), where that step reads this exact pass
+    (below ``_DISTANCE_GRAM_MIN_DIM``) and the pool's ``"D"`` already holds
+    J x J elements; otherwise None, and the pool is not touched."""
+    J, d = x.shape
+    held = None if pool is None else pool._flat.get("D")
+    if held is None or held.size < J * J or d >= _DISTANCE_GRAM_MIN_DIM:
+        return None
+    D = _pair_sq(x, x, pool)
+    pool.d_of = x
+    return D
+
+
 def _pair_sq_product(x: np.ndarray, pool=None) -> np.ndarray:
     """||x_i - x_l||^2 of one ensemble as a J x J array, the pool's ``"D"``,
     from one dsyr2k instead of d coordinate passes.  With xc the mean-centred
@@ -233,12 +279,15 @@ def _pair_sq_product(x: np.ndarray, pool=None) -> np.ndarray:
 
 
 def _q_from_sq(d2: np.ndarray, h: float, out=None) -> np.ndarray:
-    if h * h != 1.0:  # d2 / 1 is d2: the KSD's default h = 1 skips the divide
-        d2 = out = np.divide(d2, h * h, out=out)
-    out = np.add(d2, 1.0, out=out)
-    np.sqrt(out, out=out)
-    np.reciprocal(out, out=out)
-    return out
+    """q = sqrt(h^2 / (h^2 + d2)) in three sweeps.  At h = 1, the KSD's
+    default, 1 / sqrt(1 + d2) takes three too and keeps the KSD's bits."""
+    h2 = h * h
+    out = np.add(d2, h2, out=out)
+    if h2 == 1.0:
+        np.sqrt(out, out=out)
+        return np.reciprocal(out, out=out)
+    np.divide(h2, out, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _partitioned_median(tri: np.ndarray, J: int) -> float:
@@ -290,7 +339,7 @@ def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h, pool=None) -> tuple:
     (xa_i - xb_l) s[i, l].  ``h`` is the bandwidth, or a KernelSpec whose
     policy is applied to these pairs (then xa and xb are the same ensemble).
     q is formed over the distances of :func:`_pair_sq`, the pool's ``"D"``."""
-    d2 = _pair_sq(xa, xb, pool)
+    d2 = _self_pair_sq(xa, pool) if xa is xb else _pair_sq(xa, xb, pool)
     if isinstance(h, KernelSpec):
         h = _bandwidth_from_sq(h, d2, pool)
     return h, _q_from_sq(d2, h, out=d2)
@@ -299,9 +348,9 @@ def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h, pool=None) -> tuple:
 def _grad_scale(q: np.ndarray, h: float, out=None) -> np.ndarray:
     """s = -q^3 / h^2 for the rows of q given, written to ``out`` when given;
     a row of s depends on the same row of q only."""
-    s = np.multiply(q, q, out=out)
+    s = np.multiply(q, -1.0 / (h * h), out=out)
     s *= q
-    s /= -(h * h)
+    s *= q
     return s
 
 
@@ -367,11 +416,12 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
     ``_pair_kernel(x, x, h)``; s is formed from q unless the caller passes
     the whole of it.
 
-    Below ``_DISTANCE_GRAM_MIN_DIM`` D's values are not read: M sums B^T B
-    over row strips B of the gradient blocks with dsyrk, each strip's rows
-    of s (at most ``_S_STRIP`` elements) formed in the pool's ``"s"`` and its
-    blocks (at most J(J+1)/2 elements, like the factor that follows) in
-    ``"G"``, from differences made once per call.  From it on D is
+    Below ``_DISTANCE_GRAM_MIN_DIM`` D's values are not read: M sums
+    B^T B / J over row strips B of the gradient blocks with dsyrk (alpha =
+    1/J), each strip's rows of s (at most ``_S_STRIP`` elements) formed in
+    the pool's ``"s"`` and its blocks (at most J(J+1)/2 elements, like the
+    factor that follows) in ``"G"``, from differences made once per call.
+    From it on D is
     ``_pair_sq_product(x)``, and D_il = ||x_i - x_l||^2 and
     (x_i - x_l).(x_i - x_m) = (D_il + D_im - D_lm) / 2 give
     M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s: one dsyr2k over
@@ -394,8 +444,8 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
             for a in range(d):
                 diff(a, strip[a], slice(i0, i1))
                 strip[a] *= si
-            _blas.rank_k_update(D, 1.0 if i0 else 0.0, strip.reshape(-1, J))
-        return np.divide(_mirror_lower(D), J, out=D)
+            _blas.rank_k_update(D, 1.0 if i0 else 0.0, strip.reshape(-1, J), alpha=1.0 / J)
+        return _mirror_lower(D)
     if s is None:
         s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
     # s.T @ s, not s @ s: numpy sends it to syrk
@@ -403,7 +453,7 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
     P *= D
     D *= s
     _blas.rank_k_update(P, -1.0, D, s)  # T + T^T - P, D o s being symmetric
-    return _mirror_lower(np.divide(P, 2 * J, out=D))  # D o s is spent
+    return _mirror_lower(np.multiply(P, 1.0 / (2 * J), out=D))  # D o s is spent
 
 
 def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s, pool=None):
@@ -456,7 +506,8 @@ class FlowWorkspace:
 
 def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
     """The workspace of an Ensemble or (J, d) array from one pass over its
-    pairs (:func:`_pair_sq`, or :func:`_pair_sq_product` from
+    pairs (:func:`_pair_sq`, or the one that the observation of this same
+    array handed on in the pool's ``"D"``, or :func:`_pair_sq_product` from
     ``_DISTANCE_GRAM_MIN_DIM`` on): q in the pool's ``"q"``, M over the
     distances in ``"D"``, and s in ``"s"``.  s is kept whole where the
     distance form of M needs it or where it fits in one strip of
@@ -468,7 +519,7 @@ def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
     if pool is not None:
         pool.get("G", (J * max(J, 2 * d + 4) if distance_form else J * (J + 1) // 2,))
         pool.get("q", (J, J))
-    D = _pair_sq_product(x, pool) if distance_form else _pair_sq(x, x, pool)
+    D = _pair_sq_product(x, pool) if distance_form else _self_pair_sq(x, pool)
     h = _bandwidth_from_sq(spec, D, pool)
     q = _q_from_sq(D, h, out=_scratch(pool, "q", D.shape))
     s = None

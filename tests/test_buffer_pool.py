@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfrflow import harness, kernels
+from kfrflow import diagnostics, harness, kernels
 from kfrflow.config import RunConfig
-from kfrflow.diagnostics import KsdConfig
+from kfrflow.diagnostics import KsdConfig, stein_discrepancies
 from kfrflow.flows import (
     kfrd_drift,
     kfrflow_i_step,
@@ -17,7 +17,7 @@ from kfrflow.flows import (
     sample_ot_newton,
 )
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec, _BufferPool
+from kfrflow.kernels import KernelSpec, _BufferPool, build_workspace
 from kfrflow.particles import Ensemble
 from kfrflow.targets import target_by_name
 
@@ -150,3 +150,84 @@ def test_pool_holds_the_documented_buffers(target):
     out = POOLED_STEPS["kfrflow-i"](ens, tgt, KernelSpec(), pool)
     harness._row(0, 1, 0.01, out, 0, KsdConfig(), tgt, True, pool)
     assert set(pool._flat) == documented_buffers()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every pass over the pairs of a trial: ("whole", J) for a pair pass of
+    one array against itself, ("strip", rows) for one of the KSD's row
+    strips, and ("product", J) for the product form of D."""
+    calls = []
+    real, real_product = kernels._pair_sq, kernels._pair_sq_product
+
+    def counted(xa, xb, pool=None):
+        calls.append(("whole" if xa is xb else "strip", xa.shape[0]))
+        return real(xa, xb, pool)
+
+    def counted_product(x, pool=None):
+        calls.append(("product", x.shape[0]))
+        return real_product(x, pool)
+
+    for module in (kernels, diagnostics):
+        monkeypatch.setattr(module, "_pair_sq", counted)
+    monkeypatch.setattr(kernels, "_pair_sq_product", counted_product)
+    return calls
+
+
+def count_passes(calls):
+    """(whole passes, rows of KSD strips, product passes)."""
+    kinds = {kind: [n for k, n in calls if k == kind] for kind in ("whole", "strip", "product")}
+    return len(kinds["whole"]), sum(kinds["strip"]), len(kinds["product"])
+
+
+# the KSD of an observation makes the whole pair pass in "D" and the next
+# step takes it: N + 1 whole passes for N steps and N + 1 observations, and
+# strips only at t = 0, before any step has sized "D".  A ULA pool holds no
+# J x J "D", and from d = 3 on a step reads the product form of D, so there
+# every observation keeps its strips.
+@pytest.mark.parametrize("target, sampler, expected", [
+    ("donut", "kfrflow-i", (11, 300, 0)),
+    ("donut", "svgd", (11, 300, 0)),
+    ("donut", "ula", (0, 11 * 300, 0)),
+    ("funnel:5", "kfrflow-i", (0, 11 * 300, 10)),
+])
+def test_observed_step_makes_one_pair_pass(passes, target, sampler, expected):
+    cfg = RunConfig(target=target, sampler=sampler, J=300, N=10, lam=1e-3, seed=37,
+                    trials=1, observe_every=1)
+    record = harness.run_experiment(cfg)
+    assert record.all_stable and len(record.rows) == 11
+    assert count_passes(passes) == expected
+
+
+def test_handed_on_distances_are_taken_once(passes):
+    # bench_step's pattern: two steps of one ensemble, the first writing M
+    # over the D that the observation handed on; the second measures again
+    tgt = target_by_name("donut")
+    spec = KernelSpec()
+    ens = Ensemble(tgt.sample_reference(make_rng(38), 300), 0.0)
+    pool = _BufferPool()
+    build_workspace(ens.positions + 1.0, spec, pool)  # sizes "D"
+    stein_discrepancies(ens.positions, [tgt.score_target(ens.positions)], pool=pool)
+    del passes[:]
+    fresh = kfrflow_i_step(ens, tgt, spec, 0.01, 1e-3).positions
+    assert count_passes(passes) == (1, 0, 0)
+    first = kfrflow_i_step(ens, tgt, spec, 0.01, 1e-3, pool=pool).positions
+    assert count_passes(passes) == (1, 0, 0)  # taken from the observation
+    second = kfrflow_i_step(ens, tgt, spec, 0.01, 1e-3, pool=pool).positions
+    assert count_passes(passes) == (2, 0, 0)
+    assert np.array_equal(first, fresh) and np.array_equal(second, fresh)
+
+
+def test_distances_of_other_positions_are_not_taken(passes):
+    tgt = target_by_name("donut")
+    spec = KernelSpec()
+    x = tgt.sample_reference(make_rng(39), 300)
+    other = Ensemble(x.copy(), 0.0)  # the same values in another array
+    pool = _BufferPool()
+    build_workspace(x + 1.0, spec, pool)
+    stein_discrepancies(x, [tgt.score_target(x)], pool=pool)
+    assert pool.d_of is x
+    del passes[:]
+    got = kfrflow_i_step(other, tgt, spec, 0.01, 1e-3, pool=pool).positions
+    assert count_passes(passes) == (1, 0, 0) and pool.d_of is None
+    assert np.array_equal(got, kfrflow_i_step(other, tgt, spec, 0.01, 1e-3).positions)

@@ -163,12 +163,12 @@ class TestStreamedKsd:
     memory bound."""
 
     @staticmethod
-    def check_against_oracle(x, s):
+    def check_against_oracle(x, s, h=1.0):
         J = x.shape[0]
-        k0 = stein_kernel_matrix(x, s, 1.0)
-        v = stein_discrepancies(x, [s], KsdConfig())[0]
+        k0 = stein_kernel_matrix(x, s, h)
+        v = stein_discrepancies(x, [s], KsdConfig(h=h))[0]
         assert v**2 == pytest.approx(k0.sum() / J**2, rel=1e-12)
-        u = stein_discrepancies(x, [s], KsdConfig(estimator="u"))[0]
+        u = stein_discrepancies(x, [s], KsdConfig(h=h, estimator="u"))[0]
         assert u**2 == pytest.approx((k0.sum() - np.trace(k0)) / (J * (J - 1)), rel=1e-12)
 
     @pytest.mark.parametrize("offset", [0.0, 40.0])
@@ -183,6 +183,14 @@ class TestStreamedKsd:
         self.check_against_oracle(z + offset, 2.0 - z)
         # two calls (V and U), each over every row once in at least 3 strips
         assert sum(strips) == 2 * J and len(strips) >= 2 * min(J, 3)
+
+    @pytest.mark.parametrize("offset", [0.0, 40.0])
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    def test_bandwidth_matches_oracle_matrix_sum(self, d, offset):
+        # the trace sum ((d - 3) sum q^3 + 3 sum q^5) / h^2 rests on
+        # ||u||^2 q^2 = h^2 (1 - q^2): pin its h^2 away from h = 1
+        z = np.random.default_rng(1750 + d).standard_normal((50, d))
+        self.check_against_oracle(z + offset, 2.0 - z, h=0.7)
 
     def test_default_strips_match_oracle_matrix_sum(self, monkeypatch):
         strips = count_strips(monkeypatch)
@@ -202,6 +210,14 @@ class TestStreamedKsd:
         fresh = stein_discrepancies(x, scores, cfg)
         assert stein_discrepancies(x, scores, cfg, pool=pool) == fresh
         assert stein_discrepancies(x, scores, cfg, pool=pool) == fresh
+        # below d = 3, a pool whose "D" holds J x J gets the whole pair pass
+        # there, for the next step; the strips read it with the same bits
+        x2, scores = x[:, :2].copy(), [-x[:, :2], 0.5 - x[:, :2]]
+        pool = _BufferPool()
+        build_workspace(x2 + 1.0, KernelSpec(), pool)
+        fresh = stein_discrepancies(x2, scores, cfg)
+        assert stein_discrepancies(x2, scores, cfg, pool=pool) == fresh
+        assert pool.d_of is x2
 
     def test_memory_stays_below_a_jxj_array(self):
         J = 2000

@@ -375,9 +375,9 @@ class TestGradGram:
         strips = []
         real = _blas.rank_k_update
 
-        def recorded(c, beta, a, b=None):
+        def recorded(c, beta, a, b=None, alpha=1.0):
             strips.append(a.copy())
-            return real(c, beta, a, b)
+            return real(c, beta, a, b, alpha)
 
         monkeypatch.setattr(_blas, "rank_k_update", recorded)
         J = 701
