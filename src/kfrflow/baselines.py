@@ -67,7 +67,7 @@ def svgd_step(ensemble: Ensemble, target, spec: KernelSpec, step_size: float,
         raise ValueError(f"step_size must be > 0, got {step_size}")
     score = _require_score(target)
     x = ensemble.positions
-    h, q = _pair_kernel(x, x, spec, pool)
+    h, q = _pair_kernel(x, spec, pool)
     # q is symmetric and grad_1 K(X_j, X_i) = -grad_1 K(X_i, X_j)
     phi = (q @ score(x) - _grad_apply(x, q, h, 1.0, pool)) / x.shape[0]
     return Ensemble(x + step_size * phi, ensemble.t + step_size)

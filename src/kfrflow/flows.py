@@ -183,17 +183,17 @@ def tempered_score(target, x, t: float) -> np.ndarray:
 
 
 def kfrd_drift(
-    ensemble: Ensemble, target, spec: KernelSpec, lam: float, eps: float, t: float, pool=None
+    ensemble: Ensemble, target, spec: KernelSpec, lam: float, eps: float, pool=None
 ) -> tuple:
     """Drift rows and diffusion coefficient of the KFRD SDE.
 
-    drift_j = v_j + eps * grad log pi_t(X_j), diffusion sqrt(2 eps).  With
-    eps = 0 this is exactly the KFRFlow ODE; a negative or non-finite eps or
-    lam raises ValueError.
+    drift_j = v_j + eps * grad log pi_t(X_j), diffusion sqrt(2 eps), at the
+    ensemble's own time t.  With eps = 0 this is exactly the KFRFlow ODE; a
+    negative or non-finite eps or lam raises ValueError.
     """
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     v = kfrflow_velocity(ensemble, target, spec, lam, pool=pool)
     if eps > 0:
-        v = v + eps * tempered_score(target, ensemble.positions, t)
+        v = v + eps * tempered_score(target, ensemble.positions, ensemble.t)
     return v, float(np.sqrt(2.0 * eps))

@@ -98,10 +98,11 @@ def _row(trial, step, t, positions, step_ns, ksd_cfg, target, tempered, pool=Non
     return row
 
 
-def _make_stepper(base, iters, config, target, spec, rng, pool=None):
-    """The sampler's update as a stepper ``step(ens) -> Ensemble``; the
-    kfrflow samplers and SVGD work in the buffer pool ``pool``."""
-    dt, lam, eps = config.dt, config.lam, config.eps
+def _make_stepper(base, iters, config, target, rng, pool=None):
+    """The sampler's update as a stepper ``step(ens) -> Ensemble``, with
+    ``config``'s step, regularization, noise and kernel; the kfrflow
+    samplers and SVGD work in the buffer pool ``pool``."""
+    dt, lam, eps, spec = config.dt, config.lam, config.eps, config._kernel_spec()
     if base in ("kfrflow-euler", "kfrflow-ab4"):
         return velocity_stepper(
             lambda e: kfrflow_velocity(e, target, spec, lam, pool=pool), dt,
@@ -113,7 +114,7 @@ def _make_stepper(base, iters, config, target, spec, rng, pool=None):
         return lambda e: sample_ot_newton(e, target, spec, dt, lam, iters, pool=pool)
     if base == "kfrd":
         return sde_stepper(
-            lambda e: kfrd_drift(e, target, spec, lam, eps, e.t, pool=pool), dt, rng
+            lambda e: kfrd_drift(e, target, spec, lam, eps, pool=pool), dt, rng
         )
     if base == "svgd":
         return lambda e: svgd_step(e, target, spec, dt, pool)
@@ -124,7 +125,7 @@ def _make_stepper(base, iters, config, target, spec, rng, pool=None):
 
 def _run_trial(config: RunConfig, target, trial: int) -> tuple:
     """One seeded trial; returns (rows, stable)."""
-    spec, ksd_cfg = config._kernel_spec(), config._ksd_config()
+    ksd_cfg = config._ksd_config()
     base, iters = parse_sampler(config.sampler)
     rng = make_rng(config.seed + trial)
     x0 = target.sample_reference(rng, config.J)
@@ -147,7 +148,7 @@ def _run_trial(config: RunConfig, target, trial: int) -> tuple:
         else:
             run_unit_time(
                 Ensemble(x0, 0.0),
-                _make_stepper(base, iters, config, target, spec, rng, pool),
+                _make_stepper(base, iters, config, target, rng, pool),
                 config.N, [lambda k, t, ens, ns: observe(k, t, ens.positions, ns)],
                 total_time=config.T,
             )
@@ -312,7 +313,7 @@ def bench_step(config: RunConfig, reps: int = 30) -> BenchResult:
     target = config.build_target()
     rng = make_rng(config.seed)
     ens = Ensemble(target.sample_reference(rng, config.J), 0.0)
-    stepper = _make_stepper(base, iters, config, target, config._kernel_spec(), rng, _BufferPool())
+    stepper = _make_stepper(base, iters, config, target, rng, _BufferPool())
 
     times = []
     with _blas.one_thread():

@@ -105,8 +105,8 @@ def run_unit_time(
     ``observer(step_index, t, ensemble, step_time_ns)`` with
     ``step_time_ns = 0`` for the initial state.  A
     :class:`NumericalStabilityError` from a step (non-finite state, velocity
-    or log ratio, or a failed solve) is re-raised with the step index
-    attached; rows already collected by the observers survive.  Every other
+    or log ratio, or a failed solve) is re-raised as its own class with the
+    step index attached; rows already collected by the observers survive.  Every other
     error propagates unchanged.
     """
     if n_steps < 1:
@@ -123,7 +123,7 @@ def run_unit_time(
             ens = Ensemble(stepper(ens).positions, t_next)
         except NumericalStabilityError as err:
             if err.step is None:
-                raise NumericalStabilityError(str(err), step=k) from err
+                raise type(err)(str(err), step=k) from err
             raise
         step_ns = time.perf_counter_ns() - tic
         for obs in observers:

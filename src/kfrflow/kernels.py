@@ -9,18 +9,22 @@ Every kernel matrix q[i, l] = K(xa_i, xb_l) is formed by :func:`_q_from_sq`
 from squared distances D, those of :func:`_pair_sq` or
 :func:`_pair_sq_product`, as q = sqrt(h^2 / (h^2 + D)): one add, one divide
 and one square root over the pairs (1 / sqrt(1 + D) at h = 1, the KSD's
-default, also three).  :func:`_pair_kernel` composes the pass, the
-bandwidth and q for SVGD and :func:`kernel_matrix`; the workspace, Newton
-and the KSD compose them themselves.  The gradient scale s = -q^3 / h^2, so
-that grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is formed from q by
-:func:`_grad_scale` as q times the constant -1/h^2, then twice times q,
-whole where that costs no more than a row strip and otherwise for the rows
-that a product reads.  Every product with the gradients is the apply
-:func:`_grad_apply`, the coupling matrix M of :func:`_grad_gram` or the
-Newton Jacobian of :func:`_grad_jacobian`, each with one job; no (d, J, J)
-array leaves this module.  M's 1/J is the alpha of its rank-k updates below
-``_DISTANCE_GRAM_MIN_DIM`` and a multiply by 1/(2J) from it on, so neither
-s nor M takes a divide sweep.
+default, also three).  Every bandwidth comes from one routine,
+:func:`_bandwidth_from_sq`: a :class:`KernelSpec`'s fixed value, or the
+median heuristic on an ensemble's own D.  :func:`_pair_kernel` serves one
+ensemble under a KernelSpec: it composes the pass of its own pairs, that
+bandwidth and q for SVGD and :func:`kernel_matrix`.  The workspace, Newton
+and the KSD compose them themselves, and Newton's displaced points against
+the centres take ``_q_from_sq`` of their ``_pair_sq``.  The gradient scale
+s = -q^3 / h^2, so that grad_1 K(xa_i, xb_l) = (xa_i - xb_l) s[i, l], is
+formed from q by :func:`_grad_scale` as q times the constant -1/h^2, then
+twice times q, whole where that costs no more than a row strip and otherwise
+for the rows that a product reads.  Every product with the gradients is the
+apply :func:`_grad_apply`, the coupling matrix M of :func:`_grad_gram` or
+the Newton Jacobian of :func:`_grad_jacobian`, each with one job; no
+(d, J, J) array leaves this module.  M's 1/J is the alpha of its rank-k
+updates below ``_DISTANCE_GRAM_MIN_DIM`` and a multiply by 1/(2J) from it
+on, so neither s nor M takes a divide sweep.
 
 Every coordinate difference xa_ia - xb_la is an element of an exact BLAS
 product (:func:`_differences`).  The pair pass, :func:`_pair_sq`, adds their
@@ -304,44 +308,38 @@ def _partitioned_median(tri: np.ndarray, J: int) -> float:
     return med
 
 
-def _median_bw_from_sq(d2: np.ndarray, h_floor: float, pool=None) -> float:
-    """Bandwidth from the squared-distance matrix of an ensemble, whose
-    diagonal is zero, as ``_pair_sq(x, x)`` and ``_pair_sq_product`` make it.
+def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray, pool=None) -> float:
+    """``spec``'s bandwidth for the ensemble whose squared distances are
+    ``d2``, with a zero diagonal, as ``_pair_sq(x, x)`` and
+    ``_pair_sq_product`` make them: the fixed one, or the median heuristic.
 
     med is the exact median of the J(J-1)/2 pairwise distances (for an even
     count, the average of the two middle ones), read from the upper
     triangle, diagonal included, into J(J+1)/2 elements at the head of the
     pool's ``"G"`` (one RFP copy) and partitioned there once
     (:func:`_partitioned_median`); h = sqrt(med^2 / log(J+1)), clamped
-    below by h_floor.
+    below by ``spec.h_floor``, which is also the bandwidth of one particle.
     """
+    if spec.bandwidth is not None:
+        return float(spec.bandwidth)
     J = d2.shape[0]
     if J < 2:
-        return float(h_floor)
+        return float(spec.h_floor)
     tri = _scratch(pool, "G", (J * (J + 1) // 2,))
     _blas.rfp_copy(d2, tri)
     tri.partition(J + J * (J - 1) // 2 // 2)
     med = _partitioned_median(tri, J)
     h = float(np.sqrt(med**2 / np.log(J + 1)))
-    return max(h, float(h_floor))
+    return max(h, float(spec.h_floor))
 
 
-def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray, pool=None) -> float:
-    """``spec``'s bandwidth for the ensemble whose squared distances are ``d2``."""
-    if spec.bandwidth is not None:
-        return float(spec.bandwidth)
-    return _median_bw_from_sq(d2, spec.h_floor, pool)
-
-
-def _pair_kernel(xa: np.ndarray, xb: np.ndarray, h, pool=None) -> tuple:
-    """The pairwise primitive: (h, q) with q[i, l] = K(xa_i, xb_l); the
-    gradient scale s = ``_grad_scale(q, h)`` gives grad_1 K(xa_i, xb_l) =
-    (xa_i - xb_l) s[i, l].  ``h`` is the bandwidth, or a KernelSpec whose
-    policy is applied to these pairs (then xa and xb are the same ensemble).
-    q is formed over the distances of :func:`_pair_sq`, the pool's ``"D"``."""
-    d2 = _self_pair_sq(xa, pool) if xa is xb else _pair_sq(xa, xb, pool)
-    if isinstance(h, KernelSpec):
-        h = _bandwidth_from_sq(h, d2, pool)
+def _pair_kernel(x: np.ndarray, spec: KernelSpec, pool=None) -> tuple:
+    """The kernel of one ensemble's own pairs: (h, q) with h ``spec``'s
+    bandwidth for them and q[i, l] = K(x_i, x_l), formed over the distances
+    of :func:`_self_pair_sq` in the pool's ``"D"``; the gradient scale
+    s = ``_grad_scale(q, h)`` gives grad_1 K(x_i, x_l) = (x_i - x_l) s[i, l]."""
+    d2 = _self_pair_sq(x, pool)
+    h = _bandwidth_from_sq(spec, d2, pool)
     return h, _q_from_sq(d2, h, out=d2)
 
 
@@ -356,9 +354,9 @@ def _grad_scale(q: np.ndarray, h: float, out=None) -> np.ndarray:
 
 def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The (d, na, nb) gradient blocks G[a, i, l] = d/dx_a K(x, xb_l) at
-    x = xa_i, for s = ``_grad_scale(q, h)`` of ``_pair_kernel(xa, xb, h)``:
-    the differences of :func:`_differences` times s.  When xa is xb, each
-    G[a] is exactly antisymmetric."""
+    x = xa_i, for s = ``_grad_scale(q, h)`` and q[i, l] = K(xa_i, xb_l) at
+    bandwidth h: the differences of :func:`_differences` times s.  When xa
+    is xb, each G[a] is exactly antisymmetric."""
     G = np.empty((xa.shape[1],) + s.shape)
     diff = _differences(xa, xb)
     for a in range(xa.shape[1]):
@@ -369,11 +367,11 @@ def _grad_blocks(xa: np.ndarray, xb: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _grad_apply(x: np.ndarray, q: np.ndarray, h: float, f, pool=None, s=None) -> np.ndarray:
     """sum_l grad_1 K(x_i, x_l) f_l = x_i (s f)_i - (s (x o f))_i as a
-    (J, d) array, for q from ``_pair_kernel(x, x, h)`` and f a (J,) vector
-    or a scalar.  A caller that holds the whole of s = -q^3 / h^2 passes
-    it; otherwise q^3 is formed ``_S_STRIP`` elements of rows at a time in
-    the pool's ``"s"`` and its product divided by -h^2, a pass less than
-    forming s.  The points are shifted to their mean, which keeps the
+    (J, d) array, for q the kernel matrix of x at bandwidth h and f a (J,)
+    vector or a scalar.  A caller that holds the whole of s = -q^3 / h^2
+    passes it; otherwise q^3 is formed ``_S_STRIP`` elements of rows at a
+    time in the pool's ``"s"`` and its product divided by -h^2, a pass less
+    than forming s.  The points are shifted to their mean, which keeps the
     difference free of cancellation far from the origin; overflow on a
     far-out ensemble is left to the non-finite result."""
     J = q.shape[0]
@@ -412,9 +410,9 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
 
 def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> np.ndarray:
     """The coupling matrix M[l, m] = (1/J) sum_i grad_1 K(x_i, x_l) .
-    grad_1 K(x_i, x_m), written over the J x J array D, for q from
-    ``_pair_kernel(x, x, h)``; s is formed from q unless the caller passes
-    the whole of it.
+    grad_1 K(x_i, x_m), written over the J x J array D, for q the kernel
+    matrix of x at bandwidth h and s its whole gradient scale: required from
+    ``_DISTANCE_GRAM_MIN_DIM`` on, and formed from q below it where s is None.
 
     Below ``_DISTANCE_GRAM_MIN_DIM`` D's values are not read: M sums
     B^T B / J over row strips B of the gradient blocks with dsyrk (alpha =
@@ -446,8 +444,6 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
                 strip[a] *= si
             _blas.rank_k_update(D, 1.0 if i0 else 0.0, strip.reshape(-1, J), alpha=1.0 / J)
         return _mirror_lower(D)
-    if s is None:
-        s = _grad_scale(q, h, out=_scratch(pool, "s", (J, J)))
     # s.T @ s, not s @ s: numpy sends it to syrk
     P = np.matmul(s.T, s, out=_scratch(pool, "G", (J, J)))
     P *= D
@@ -459,8 +455,8 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
 def _grad_jacobian(x: np.ndarray, q: np.ndarray, h: float, s, pool=None):
     """``jac(y, qy, Dy)``: the transport Newton Jacobian (1/J) sum_i
     grad_1 K(y_i, x_l) . grad_1 K(x_i, x_m) at displaced points y, a fresh
-    J x J array, for q from ``_pair_kernel(x, x, h)``, s its whole gradient
-    scale or None, Dy = ``_pair_sq(y, x)`` (spent) and qy its kernel.
+    J x J array, for q the kernel matrix of x at bandwidth h, s its whole
+    gradient scale or None, Dy = ``_pair_sq(y, x)`` (spent) and qy its kernel.
 
     What depends on the centres x alone is formed here, once per Newton
     step: below ``_DISTANCE_GRAM_MIN_DIM`` the gradient blocks of x (and s
@@ -531,7 +527,7 @@ def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
 def kernel_matrix(ensemble, spec: KernelSpec) -> np.ndarray:
     """J x J matrix with entries K(X_i, X_j); symmetric with unit diagonal."""
     x = _positions(ensemble)
-    return _pair_kernel(x, x, spec)[1]
+    return _pair_kernel(x, spec)[1]
 
 
 def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
@@ -539,7 +535,8 @@ def median_bandwidth(ensemble, h_floor: float = 1e-6) -> float:
 
     med is the median of the J(J-1)/2 pairwise Euclidean distances of the
     ensemble.  Returns h_floor when J < 2 or when the heuristic falls below
-    the floor (e.g. a collapsed ensemble).
+    the floor (e.g. a collapsed ensemble); an h_floor that is not > 0 raises
+    the ValueError of :class:`KernelSpec`.
     """
     x = _positions(ensemble)
-    return _median_bw_from_sq(_pair_sq(x, x), h_floor)
+    return _bandwidth_from_sq(KernelSpec(h_floor=h_floor), _pair_sq(x, x))

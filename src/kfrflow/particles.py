@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _blas
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import _scratch
+from .kernels import _positions, _scratch
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class Ensemble:
             raise ValueError(f"time must be finite and >= 0, got {t}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "t", t)
-
-    @property
-    def J(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.positions.shape[1]
 
 
 def _rfp_diagonal(J: int) -> np.ndarray:
@@ -156,8 +148,7 @@ def importance_weights(ensemble, target, dt: float) -> np.ndarray:
     """
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    x = ensemble.positions if isinstance(ensemble, Ensemble) else np.asarray(ensemble)
-    r = _log_ratio_values(target, x)
+    r = _log_ratio_values(target, _positions(ensemble))
     z = dt * (r - r[0])
     e = np.exp(z - z.max())
     return e / e.sum()

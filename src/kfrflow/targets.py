@@ -166,6 +166,8 @@ def make_gaussian(mean, stdev: float) -> TargetModel:
     if not s > 0:
         raise ValueError(f"stdev must be > 0, got {stdev}")
     d = mean.shape[0]
+    if not d:
+        raise ValueError("mean must have at least one coordinate")
     s2 = s * s
 
     def log_ratio(x):

@@ -9,7 +9,7 @@ from kfrflow.baselines import ACCEPTANCE_WINDOW, _log_target, _mh_chain, svgd_st
 from kfrflow.diagnostics import KsdConfig
 from kfrflow.flows import kfrflow_i_step, kfrflow_velocity, sample_ot_newton
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec, _BufferPool, median_bandwidth
+from kfrflow.kernels import KernelSpec, _BufferPool, _pair_sq, _q_from_sq, median_bandwidth
 from kfrflow.particles import Ensemble
 from kfrflow.targets import target_by_name
 
@@ -45,6 +45,26 @@ def imq_grad1(x, y, h) -> np.ndarray:
     u = x - y
     q = 1.0 / np.sqrt(1.0 + np.sum(u * u) / (h * h))
     return -u / (h * h) * q**3
+
+
+def imq_matrix(xa, xb, h) -> np.ndarray:
+    """q[i, l] = K(xa_i, xb_l) at the fixed bandwidth h, for two point sets
+    or one (xa is xb), from the library's pair pass and kernel sweeps: the
+    same bits as the kernel of a step at that bandwidth."""
+    return _q_from_sq(_pair_sq(xa, xb), _check_h(h))
+
+
+def negated_kernel(where=lambda d2: True):
+    """A stand-in for ``diagnostics._q_from_sq`` that returns -K for the
+    squared distances d2 where ``where(d2)`` holds.  The Stein kernel is
+    linear in K and negation is exact, so the KSD's Stein sum is then
+    exactly minus the true one: negative, by construction, wherever the
+    true sum is positive."""
+    def q_from_sq(d2, h, out=None):
+        q = _q_from_sq(d2, h, out=out)
+        return np.negative(q, out=q) if where(d2) else q
+
+    return q_from_sq
 
 
 def central_diff_grad(f, x, h=1e-5):

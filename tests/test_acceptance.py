@@ -113,8 +113,9 @@ class TestCriterion2ShiftInvariance:
             kfrflow_i_step(ens, base, spec, 0.01, 0.0).positions
             - kfrflow_i_step(ens, plus, spec, 0.01, 0.0).positions
         ))
-        d0, c0 = kfrd_drift(ens, base, spec, 0.0, 0.5, 0.3)
-        d1, c1 = kfrd_drift(ens, plus, spec, 0.0, 0.5, 0.3)
+        at = Ensemble(ens.positions, 0.3)  # the drift reads pi_t's score at 0.3
+        d0, c0 = kfrd_drift(at, base, spec, 0.0, 0.5)
+        d1, c1 = kfrd_drift(at, plus, spec, 0.0, 0.5)
         k_diff = max(np.max(np.abs(d0 - d1)), abs(c0 - c1))
 
         # companion check on the raw target: the shift enters only through
@@ -271,7 +272,7 @@ class TestCriterion7Kfrd:
             rng = make_rng(17)
             ens = Ensemble(donut.sample_reference(rng, 30), 0.0)
             stepper = sde_stepper(
-                lambda en: kfrd_drift(en, donut, spec, lam, 0.0, en.t), 1.0 / n, rng
+                lambda en: kfrd_drift(en, donut, spec, lam, 0.0), 1.0 / n, rng
             )
             return run_unit_time(ens, stepper, n).final.positions
 
@@ -293,7 +294,7 @@ class TestCriterion7Kfrd:
             rng = make_rng(70 + trial)
             ens = Ensemble(funnel.sample_reference(rng, 100), 0.0)
             stepper = sde_stepper(
-                lambda en: kfrd_drift(en, funnel, spec, 0.001, 5.0, en.t), 0.01, rng
+                lambda en: kfrd_drift(en, funnel, spec, 0.001, 5.0), 0.01, rng
             )
             trace = run_unit_time(ens, stepper, 100)
             final = trace.final.positions

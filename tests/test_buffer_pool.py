@@ -52,11 +52,11 @@ def test_results_do_not_live_in_the_pool(target):
         kfrflow_i_step(ens, tgt, spec, 0.1, 1e-3, pool=pool).positions,
         sample_ot_newton(ens, tgt, spec, 0.1, 1e-3, iters=3, pool=pool).positions,
         kfrflow_velocity(ens, tgt, spec, 1e-3, pool=pool),
-        kfrd_drift(ens, tgt, spec, 1e-3, 0.1, 0.0, pool=pool)[0],
+        kfrd_drift(ens, tgt, spec, 1e-3, 0.1, pool=pool)[0],
     ]
     for name in ("kfrflow-i", "kfrflow-euler", "kfrflow-ab4", "kfrd", "svgd"):
         cfg = RunConfig(target=target, sampler=name, J=40, N=6, lam=1e-3, eps=0.1)
-        step = harness._make_stepper(name, None, cfg, tgt, spec, make_rng(33), pool)
+        step = harness._make_stepper(name, None, cfg, tgt, make_rng(33), pool)
         e = ens
         for _ in range(5):  # past AB4's four Euler steps
             e = step(e)

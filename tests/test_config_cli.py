@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import kfrflow
-from kfrflow import _blas, cli, config, harness, kernels
+from kfrflow import _blas, cli, config, diagnostics, harness, kernels
 from kfrflow.cli import main
 from kfrflow.config import SAMPLERS, RunConfig, parse_config, parse_grid, parse_sampler
 from kfrflow.errors import NumericalStabilityError
@@ -29,11 +29,10 @@ from kfrflow.harness import (
     write_record_csv,
 )
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec
 from kfrflow.particles import Ensemble
 from kfrflow.targets import TargetModel, make_gaussian, target_by_name
 
-from helpers import timeless_rows
+from helpers import negated_kernel, timeless_rows
 
 
 class TestSamplerParsing:
@@ -341,26 +340,25 @@ class TestRunExperiment:
         assert fp == []
 
     def test_negative_v_statistic_flags_only_its_trial(self, monkeypatch):
-        # seed 2 draws trial 1's reference as two particles 1e-7 apart, whose
-        # opposed scores of size 2e7 make the KSD V-statistic cancel below 0
+        # seed 2 draws trial 1's reference as two particles 2 apart, and
+        # trial 0's as two 1 apart; the KSD's kernel is negated at distance
+        # 2 only, which makes trial 1's V-statistic exactly minus its true,
+        # positive value.  A zero log ratio leaves the particles in place.
         def sample_reference(rng, n):
-            gap = 1e-7 if rng.random() < 0.5 else 1.0
+            gap = 2.0 if rng.random() < 0.5 else 1.0
             return np.array([[0.0], [gap]])
 
-        def score_target(x):
-            if abs(x[1, 0] - x[0, 0]) < 1e-6:
-                return np.array([[2e7], [-2e7]])
-            return -x
-
         target = TargetModel(
-            name="cancel", dim=1,
+            name="two-points", dim=1,
             log_ratio=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
             sample_reference=sample_reference,
             score_reference=lambda x: -x,
-            score_target=score_target,
+            score_target=lambda x: -x,
         )
         cfg = RunConfig(target="donut", sampler="kfrflow-i", J=2, N=1, seed=2, trials=2)
         monkeypatch.setattr(RunConfig, "build_target", lambda self: target)
+        at_two = negated_kernel(lambda d2: (d2 == 4.0).any())
+        monkeypatch.setattr(diagnostics, "_q_from_sq", at_two)
         record = run_experiment(cfg)
         assert record.unstable_trials == [1]
         assert [(r["trial"], r["stable"]) for r in record.rows] == [(0, 1), (0, 1)]
@@ -564,7 +562,7 @@ class TestUlaTrials:
         J, N = 7, 10
         target = make_gaussian(np.zeros(d), 1.0)
         cfg = RunConfig(target="donut", sampler="ula", J=J, N=N, T=1.0, trials=1)
-        step = _make_stepper("ula", None, cfg, target, KernelSpec(), make_rng(40))
+        step = _make_stepper("ula", None, cfg, target, make_rng(40))
         twin = make_rng(40)
         x = make_rng(41).standard_normal((J, d))
         ens, block = Ensemble(x, 0.0), []
@@ -674,7 +672,7 @@ class TestStepperShape:
         )
         target = cfg.build_target()
         rng = make_rng(cfg.seed)
-        step = _make_stepper(base, iters, cfg, target, KernelSpec(), rng)
+        step = _make_stepper(base, iters, cfg, target, rng)
         assert len(inspect.signature(step).parameters) == 1
         ens = Ensemble(target.sample_reference(rng, cfg.J), 0.5)
         out = step(ens)
@@ -728,20 +726,39 @@ class TestCli:
             vals.append(float(capsys.readouterr().out.strip()))
         assert vals[0] == vals[1]
 
-    def test_run_subcommand_exits_1_and_names_unstable_trials(self, tmp_path, capsys):
-        # the config of TestRunExperiment.test_unstable_trial_flagged_and_excluded,
-        # whose unregularized solve falls back to a larger lambda once
-        with pytest.warns(RuntimeWarning, match="coupling-matrix solve failed"):
-            code = main([
-                "run", "--target", "gaussian:50,0.02", "--sampler", "kfrflow-euler",
-                "--J", "8", "--N", "6", "--lambda", "0", "--seed", "2", "--trials", "2",
-                "--observe_every", "1", "--out", str(tmp_path),
-            ])
+    def test_run_subcommand_exits_1_and_names_unstable_trials(
+            self, tmp_path, capsys, monkeypatch):
+        # seed 2 draws trial 1's reference 1000 out, where the log ratio is
+        # nan, so its first step fails; trial 0 stays near 0 and is stable
+        def sample_reference(rng, n):
+            far = rng.random() < 0.5
+            return rng.standard_normal((n, 1)) + (1000.0 if far else 0.0)
+
+        target = TargetModel(
+            name="nan-far-out", dim=1,
+            log_ratio=lambda x: np.where(np.abs(x[:, 0]) > 100.0, np.nan, 0.0),
+            sample_reference=sample_reference,
+            score_reference=lambda x: -x,
+            score_target=lambda x: -x,
+        )
+        monkeypatch.setattr(RunConfig, "build_target", lambda self: target)
+        code = main([
+            "run", "--target", "donut", "--sampler", "kfrflow-euler",
+            "--J", "8", "--N", "6", "--lambda", "1e-3", "--seed", "2", "--trials", "2",
+            "--observe_every", "1", "--out", str(tmp_path),
+        ])
         assert code == 1
         sidecar = next(tmp_path.glob("*.json"))
         unstable = json.loads(sidecar.read_text())["unstable_trials"]
         assert unstable
+        assert unstable == [1]
         assert capsys.readouterr().err == f"unstable trials: {unstable}\n"
+
+    def test_run_subcommand_rejects_a_zero_dimensional_target(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            main(["run", "--target", "gaussian:,1", "--sampler", "kfrflow-i",
+                  "--J", "5", "--N", "2", "--trials", "1", "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
 
     def test_ksd_subcommand_rejects_samples_of_the_wrong_width(self, tmp_path):
         path = tmp_path / "wide.csv"

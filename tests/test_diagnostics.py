@@ -18,6 +18,7 @@ from helpers import (
     central_diff_grad,
     imq_eval,
     mixed_second_trace,
+    negated_kernel,
     rel_err,
     stein_kernel_matrix,
     velocity_oracle,
@@ -81,13 +82,14 @@ class TestKsd:
             together = stein_discrepancies(x, scores, cfg)
             assert together == [ksd(x, lambda _, s=s: s, cfg) for s in scores]
 
-    def test_negative_v_statistic_is_numerical_error(self):
-        # two particles 1e-7 apart with opposed scores of size 2/1e-7: the
-        # Stein sum cancels to round-off, which comes out negative
-        x = np.array([[0.0], [1e-7]])
-        s = np.array([[2e7], [-2e7]])
+    def test_negative_v_statistic_is_numerical_error(self, monkeypatch):
+        # a negated kernel makes the Stein sum exactly minus the true one,
+        # which is well above 0 here
+        x = np.array([[0.0], [1.0]])
+        assert ksd(x, lambda _: -x) > 0.1
+        monkeypatch.setattr(diagnostics, "_q_from_sq", negated_kernel())
         with pytest.raises(NumericalStabilityError, match="semidefinite"):
-            ksd(x, lambda _: s)
+            ksd(x, lambda _: -x)
 
     def test_imq_derivative_formulas_match_finite_differences(self):
         rng = np.random.default_rng(91)

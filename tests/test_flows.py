@@ -17,11 +17,11 @@ from kfrflow.flows import (
     tempered_score,
 )
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec, _pair_kernel, build_workspace, median_bandwidth
+from kfrflow.kernels import KernelSpec, build_workspace, median_bandwidth
 from kfrflow.particles import Ensemble, importance_weights
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_funnel, make_gaussian
 
-from helpers import velocity_oracle
+from helpers import imq_matrix, velocity_oracle
 
 
 def constant_ratio_target(dim, value=3.25):
@@ -239,7 +239,7 @@ class TestNewtonTransport:
 
         def residual_after(iters):
             out = sample_ot_newton(e, donut, spec, 0.05, lam, iters=iters)
-            g = _pair_kernel(out.positions, x, h)[1].mean(axis=0)
+            g = imq_matrix(out.positions, x, h).mean(axis=0)
             return np.linalg.norm(g - b)
 
         r1, r3 = residual_after(1), residual_after(3)
@@ -286,7 +286,7 @@ class TestPairPasses:
         if d >= kernels._DISTANCE_GRAM_MIN_DIM:
             # the shared D gives the M of a fresh product-form pass bit for bit
             D = kernels._pair_sq_product(x)
-            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.Kmat, ws.h, D))
+            assert np.array_equal(ws.M, kernels._grad_gram(x, ws.Kmat, ws.h, D, s=ws.s))
 
     def test_importance_step_makes_one_pass(self, pair_passes):
         e = Ensemble(np.random.default_rng(61).standard_normal((40, 20)), 0.0)
@@ -387,7 +387,7 @@ class TestGradApplies:
         ws = build_workspace(e, spec)
         b = importance_weights(e, donut, 0.1) @ ws.Kmat
         iterates = [x, *measured]
-        norms = [np.linalg.norm(_pair_kernel(y, x, ws.h)[1].mean(axis=0) - b) for y in iterates]
+        norms = [np.linalg.norm(imq_matrix(y, x, ws.h).mean(axis=0) - b) for y in iterates]
         best = int(np.argmin(norms))
         assert 0 < best < len(measured)
         assert np.array_equal(out.positions, iterates[best])
@@ -416,9 +416,9 @@ class TestKfrdDrift:
     def test_zero_noise_reduces_to_velocity(self):
         donut = make_bayesian_2d("donut")
         rng = np.random.default_rng(52)
-        e = Ensemble(rng.standard_normal((12, 2)), 0.0)
+        e = Ensemble(rng.standard_normal((12, 2)), 0.3)
         spec = KernelSpec()
-        drift, coeff = kfrd_drift(e, donut, spec, 1e-6, 0.0, 0.3)
+        drift, coeff = kfrd_drift(e, donut, spec, 1e-6, 0.0)
         v = kfrflow_velocity(e, donut, spec, 1e-6)
         assert np.array_equal(drift, v)
         assert coeff == 0.0
@@ -427,8 +427,8 @@ class TestKfrdDrift:
         # constant ratio + unit gaussian target: drift row j = -X_j, coeff sqrt(2)
         g = make_gaussian(np.zeros(2), 1.0)
         rng = np.random.default_rng(53)
-        e = Ensemble(rng.standard_normal((9, 2)), 0.0)
-        drift, coeff = kfrd_drift(e, g, KernelSpec(), 1e-6, 1.0, 0.4)
+        e = Ensemble(rng.standard_normal((9, 2)), 0.4)
+        drift, coeff = kfrd_drift(e, g, KernelSpec(), 1e-6, 1.0)
         assert np.allclose(drift, -e.positions, rtol=1e-12, atol=1e-12)
         assert coeff == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
@@ -437,30 +437,30 @@ class TestKfrdDrift:
 
         f = make_funnel(10)
         rng = np.random.default_rng(54)
-        e = Ensemble(f.sample_reference(rng, 100), 0.0)
-        drift, coeff = kfrd_drift(e, f, KernelSpec(), 1e-3, 5.0, 0.5)
+        e = Ensemble(f.sample_reference(rng, 100), 0.5)
+        drift, coeff = kfrd_drift(e, f, KernelSpec(), 1e-3, 5.0)
         assert np.isfinite(drift).all()
         assert coeff == pytest.approx(np.sqrt(10.0), rel=1e-15)
 
     def test_shift_invariance_bitwise_on_quantized_target(self):
         base = quantized_target(make_bayesian_2d("donut"))
         rng = np.random.default_rng(55)
-        e = Ensemble(rng.standard_normal((15, 2)), 0.0)
+        e = Ensemble(rng.standard_normal((15, 2)), 0.25)
         spec = KernelSpec()
-        d0, c0 = kfrd_drift(e, base, spec, 0.0, 0.5, 0.25)
-        d1, c1 = kfrd_drift(e, shifted_target(base, 7.3), spec, 0.0, 0.5, 0.25)
+        d0, c0 = kfrd_drift(e, base, spec, 0.0, 0.5)
+        d1, c1 = kfrd_drift(e, shifted_target(base, 7.3), spec, 0.0, 0.5)
         assert np.array_equal(d0, d1)
         assert c0 == c1
 
     def test_rejects_bad_lambda_and_eps(self):
         donut = make_bayesian_2d("donut")
-        e = Ensemble(np.random.default_rng(56).standard_normal((8, 2)), 0.0)
+        e = Ensemble(np.random.default_rng(56).standard_normal((8, 2)), 0.3)
         with pytest.raises(ValueError):
-            kfrd_drift(e, donut, KernelSpec(), -1.0, 0.0, 0.3)
+            kfrd_drift(e, donut, KernelSpec(), -1.0, 0.0)
         with pytest.raises(ValueError):
-            kfrd_drift(e, donut, KernelSpec(), 0.0, -0.5, 0.3)
+            kfrd_drift(e, donut, KernelSpec(), 0.0, -0.5)
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lambda must be finite"):
-                kfrd_drift(e, donut, KernelSpec(), value, 0.0, 0.3)
+                kfrd_drift(e, donut, KernelSpec(), value, 0.0)
             with pytest.raises(ValueError, match="eps must be finite"):
-                kfrd_drift(e, donut, KernelSpec(), 0.0, value, 0.3)
+                kfrd_drift(e, donut, KernelSpec(), 0.0, value)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kfrflow.errors import NumericalStabilityError
+from kfrflow.errors import NonFiniteStateError, NumericalStabilityError
 from kfrflow.integrators import (
     make_rng,
     run_unit_time,
@@ -221,6 +221,9 @@ class TestRunUnitTime:
         with pytest.raises(NumericalStabilityError, match="step 2") as info:
             run_unit_time(e, stepper, 4)
         assert "non-finite coordinates" in str(info.value)
+        # attaching the step keeps the class: a blow-up is still a ValueError
+        assert type(info.value) is NonFiniteStateError
+        assert isinstance(info.value, ValueError) and info.value.step == 2
 
     def test_total_time_rescales_grid(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)

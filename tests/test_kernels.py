@@ -28,6 +28,7 @@ from helpers import (
     central_diff_grad,
     imq_eval,
     imq_grad1,
+    imq_matrix,
     median_bw_gather_oracle,
     rel_err,
 )
@@ -117,7 +118,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(4)
         xa = rng.standard_normal((4, 2))
         xb = rng.standard_normal((3, 2))
-        _, k = _pair_kernel(xa, xb, 0.8)
+        k = imq_matrix(xa, xb, 0.8)
         for i in range(4):
             for j in range(3):
                 assert k[i, j] == pytest.approx(imq_eval(xa[i], xb[j], 0.8), rel=1e-14)
@@ -126,7 +127,7 @@ class TestKernelMatrix:
 def jacobian(x, h, i):
     """Jacobian of the basis map x -> (K(x, X_1), ..., K(x, X_J)) at X_i:
     row j is grad_x K(x, X_j) at x = X_i, read from the gradient blocks."""
-    _, q = _pair_kernel(x, x, h)
+    q = imq_matrix(x, x, h)
     return _grad_blocks(x, x, _grad_scale(q, h))[:, i, :].T
 
 
@@ -157,7 +158,7 @@ class TestKernelJacobian:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
         for i in range(4):
-            _, q = _pair_kernel(x[i : i + 1], x, 0.75)
+            q = imq_matrix(x[i : i + 1], x, 0.75)
             row = _grad_blocks(x[i : i + 1], x, _grad_scale(q, 0.75))
             assert np.array_equal(row[:, 0, :].T, jacobian(x, 0.75, i))
 
@@ -167,9 +168,9 @@ class TestPairKernel:
         rng = np.random.default_rng(10)
         xa = rng.standard_normal((4, 3))
         xb = rng.standard_normal((5, 3))
-        h, q = _pair_kernel(xa, xb, 0.9)
-        G = _grad_blocks(xa, xb, _grad_scale(q, h))
-        assert h == 0.9 and q.shape == (4, 5) and G.shape == (3, 4, 5)
+        q = imq_matrix(xa, xb, 0.9)
+        G = _grad_blocks(xa, xb, _grad_scale(q, 0.9))
+        assert q.shape == (4, 5) and G.shape == (3, 4, 5)
         for i in range(4):
             for ell in range(5):
                 assert rel_err(G[:, i, ell], imq_grad1(xa[i], xb[ell], 0.9)) < 1e-14
@@ -178,7 +179,7 @@ class TestPairKernel:
         rng = np.random.default_rng(11)
         for J, d in ((1, 1), (2, 2), (30, 5)):
             x = rng.standard_normal((J, d)) * 3.0
-            h, q = _pair_kernel(x, x, KernelSpec())
+            h, q = _pair_kernel(x, KernelSpec())
             G = _grad_blocks(x, x, _grad_scale(q, h))
             assert np.array_equal(q, q.T)
             for a in range(d):
@@ -187,9 +188,9 @@ class TestPairKernel:
     def test_spec_policy_resolved_on_the_pairs(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((9, 2))
-        assert _pair_kernel(x, x, KernelSpec())[0] == median_bandwidth(x)
-        assert _pair_kernel(x, x, KernelSpec(bandwidth=0.4))[0] == 0.4
-        assert _pair_kernel(np.ones((3, 2)), np.ones((3, 2)), KernelSpec())[0] == 1e-6
+        assert _pair_kernel(x, KernelSpec())[0] == median_bandwidth(x)
+        assert _pair_kernel(x, KernelSpec(bandwidth=0.4))[0] == 0.4
+        assert _pair_kernel(np.ones((3, 2)), KernelSpec())[0] == 1e-6
 
 
 def _bits(a):
@@ -249,8 +250,8 @@ class TestGradBlocks:
         rng = np.random.default_rng(20 + d)
         x = rng.standard_normal((17, d)) + 30.0
         y = x if same else x + 0.3 * rng.standard_normal((17, d))
-        h, q = _pair_kernel(y, x, 0.8)
-        s = _grad_scale(q, h)
+        q = imq_matrix(y, x, 0.8)
+        s = _grad_scale(q, 0.8)
         G = _grad_blocks(y, x, s)
         for a in range(d):
             assert np.array_equal(_bits(G[a]), _bits(np.subtract.outer(y[:, a], x[:, a]) * s))
@@ -350,8 +351,8 @@ class TestGradGram:
         for d in (2, 20):
             x = rng.standard_normal((J, d)) + 40.0
             y = x + 0.3 * rng.standard_normal((J, d))
-            h, q = _pair_kernel(x, x, KernelSpec())
-            _, qy = _pair_kernel(y, x, h)
+            h, q = _pair_kernel(x, KernelSpec())
+            qy = imq_matrix(y, x, h)
             expected = basis_gradient_oracle(x, h, y) @ basis_gradient_oracle(x, h).T / J
             jac = _grad_jacobian(x, q, h, None)(y, qy, _pair_sq(y, x))
             assert rel_err(jac, expected) <= 1e-13, d
@@ -362,8 +363,8 @@ class TestGradGram:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((40, 20))
         y = x + 0.3 * rng.standard_normal((40, 20))
-        h, q = _pair_kernel(x, x, KernelSpec())
-        _, qy = _pair_kernel(y, x, h)
+        h, q = _pair_kernel(x, KernelSpec())
+        qy = imq_matrix(y, x, h)
         jac = _grad_jacobian(x, q, h, None)
         assert np.array_equal(jac(y, qy, _pair_sq(y, x)), jac(y, qy, _pair_sq(y, x)))
 
@@ -382,7 +383,7 @@ class TestGradGram:
         monkeypatch.setattr(_blas, "rank_k_update", recorded)
         J = 701
         x = np.random.default_rng(16 + d).standard_normal((J, d)) + 30.0
-        h, q = _pair_kernel(x, x, KernelSpec())
+        h, q = _pair_kernel(x, KernelSpec())
         s = _grad_scale(q, h)
         _grad_gram(x, q, h, np.empty((J, J)), s=s if whole_s else None)
         assert len(strips) >= 4
@@ -410,6 +411,12 @@ class TestMedianBandwidth:
 
     def test_single_particle_returns_floor(self):
         assert median_bandwidth(np.zeros((1, 2)), h_floor=1e-3) == 1e-3
+
+    @pytest.mark.parametrize("h_floor", [0.0, -1.0])
+    def test_floor_that_is_not_positive_rejected(self, h_floor):
+        # as KernelSpec rejects it, rather than a bandwidth of 0
+        with pytest.raises(ValueError, match="h_floor must be > 0"):
+            median_bandwidth(np.ones((5, 2)), h_floor=h_floor)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(8)
@@ -452,7 +459,7 @@ class TestMedianBandwidth:
                 want = median_bw_gather_oracle(d2.copy(), 1e-6)
                 pool = kernels._BufferPool()
                 for p in (None, pool, pool):  # fresh, cold pool, warm pool
-                    assert kernels._median_bw_from_sq(d2, 1e-6, p) == want, (J, d)
+                    assert kernels._bandwidth_from_sq(KernelSpec(), d2, p) == want, (J, d)
                 assert np.array_equal(d2, _pair_sq(x, x))  # d2 is not written
 
     def test_partitioned_median_reads_the_pair_left_of_the_diagonal_zeros(self):

@@ -38,7 +38,7 @@ def brute_force_M(x, h):
 class TestEnsemble:
     def test_valid_construction(self):
         e = Ensemble(np.zeros((3, 2)), 0.5)
-        assert e.J == 3 and e.d == 2 and e.t == 0.5
+        assert e.positions.shape == (3, 2) and e.t == 0.5
 
     def test_rejects_non_finite(self):
         x = np.zeros((3, 2))

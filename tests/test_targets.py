@@ -159,6 +159,13 @@ class TestGaussian:
         with pytest.raises(ValueError):
             make_gaussian([0.0], 0.0)
 
+    def test_empty_mean_rejected(self):
+        # a d = 0 target has no particles to move and no KSD to report
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            make_gaussian([], 1.0)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            target_by_name("gaussian:,1")
+
 
 class TestReferenceSampler:
     def test_standard_normal_moments(self):

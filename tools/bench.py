@@ -20,11 +20,9 @@ and the digest of ``src/kfrflow``, as perfbench reports them.
 ``blas_provenance`` is also the platform key of ``tests/references``.
 
 With ``--base REV`` it resolves REV to a commit, or prints one line and
-exits with status 2 where git cannot.  It checks the commit out with ``git
-worktree add --detach`` into a temporary directory, which is removed on
-every exit, and runs ten pairs of the same perfbench runs per workload,
-one on REV's tree and one on this checkout, with the same seed and in
-alternating order.  Per workload and metric it prints both medians and
+exits with status 2 where git cannot.  It then runs ten pairs of the same
+perfbench runs per workload, one on REV's tree and one on this checkout's,
+with the same seed and in alternating order.  Per workload and metric it prints both medians and
 IQRs, the change of the median, and in how many pairs this checkout was
 lower.  Where REV's own runs spread wider than the metric's ``bound`` in
 ``BENCHMARK.json`` (an IQR above that fraction of REV's median), a change
@@ -33,9 +31,14 @@ within the bound cannot be told from noise, so the line ends in
 of REV.
 
 Every perfbench run, in either mode, runs as the benchmark runs a fresh
-checkout: with no bytecode cache under ``src`` or ``perfbench`` (the tool
-removes this checkout's) and with ``PYTHONDONTWRITEBYTECODE=1``.  A stale
-cache on one side only moved ``peak_rss_mb`` by 0.2-0.3 MB.
+checkout: in a temporary copy of ``src`` and ``perfbench`` alone, removed
+on every exit, with ``PYTHONDONTWRITEBYTECODE=1``.  REV's copy comes from
+``git archive``, this checkout's from the files that git lists there
+(tracked, or untracked and not ignored), as they stand.  So both sides of a
+comparison are staged the same way, neither holds a bytecode cache or a
+``.git``, and the checkout itself is never touched.  (A stale cache on one
+side only moved ``peak_rss_mb`` by 0.2-0.3 MB.)  perfbench finds no git
+revision in such a copy, so ``--out`` records the checkout's HEAD itself.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import io
 import json
 import os
 import re
@@ -51,6 +55,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -62,6 +67,7 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUNS = 8  # perfbench runs per workload, seeds 1..RUNS: enough for quartiles
 SECONDS = 8  # perfbench --seconds
 PAIRS = 10  # alternated pairs per workload in a --base comparison
+STAGED = ("src", "perfbench")  # what a perfbench run reads of a checkout
 CRITERIA = (3, 5, 6, 11)
 # "PASS criterion 11: median step times 0.47 / 1.27 / 7.22 ms; ...; 41s"
 CRITERION_LINE = re.compile(r"^(PASS|FAIL) criterion (\d+): (.*); (\d+(?:\.\d+)?)s$")
@@ -74,12 +80,9 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def perfbench(workload: str, seed: int, seconds: int, tree: Path = Path(".")) -> tuple:
-    """One ``perfbench/run.py --trace 0`` run in the checkout ``tree``: its
-    JSON result and provenance.  The tree's bytecode caches go first, and
-    none is written (see the module docstring)."""
-    for cache in [*(tree / "src").rglob("__pycache__"), *(tree / "perfbench").rglob("__pycache__")]:
-        shutil.rmtree(cache)
+def perfbench(workload: str, seed: int, seconds: int, tree: Path) -> tuple:
+    """One ``perfbench/run.py --trace 0`` run in the staged tree ``tree``:
+    its JSON result and provenance.  It writes no bytecode cache."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -148,19 +151,28 @@ def resolve(rev: str) -> str | None:
 
 
 @contextlib.contextmanager
-def worktree(rev: str):
-    """A detached checkout of ``rev`` in a temporary directory, removed, with
-    its git worktree entry, however the block exits."""
-    tmp = Path(tempfile.mkdtemp(prefix="kfrflow-base-"))
-    tree = tmp / "tree"
+def staged(rev: str | None = None):
+    """``STAGED`` of the commit ``rev``, or of this checkout as it stands
+    where ``rev`` is None, copied into a fresh temporary directory, which is
+    removed however the block exits (see the module docstring)."""
+    tree = Path(tempfile.mkdtemp(prefix="kfrflow-bench-"))
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), rev],
-                       check=True)
+        if rev is None:
+            listed = subprocess.run(
+                ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                 "--", *STAGED], capture_output=True, check=True).stdout
+            for name in filter(None, listed.decode().split("\0")):
+                if Path(name).is_file():  # a tracked file may be deleted
+                    (tree / name).parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(name, tree / name)
+        else:
+            archive = subprocess.run(["git", "archive", "--format=tar", rev, "--", *STAGED],
+                                     capture_output=True, check=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(tree, filter="data")
         yield tree
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], capture_output=True)
+        shutil.rmtree(tree, ignore_errors=True)
 
 
 def compare(rev: str, commit: str, workloads: list) -> int:
@@ -169,9 +181,9 @@ def compare(rev: str, commit: str, workloads: list) -> int:
     k of n" per metric, and "unresolved" where the module docstring says."""
     bounds = {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     runs = {w: {"base": [], "head": []} for w in workloads}
-    with worktree(commit) as base:
+    with staged(commit) as base, staged() as head:
         for seed in range(1, PAIRS + 1):
-            sides = [("base", base), ("head", Path("."))]
+            sides = [("base", base), ("head", head)]
             for w in workloads:
                 for side, tree in sides if seed % 2 else sides[::-1]:
                     runs[w][side].append(perfbench(w, seed, SECONDS, tree)[0])
@@ -208,7 +220,7 @@ def main() -> int:
     args = parser.parse_args()
     if not Path("perfbench/run.py").is_file() or not Path("src/kfrflow").is_dir():
         parser.error("run from the root of a source checkout")
-    # a terminated run still leaves through the worktree's cleanup
+    # a terminated run still leaves through the staged trees' cleanup
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     workloads = [w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]]
@@ -220,12 +232,13 @@ def main() -> int:
         return compare(args.base, commit, workloads)
     results = {w: [] for w in workloads}
     provenance = None
-    for seed in range(1, RUNS + 1):
-        for w in workloads:
-            result, provenance = perfbench(w, seed, SECONDS)
-            results[w].append(result)
-            print(f"{w} seed {seed}: " + ", ".join(
-                f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
+    with staged() as tree:
+        for seed in range(1, RUNS + 1):
+            for w in workloads:
+                result, provenance = perfbench(w, seed, SECONDS, tree)
+                results[w].append(result)
+                print(f"{w} seed {seed}: " + ", ".join(
+                    f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
 
     bench = {}
     for w, runs in results.items():
@@ -243,7 +256,7 @@ def main() -> int:
         "provenance": {
             "nproc": provenance["nproc"], "python": provenance["python"],
             **blas_provenance(), "blas": provenance["blas"],
-            "git_revision": provenance["git_revision"],
+            "git_revision": resolve("HEAD"),
             "src_modified": src_modified(), "src_sha256": provenance["src_sha256"],
         },
     }
