@@ -22,9 +22,9 @@ and the digest of ``src/kfrflow``, as perfbench reports them.
 With ``--base REV`` it resolves REV to a commit, or prints one line and
 exits with status 2 where git cannot.  It then runs ten pairs of the same
 perfbench runs per workload, one on REV's tree and one on this checkout's,
-with the same seed and in alternating order.  Per workload and metric it prints both medians and
-IQRs, the change of the median, and in how many pairs this checkout was
-lower.  Where REV's own runs spread wider than the metric's ``bound`` in
+with the same seed and in alternating order.  Per workload and metric it
+prints both medians and IQRs, the change of the median, and in how many
+pairs this checkout was lower.  Where REV's own runs spread wider than the metric's ``bound`` in
 ``BENCHMARK.json`` (an IQR above that fraction of REV's median), a change
 within the bound cannot be told from noise, so the line ends in
 ``unresolved``, unless every run of this checkout is lower than every run
