@@ -30,14 +30,15 @@ _ROW_MAJOR, _LOWER, _TRANS = 101, 122, 112
 _NK, _C = [_INT] * 3 + [_I64, _I64, _DBL], [_DBL, _PTR, _I64]
 _DSYRK = _symbol("cblas_dsyrk64_", _NK + [_PTR, _I64] + _C)
 _DSYR2K = _symbol("cblas_dsyr2k64_", _NK + [_PTR, _I64] * 2 + _C)
-# RFP LAPACK (Fortran: transr, uplo and n by pointer, two trailing character
-# lengths), all three or none so that no factor mixes two OpenBLAS builds
-_RFP, _LENS = [_CHAR, _CHAR, _I64_P], [_LEN, _LEN]
-_DTRTTF = _symbol("dtrttf_64_", _RFP + [_PTR, _I64_P, _PTR, _I64_P] + _LENS)
-_DPFTRF = _symbol("dpftrf_64_", _RFP + [_PTR, _I64_P] + _LENS)
-_DPFTRS = _symbol("dpftrs_64_", _RFP + [_I64_P, _PTR, _PTR, _I64_P, _I64_P] + _LENS)
-if None in (_DTRTTF, _DPFTRF, _DPFTRS):
-    _DTRTTF = _DPFTRF = _DPFTRS = None
+# LAPACK (Fortran: uplo, transr and n by pointer, trailing character
+# lengths): the median's RFP copy, and the Cholesky factor and solve, both or
+# neither so that no factor mixes two OpenBLAS builds
+_CH, _LENS = [_CHAR, _I64_P], [_LEN, _LEN]
+_DTRTTF = _symbol("dtrttf_64_", [_CHAR] + _CH + [_PTR, _I64_P, _PTR, _I64_P] + _LENS)
+_DPOTRF = _symbol("dpotrf_64_", _CH + [_PTR, _I64_P, _I64_P, _LEN])
+_DPOTRS = _symbol("dpotrs_64_", _CH + [_I64_P, _PTR, _I64_P, _PTR, _I64_P, _I64_P, _LEN])
+if None in (_DPOTRF, _DPOTRS):
+    _DPOTRF = _DPOTRS = None
 _GET_THREADS = _symbol("openblas_get_num_threads64_", [], _INT)
 _SET_THREADS = _symbol("openblas_set_num_threads64_", [_INT])
 
@@ -74,7 +75,7 @@ def _lapack():
     try:
         from scipy.linalg import lapack
     except ImportError as err:
-        msg = "the Cholesky solve needs scipy: numpy exports no dtrttf, dpftrf or dpftrs"
+        msg = "kfrflow needs scipy where numpy exports no dtrttf, dpotrf or dpotrs"
         raise ImportError(msg) from err
     return lapack
 
@@ -90,30 +91,33 @@ def rfp_copy(a: np.ndarray, arf: np.ndarray) -> None:
         _DTRTTF(b"N", b"L", _I64(n), a.ctypes.data, _I64(n), arf.ctypes.data, _I64(0), 1, 1)
 
 
-def rfp_factor(arf: np.ndarray, n: int) -> bool:
-    """``dpftrf``: overwrite the RFP array of an n x n matrix with its
-    Cholesky factor; False when the matrix is not positive definite."""
-    _check("RFP factor", (arf, (n * (n + 1) // 2,)))
+def cholesky(a: np.ndarray) -> bool:
+    """``dpotrf``: overwrite the upper triangle and the diagonal of the
+    (n, n) array a, the lower triangle of its column-major view, with the
+    Cholesky factor of the symmetric matrix they hold; the strict lower
+    triangle is not touched.  False when the matrix is not positive definite."""
+    n = a.shape[0]
+    _check("Cholesky factor", (a, (n, n)))
     info = _I64(0)
-    if _DPFTRF is None:
-        arf[:], info.value = _lapack().dpftrf(n, arf, transr="N", uplo="L", overwrite_a=1)
+    if _DPOTRF is None:  # a.T is Fortran-contiguous, so scipy factors it in place
+        info.value = _lapack().dpotrf(a.T, lower=1, clean=0, overwrite_a=1)[1]
     else:
-        _DPFTRF(b"N", b"L", _I64(n), arf.ctypes.data, info, 1, 1)
+        _DPOTRF(b"L", _I64(n), a.ctypes.data, _I64(n), info, 1)
     if info.value < 0:
-        raise ValueError(f"dpftrf rejected argument {-info.value}")
+        raise ValueError(f"dpotrf rejected argument {-info.value}")
     return info.value == 0
 
 
-def rfp_solve(arf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``dpftrs``: overwrite the (n,) vector x with A^-1 x, for the factor
-    of A that :func:`rfp_factor` left in arf, and return it."""
+def cholesky_solve(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``dpotrs``: overwrite the (n,) vector x with A^-1 x, for the factor of
+    A that :func:`cholesky` left in a, and return it."""
     n = x.shape[0]
-    _check("RFP solve", (arf, (n * (n + 1) // 2,)), (x, (n,)))
-    if _DPFTRS is None:
-        x[:] = _lapack().dpftrs(n, arf, x[:, None], transr="N", uplo="L")[0][:, 0]
+    _check("Cholesky solve", (a, (n, n)), (x, (n,)))
+    if _DPOTRS is None:
+        x[:] = _lapack().dpotrs(a.T, x, lower=1)[0]
     else:
         n, one = _I64(n), _I64(1)
-        _DPFTRS(b"N", b"L", n, one, arf.ctypes.data, x.ctypes.data, n, _I64(0), 1, 1)
+        _DPOTRS(b"L", n, one, a.ctypes.data, n, x.ctypes.data, n, _I64(0), 1)
     return x
 
 

@@ -89,6 +89,8 @@ class RunConfig:
                 raise ValueError(f"{key} must be >= 1, got {value}")
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
+        if self.T == math.inf:
+            raise ValueError(f"T must be finite, got {self.T}")
         if base in UNIT_TIME_SAMPLERS and self.T != 1.0:
             raise ValueError(
                 f"sampler {self.sampler!r} runs in unit time; T={self.T} rejected"

@@ -43,8 +43,8 @@ class KsdConfig:
     estimator: str = "v"
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("KSD bandwidth must be > 0")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"KSD bandwidth h must be > 0 and finite, got {self.h}")
         if self.estimator not in ("v", "u"):
             raise ValueError(f"estimator must be 'v' or 'u', got {self.estimator!r}")
 

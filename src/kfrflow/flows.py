@@ -49,6 +49,7 @@ from .particles import (
     Ensemble,
     _lam_floor,
     _log_ratio_values,
+    _restore,
     importance_weights,
     spd_solve,
 )
@@ -124,12 +125,13 @@ def sample_ot_newton(
     # K(X_j + disp_j, .), valid only while ||disp_j|| <~ h: raise lam (kept
     # for later iterations) until no particle moves farther.
     resid = uniform @ ws.Kmat - b
+    diag = ws.M.diagonal().copy()  # a pooled solve writes its factor over M
     while True:
         s = -spd_solve(ws.M, lam, resid, pool=pool)
         disp = _grad_apply(x, ws.Kmat, ws.h, s, pool, ws.s)
         if not np.max(np.sum(disp * disp, axis=1)) > ws.h * ws.h:
             break
-        lam = max(10.0 * lam, _lam_floor(ws.M))
+        lam = max(10.0 * lam, _lam_floor(_restore(ws.M, diag)))
     y = x + disp
     if iters == 1:
         return Ensemble(y, ensemble.t + dt)

@@ -111,6 +111,8 @@ def run_unit_time(
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 0 < total_time < np.inf:
+        raise ValueError(f"total_time must be > 0 and finite, got {total_time}")
     if abs(initial.t) > 1e-12:
         raise ValueError(f"initial ensemble must start at t=0, got t={initial.t}")
     ens = initial

@@ -56,32 +56,32 @@ fixed over a trial, so one trial creates a pool and hands it to every step
 and observation, and no step allocates those arrays again.  Without a pool
 every array is fresh; the arithmetic is the same either way.  A pooled step
 holds four named buffers and nothing else: below ``_DISTANCE_GRAM_MIN_DIM``
-2.5 J x J arrays and at most ``_S_STRIP`` elements of s, and from it on 4
-J x J arrays:
+two J x J arrays and two strips of at most ``_S_STRIP`` elements, and from
+it on four J x J arrays:
 
 * ``"D"``: the squared distances of the pair pass, made by the step or
-  handed on by the observation before it, then the coupling matrix M, which
-  is formed over them once q is (at every d), and in a Newton step from
-  ``_DISTANCE_GRAM_MIN_DIM`` on the Jacobian's D of the centres, which is
-  written over M once the first iterate has spent it;
-* ``"q"``: the kernel matrix; below ``_DISTANCE_GRAM_MIN_DIM`` its head
-  holds the pair pass's scratch, at most two row strips of ``_PAIR_BLOCK``
-  pairs (512 KB while J <= 2^15), which is dead before q is written;
+  handed on by the observation before it; then M, formed over them once q
+  is; then the Cholesky factor of M + lam I, which ``particles.spd_solve``
+  writes over M's upper triangle and diagonal while the strict lower
+  triangle keeps M; and in a Newton step from ``_DISTANCE_GRAM_MIN_DIM`` on
+  the Jacobian's D of the centres, written over the spent M;
+* ``"q"``: the kernel matrix.  Before q is written, its head holds the pair
+  pass's scratch (below ``_DISTANCE_GRAM_MIN_DIM``, at most two row strips
+  of ``_PAIR_BLOCK`` pairs), then the J(J+1)/2 elements of D's upper
+  triangle, diagonal included, that the median partitions in place;
 * ``"s"``: the gradient scale, whole where the distance form of M needs it
-  (from ``_DISTANCE_GRAM_MIN_DIM`` on) or where J x J fits in ``_S_STRIP``
-  elements, and otherwise formed from q in row strips of at most
-  ``_S_STRIP`` elements where a product reads them (q^3 in the apply);
-* ``"G"``: J(J+1)/2 elements below ``_DISTANCE_GRAM_MIN_DIM``, J x J from it
-  on (and at least 2 (d + 2) J), and dead between its uses.  Within a step
-  it holds in turn the two (d + 2, J) operands of the product form of D
-  (from ``_DISTANCE_GRAM_MIN_DIM`` on), the upper triangle of D, diagonal
-  included, that the median partitions in place, the scratch of M (one row
-  strip of the gradient blocks at a time, or P = D o (s^T s) and then
-  T + T^T - P), and the Cholesky factor of M + lam I in rectangular full
-  packed storage that ``particles.spd_solve`` writes.
+  or where J x J fits in ``_S_STRIP`` elements, and otherwise row strips of
+  at most ``_S_STRIP`` elements where a product reads them (q^3 in the
+  apply);
+* ``"G"``: the scratch of M, dead between its uses: below
+  ``_DISTANCE_GRAM_MIN_DIM`` one row strip of the gradient blocks, at most
+  ``_S_STRIP`` and at most J(J+1)/2 elements; from it on J x J, holding in
+  turn the two (d + 2, J) operands of the product form of D,
+  P = D o (s^T s) and T + T^T - P.
 
-An SVGD step borrows the same names: q formed over the distances in
-``"D"``, the median in ``"G"`` and the apply's strips of q^3 in ``"s"``.
+An SVGD step borrows ``"D"``, ``"q"`` and ``"s"`` alone: its q is formed
+over the distances in ``"D"``, after the pass and the median in the head of
+``"q"``.
 
 Between steps every buffer is dead, so the KSD of an observation borrows
 them: its row strips of at most ``diagnostics._KSD_STRIP`` elements live in
@@ -146,10 +146,9 @@ class KernelSpec:
     h_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("fixed bandwidth must be > 0")
-        if not self.h_floor > 0:
-            raise ValueError("h_floor must be > 0")
+        for key, value in (("bandwidth", self.bandwidth), ("h_floor", self.h_floor)):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{key} must be > 0 and finite, got {value}")
 
 
 class _BufferPool:
@@ -316,7 +315,7 @@ def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray, pool=None) -> float:
     med is the exact median of the J(J-1)/2 pairwise distances (for an even
     count, the average of the two middle ones), read from the upper
     triangle, diagonal included, into J(J+1)/2 elements at the head of the
-    pool's ``"G"`` (one RFP copy) and partitioned there once
+    pool's ``"q"`` (one RFP copy) and partitioned there once
     (:func:`_partitioned_median`); h = sqrt(med^2 / log(J+1)), clamped
     below by ``spec.h_floor``, which is also the bandwidth of one particle.
     """
@@ -325,7 +324,7 @@ def _bandwidth_from_sq(spec: KernelSpec, d2: np.ndarray, pool=None) -> float:
     J = d2.shape[0]
     if J < 2:
         return float(spec.h_floor)
-    tri = _scratch(pool, "G", (J * (J + 1) // 2,))
+    tri = _scratch(pool, "q", (J * (J + 1) // 2,))
     _blas.rfp_copy(d2, tri)
     tri.partition(J + J * (J - 1) // 2 // 2)
     med = _partitioned_median(tri, J)
@@ -416,19 +415,14 @@ def _grad_gram(x: np.ndarray, q: np.ndarray, h: float, D, pool=None, s=None) -> 
 
     Below ``_DISTANCE_GRAM_MIN_DIM`` D's values are not read: M sums
     B^T B / J over row strips B of the gradient blocks with dsyrk (alpha =
-    1/J), each strip's rows of s (at most ``_S_STRIP`` elements) formed in
-    the pool's ``"s"`` and its blocks (at most J(J+1)/2 elements, like the
-    factor that follows) in ``"G"``, from differences made once per call.
-    From it on D is
-    ``_pair_sq_product(x)``, and D_il = ||x_i - x_l||^2 and
-    (x_i - x_l).(x_i - x_m) = (D_il + D_im - D_lm) / 2 give
-    M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s: one dsyr2k over
-    the whole of s in ``"s"``, with P = D o (s^T s) and then T + T^T - P in
-    ``"G"``.  Either form fills the lower triangle and mirrors it, so M is
-    exactly symmetric."""
+    1/J).  From it on D is ``_pair_sq_product(x)``, and D_il =
+    ||x_i - x_l||^2 and (x_i - x_l).(x_i - x_m) = (D_il + D_im - D_lm) / 2
+    give M = (T + T^T - D o (s^T s)) / (2J) with T = (D o s) s: one dsyr2k.
+    Either form fills the lower triangle and mirrors it, so M is exactly
+    symmetric; its scratch is the pool's ``"G"`` and ``"s"``."""
     J, d = x.shape
     if d < _DISTANCE_GRAM_MIN_DIM:
-        rows = max(1, min(_S_STRIP // J, (J + 1) // (2 * max(1, d))))
+        rows = max(1, min(_S_STRIP // J, (J + 1) // 2) // max(1, d))
         sbuf = _scratch(pool, "s", (rows * J,)) if s is None else None
         buf = _scratch(pool, "G", (d * rows * J,))
         diff = _differences(x, x)
@@ -504,16 +498,15 @@ def build_workspace(ensemble, spec: KernelSpec, pool=None) -> FlowWorkspace:
     """The workspace of an Ensemble or (J, d) array from one pass over its
     pairs (:func:`_pair_sq`, or the one that the observation of this same
     array handed on in the pool's ``"D"``, or :func:`_pair_sq_product` from
-    ``_DISTANCE_GRAM_MIN_DIM`` on): q in the pool's ``"q"``, M over the
-    distances in ``"D"``, and s in ``"s"``.  s is kept whole where the
-    distance form of M needs it or where it fits in one strip of
-    ``_S_STRIP`` elements.  The pool's ``"G"`` and ``"q"`` are sized first,
-    so that no later part of the step grows them."""
+    ``_DISTANCE_GRAM_MIN_DIM`` on), in the pool's buffers as the module
+    docstring gives them; s is kept whole where the distance form of M
+    needs it or where it fits in one strip of ``_S_STRIP`` elements."""
     x = _positions(ensemble)
     J, d = x.shape
     distance_form = d >= _DISTANCE_GRAM_MIN_DIM
-    if pool is not None:
-        pool.get("G", (J * max(J, 2 * d + 4) if distance_form else J * (J + 1) // 2,))
+    if pool is not None:  # sized first, so that no later part of the step grows them
+        if distance_form:
+            pool.get("G", (J * max(J, 2 * d + 4),))
         pool.get("q", (J, J))
     D = _pair_sq_product(x, pool) if distance_form else _self_pair_sq(x, pool)
     h = _bandwidth_from_sq(spec, D, pool)

@@ -8,15 +8,8 @@ Gram-type coupling matrix
     M[l, m] = (1/J) sum_i < grad_1 K(X_i, X_l), grad_1 K(X_i, X_m) >.
 
 M is symmetric positive semidefinite; a Tikhonov term lam * I makes it
-definite for the solves, which use a symmetric-definite (Cholesky)
-factorization written over a copy of M + lam I.
-
-Given the buffer pool of :mod:`kfrflow.kernels`, a workspace lives in its
-buffers as described there, and is valid until the pool's next use;
-:func:`spd_solve` factors M + lam I in ``"G"``, whose scratch of M is dead
-once M is formed.  The factor takes J(J+1)/2 elements in LAPACK's
-rectangular full packed (RFP) format, which the routines of
-:mod:`kfrflow._blas` copy, factor and solve.
+definite for the Cholesky solve, whose factor a pooled step writes over M
+itself (:func:`spd_solve`; buffers as in :mod:`kfrflow.kernels`).
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ import numpy as np
 
 from . import _blas
 from .errors import NonFiniteStateError, NumericalStabilityError
-from .kernels import _positions, _scratch
+from .kernels import _mirror_lower, _positions
 
 
 @dataclass(frozen=True)
@@ -51,29 +44,6 @@ class Ensemble:
         object.__setattr__(self, "t", t)
 
 
-def _rfp_diagonal(J: int) -> np.ndarray:
-    """Positions of the diagonal of a J x J matrix, in order, in the RFP array
-    that ``dtrttf`` writes with transr 'N' and uplo 'L'.  For odd J the
-    leading (J+1)/2 diagonal elements sit at j(J+1) and the others at
-    J + j(J+1); for even J the leading J/2 at 1 + j(J+2) and the others at
-    j(J+2)."""
-    n1 = (J + 1) // 2
-    if J % 2:
-        return np.concatenate((np.arange(n1) * (J + 1), J + np.arange(J - n1) * (J + 1)))
-    return np.concatenate((1 + np.arange(n1) * (J + 2), np.arange(n1) * (J + 2)))
-
-
-def _rfp_cholesky(M: np.ndarray, lam: float, arf: np.ndarray, diag=None) -> bool:
-    """Write M + lam I to ``arf`` in RFP storage and overwrite it there with
-    its Cholesky factor; False when it is not positive definite.  The copy
-    reads the symmetric M, and lam is added at the RFP positions of the
-    diagonal (``diag``, when the caller holds them) before the factor."""
-    _blas.rfp_copy(M, arf)
-    if lam > 0:
-        arf[_rfp_diagonal(M.shape[0]) if diag is None else diag] += lam
-    return _blas.rfp_factor(arf, M.shape[0])
-
-
 def _lam_floor(M: np.ndarray) -> float:
     """1e-8 tr(M) / J, relative to M's own scale: the least lambda that a
     failed factorization retries with, and that the KFRFlow-I step bound of
@@ -81,29 +51,37 @@ def _lam_floor(M: np.ndarray) -> float:
     return 1e-8 * float(np.trace(M)) / M.shape[0]
 
 
+def _restore(M: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """M again, over the factor that :func:`spd_solve` wrote to its upper
+    triangle: the strict lower triangle still holds M, ``diag`` its diagonal."""
+    _mirror_lower(M).flat[:: M.shape[0] + 1] = diag
+    return M
+
+
 def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarray:
     """Solve (M + lam I) x = rhs by Cholesky, with a one-shot fallback.
 
-    M, which must be exactly symmetric, is copied with lam I added to the
-    J(J+1)/2 elements at the head of the pool's ``"G"`` (a fresh array
-    without a pool) in rectangular full packed storage, and overwritten
-    there by its Cholesky factor, which the solve reads in place; M itself
-    is left untouched.  If factorization fails at the user's lam, retries
-    once with lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second
-    failure, or a non-finite factor, raises
-    :class:`NumericalStabilityError`.
+    M must be exactly symmetric.  The factor of M + lam I overwrites M's
+    upper triangle and diagonal where M is a buffer of ``pool`` (the step's
+    own M), and a copy of M otherwise, so a caller's M is left untouched; the
+    strict lower triangle keeps M, which :func:`_restore` recovers.  If
+    factorization fails at the user's lam, retries once with
+    lam' = max(lam, 1e-8 * trace(M)/J) and warns; a second failure, or a
+    non-finite factor, raises :class:`NumericalStabilityError`.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    J, x = M.shape[0], np.array(rhs, dtype=np.float64, order="C")
+    J, x = len(M), np.array(rhs, dtype=np.float64, order="C")
     if x.shape != (J,):
         raise ValueError(f"rhs must have shape ({J},), got {x.shape}")
-    diag = _rfp_diagonal(J)
+    if pool is None or not any(np.may_share_memory(M, b) for b in pool._flat.values()):
+        M = np.array(M, dtype=np.float64)
+    diag = M.diagonal().copy()
     for retry in (False, True):
-        arf = _scratch(pool, "G", (J * (J + 1) // 2,))
-        if _rfp_cholesky(M, lam, arf, diag):
+        M.flat[:: J + 1] = diag + lam
+        if _blas.cholesky(M):
             break
+        _restore(M, diag)
         fallback = max(lam, _lam_floor(M))
         if retry or fallback <= lam:
             raise NumericalStabilityError(
@@ -113,9 +91,9 @@ def spd_solve(M: np.ndarray, lam: float, rhs: np.ndarray, pool=None) -> np.ndarr
         lam = fallback
     # a NaN in M passes the factorization's pivot test and leaves a NaN on
     # the diagonal
-    if not np.isfinite(arf[diag]).all():
+    if not np.isfinite(M.diagonal()).all():
         raise NumericalStabilityError("non-finite coupling matrix")
-    return _blas.rfp_solve(arf, x)
+    return _blas.cholesky_solve(M, x)
 
 
 def _log_ratio_rows(target, positions: np.ndarray) -> np.ndarray:

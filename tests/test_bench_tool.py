@@ -169,7 +169,39 @@ def test_out_runs_in_a_staged_copy_and_records_the_revision(tmp_path, monkeypatc
     monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out)])
     assert bench.main() == 0
     assert len(set(trees)) == 1 and not trees[0].exists()
-    provenance = json.loads(out.read_text())["provenance"]
+    record = json.loads(out.read_text())
+    provenance = record["provenance"]
     assert provenance["git_revision"] == bench.resolve("HEAD") is not None
+    # the checkout's one module reads "edited"
+    assert record["src_lines"] == {"total": 1, "code": 1, "docstring": 0, "comment": 0,
+                                   "blank": 0}
     assert provenance["src_modified"] is True
     assert _files(checkout) == before
+
+
+def test_line_split_counts_each_line_once(tmp_path):
+    # a module docstring with a blank line inside, a comment alone and one
+    # after code, a multi-line string that is no docstring, and a class and a
+    # function docstring; lines outside the package are not counted
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module.\n\nMore."""\n'  # docstring 3
+        "\n"  # blank
+        "# a comment\n"  # comment
+        "X = 1  # trailing\n"  # code
+        'Y = """not\n\na docstring"""\n'  # code 3
+        "\n"
+        "\n"
+        "class C:\n"  # code
+        '    """Class."""\n'  # docstring
+        "    def f(self):\n"  # code
+        "        '''Function\n"  # docstring 2
+        "        docstring.'''\n"
+        "        return 1\n"  # code
+    )
+    (tmp_path / "pkg" / "b.py").write_text("\n# only a comment\n")
+    (tmp_path / "other.py").write_text("X = 1\n")
+    bench = _load_bench()
+    assert bench.line_split(tmp_path / "pkg") == {
+        "total": 17 + 2, "code": 7, "docstring": 6, "comment": 1 + 1, "blank": 3 + 1,
+    }

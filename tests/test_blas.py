@@ -14,7 +14,7 @@ from kfrflow.harness import run_experiment, write_record_csv
 from test_references import ATOL, RTOL, deviations, read_csv
 
 SRC = Path(kfrflow.__file__).resolve().parent
-HANDLES = ("_DSYRK", "_DSYR2K", "_DTRTTF", "_DPFTRF", "_DPFTRS", "_GET_THREADS", "_SET_THREADS")
+HANDLES = ("_DSYRK", "_DSYR2K", "_DTRTTF", "_DPOTRF", "_DPOTRS", "_GET_THREADS", "_SET_THREADS")
 
 
 def _native_imports(path: Path) -> set:
@@ -45,7 +45,7 @@ def test_only_the_blas_module_binds_native_code():
 @pytest.mark.parametrize("target, sampler", [("donut", "kfrflow-i"), ("funnel:5", "kfrflow-euler")])
 def test_all_fallback_run_matches_native(monkeypatch, tmp_path, target, sampler):
     # every handle unbound at once, as on a numpy that exports no OpenBLAS
-    # symbol: matmul updates, scipy's RFP routines and no thread count
+    # symbol: matmul updates, scipy's LAPACK and no thread count
     cfg = RunConfig(target=target, sampler=sampler, J=40, N=3, trials=1, lam=1e-3, seed=11)
     write_record_csv(run_experiment(cfg), tmp_path / "native.csv")
     get, put = _blas._GET_THREADS, _blas._SET_THREADS

@@ -113,6 +113,16 @@ def test_cold_step_and_observation_peak_at_two_and_a_half_jxj_arrays_below_d3(ta
     assert peak <= 2.8, peak
 
 
+# below d = 3, with the factor of M + lambda I written over M itself: "D"
+# and "q", and strips of "s" and "G" of at most 2^17 elements each
+# (0.13 J x J at J = 1000)
+@pytest.mark.parametrize("target", ["gaussian:0,1", "donut"])
+@pytest.mark.parametrize("rule", sorted(POOLED_STEPS))
+def test_cold_step_and_observation_peak_in_two_jxj_arrays_below_d3(target, rule):
+    peak = pooled_step_peak(target, rule, 1000)
+    assert peak <= 2.4, peak
+
+
 # the Newton Jacobian's D of the centres is written over the spent M in
 # "D" (12.05 J x J when it was a fresh array, 11.05 in "D")
 def test_cold_newton_step_and_observation_peak_from_d3():

@@ -754,6 +754,18 @@ class TestCli:
         assert unstable == [1]
         assert capsys.readouterr().err == f"unstable trials: {unstable}\n"
 
+    # each once ran and printed "unstable trials: [0]" with a final KSD of nan
+    @pytest.mark.parametrize("flags, message", [
+        (["--sampler", "kfrflow-i", "--h_floor", "inf"], "h_floor must be > 0 and finite, got inf"),
+        (["--sampler", "kfrflow-i", "--bandwidth", "inf"], "bandwidth must be > 0 and finite"),
+        (["--sampler", "svgd", "--T", "inf"], "T must be finite, got inf"),
+    ], ids=["h_floor", "bandwidth", "T"])
+    def test_run_subcommand_rejects_non_finite_settings(self, tmp_path, flags, message):
+        with pytest.raises(ValueError, match=message):
+            main(["run", "--target", "donut", *flags, "--J", "10", "--N", "2",
+                  "--trials", "1", "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
     def test_run_subcommand_rejects_a_zero_dimensional_target(self, tmp_path):
         with pytest.raises(ValueError, match="at least one coordinate"):
             main(["run", "--target", "gaussian:,1", "--sampler", "kfrflow-i",

@@ -143,6 +143,9 @@ class TestKsd:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KsdConfig(h=0.0)
+        for h in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^KSD bandwidth h must be > 0 and finite, got {h}$"):
+                KsdConfig(h=h)
         with pytest.raises(ValueError):
             KsdConfig(estimator="w")
 

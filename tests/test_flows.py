@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfrflow import flows, kernels
+from kfrflow import flows, kernels, particles
 from kfrflow.errors import CapabilityError
 from kfrflow.flows import (
     kfrd_drift,
@@ -17,7 +17,7 @@ from kfrflow.flows import (
     tempered_score,
 )
 from kfrflow.integrators import make_rng
-from kfrflow.kernels import KernelSpec, build_workspace, median_bandwidth
+from kfrflow.kernels import KernelSpec, _BufferPool, build_workspace, median_bandwidth
 from kfrflow.particles import Ensemble, importance_weights
 from kfrflow.targets import TargetModel, make_bayesian_2d, make_funnel, make_gaussian
 
@@ -195,6 +195,28 @@ class TestImportanceStep:
             out = kfrflow_i_step(e, target, KernelSpec(), 1.0, 1e-6)
         moved = np.linalg.norm(out.positions - e.positions, axis=1)
         assert 0.0 < moved.max() <= h
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_raised_lambda_refactors_the_pooled_M_as_a_fresh_copy(self, monkeypatch, lam):
+        # the same fixture at J = 100: lambda is raised seven times, and each
+        # pooled re-solve factors M recovered from its lower triangle and kept
+        # diagonal, as the fresh step factors its untouched M
+        target = make_gaussian([40.0, 0.0], 0.1)
+        e = Ensemble(np.random.default_rng(48).standard_normal((100, 2)), 0.0)
+        floor = particles._lam_floor(build_workspace(e, KernelSpec()).M)
+        lams, real = [], flows.spd_solve
+
+        def recorded(M, lam, rhs, pool=None):
+            lams.append(lam)
+            return real(M, lam, rhs, pool)
+
+        monkeypatch.setattr(flows, "spd_solve", recorded)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            fresh = kfrflow_i_step(e, target, KernelSpec(), 1.0, lam).positions
+            pooled = kfrflow_i_step(e, target, KernelSpec(), 1.0, lam, pool=_BufferPool())
+        n = len(lams) // 2
+        assert n >= 8 and lams[:n] == lams[n:] and lams[1] == max(10.0 * lam, floor)
+        assert np.array_equal(pooled.positions, fresh)
 
     def test_donut_outlier_seeds_stay_on_the_ring(self):
         # reference outliers at these seeds once threw their neighbours

@@ -225,6 +225,12 @@ class TestRunUnitTime:
         assert type(info.value) is NonFiniteStateError
         assert isinstance(info.value, ValueError) and info.value.step == 2
 
+    @pytest.mark.parametrize("total_time", [0.0, -1.0, float("inf"), float("nan")])
+    def test_total_time_that_is_not_finite_and_positive_rejected(self, total_time):
+        e = Ensemble(np.zeros((1, 1)), 0.0)
+        with pytest.raises(ValueError, match=f"^total_time must be > 0 and finite, got {total_time}$"):
+            run_unit_time(e, lambda ens: ens, 4, total_time=total_time)
+
     def test_total_time_rescales_grid(self):
         e = Ensemble(np.zeros((1, 1)), 0.0)
         times = []

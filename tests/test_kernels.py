@@ -487,3 +487,10 @@ class TestKernelSpec:
     def test_floor_must_be_positive(self):
         with pytest.raises(ValueError):
             KernelSpec(h_floor=0.0)
+
+    @pytest.mark.parametrize("key", ["bandwidth", "h_floor"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, key, value):
+        # an infinite bandwidth once made kernel_matrix all NaN
+        with pytest.raises(ValueError, match=f"^{key} must be > 0 and finite, got {value}$"):
+            KernelSpec(**{key: value})

@@ -172,7 +172,8 @@ class TestSolveM:
 
 
 class TestSpdSolveContract:
-    """The in-place Cholesky solve, with and without a buffer pool."""
+    """The in-place Cholesky solve: a caller's M, with or without a buffer
+    pool, is left untouched; the pool's own M takes the factor."""
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -187,6 +188,18 @@ class TestSpdSolveContract:
         assert rel_err(x, np.linalg.solve(M + lam * np.eye(J), rhs)) <= 1e-12
         assert np.array_equal(M, before)
 
+    @pytest.mark.parametrize("J", [1, 2, 50, 300])
+    def test_pool_buffer_takes_the_factor_and_gives_M_back(self, J):
+        M, rhs = _spd_system(J, seed=J)
+        pool, Mp = _in_pool(M)
+        x = spd_solve(Mp, 1e-3, rhs, pool=pool)
+        assert np.array_equal(x, spd_solve(M, 1e-3, rhs))  # the same routine on a copy
+        L = np.triu(Mp).T
+        A = M + 1e-3 * np.eye(J)
+        assert np.allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
+        assert np.array_equal(np.tril(Mp, -1), np.tril(M, -1))
+        assert np.array_equal(particles._restore(Mp, M.diagonal().copy()), M)
+
     def test_singular_warns_with_the_fallback_lambda(self):
         M = np.diag([1.0, 0.0])
         with pytest.warns(
@@ -196,6 +209,19 @@ class TestSpdSolveContract:
             x = spd_solve(M, 0.0, np.array([1.0, 0.0]))
         assert np.allclose(x, [1.0 / (1.0 + 5e-9), 0.0], rtol=1e-15, atol=0.0)
         assert np.array_equal(M, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("J", [2, 40])
+    def test_retry_over_the_pool_buffer_gives_the_bits_of_a_fresh_copy(self, J):
+        # a rank-one M of trace J: the factor fails at lambda = 0, and the
+        # retry refactors M, recovered from its lower triangle and diagonal
+        v = np.linspace(0.5, 1.5, J)
+        M = np.outer(v, v) * (J / (v @ v))
+        rhs = np.random.default_rng(J).standard_normal(J)
+        pool, Mp = _in_pool(M)
+        with pytest.warns(RuntimeWarning, match="retrying with lambda=1e-08$"):
+            x = spd_solve(Mp, 0.0, rhs, pool=pool)
+        assert np.array_equal(x, spd_solve(M.copy(), particles._lam_floor(M), rhs))
+        assert np.array_equal(np.tril(Mp, -1), np.tril(M, -1))
 
     def test_indefinite_raises_and_leaves_M(self):
         M = np.diag([1.0, -1.0])
@@ -208,6 +234,9 @@ class TestSpdSolveContract:
         M = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(NumericalStabilityError, match="non-finite"):
             spd_solve(M, 0.0, np.ones(2))
+        pool, Mp = _in_pool(M)
+        with pytest.raises(NumericalStabilityError, match="non-finite"):
+            spd_solve(Mp, 0.0, np.ones(2), pool=pool)
 
     def test_non_square_matrix_raises(self):
         for M in (np.ones((3, 2)), np.ones((2, 3)), np.ones(3)):
@@ -215,11 +244,13 @@ class TestSpdSolveContract:
                 spd_solve(M, 0.0, np.ones(M.shape[0]))
 
     def test_solution_is_not_a_pool_buffer(self):
+        x = np.random.default_rng(3).standard_normal((40, 2))
         pool = _BufferPool()
-        M = 2.0 * np.eye(5)
-        x = spd_solve(M, 0.0, np.ones(5), pool=pool)
-        assert not np.shares_memory(x, pool.get("G", (15,)))
-        assert not np.shares_memory(M, pool.get("G", (15,)))
+        ws = build_workspace(x, KernelSpec(), pool)
+        out = spd_solve(ws.M, 1e-3, np.ones(40), pool=pool)
+        assert np.shares_memory(ws.M, pool.get("D", (40, 40)))  # the factor's home
+        for buf in pool._flat.values():
+            assert not np.shares_memory(out, buf)
 
 
 def _spd_system(J, seed=0):
@@ -228,26 +259,29 @@ def _spd_system(J, seed=0):
     return B @ B.T / J + 0.5 * np.eye(J), rng.standard_normal(J)
 
 
-def _scipy_solves(arf, rhs):
-    """The RFP solve that spd_solve makes, done by scipy on the factor arf."""
-    b = np.array(rhs, dtype=np.float64)[:, None]
-    return lapack.dpftrs(b.shape[0], arf, b, transr="N", uplo="L")[0][:, 0]
+def _in_pool(M):
+    """A buffer pool and a copy of M in its ``"D"``, where a step's M lives."""
+    pool = _BufferPool()
+    Mp = pool.get("D", M.shape)
+    np.copyto(Mp, M)
+    return pool, Mp
 
 
-def _factor_head(pool, J):
-    """A copy of the RFP factor at the head of the pool's "G"."""
-    return pool.get("G", (J * (J + 1) // 2,)).copy()
+def _scipy_solves(factor, rhs):
+    """The solve that spd_solve makes, done by scipy on the factor that it
+    wrote over the upper triangle of ``factor``."""
+    return lapack.dpotrs(factor.T, np.array(rhs, dtype=np.float64), lower=1)[0]
 
 
-def _without_native_rfp(monkeypatch):
-    """Unbind the RFP routines, as on a numpy that exports none of them."""
-    for name in ("_DTRTTF", "_DPFTRF", "_DPFTRS"):
+def _without_native_cholesky(monkeypatch):
+    """Unbind the Cholesky routines, as on a numpy that exports neither."""
+    for name in ("_DPOTRF", "_DPOTRS"):
         monkeypatch.setattr(_blas, name, None)
 
 
 class TestTriangularSolves:
-    """The RFP solve on numpy's OpenBLAS against scipy on the same factor,
-    bit for bit, and the lazy scipy path when numpy exports none."""
+    """The Cholesky solve on numpy's OpenBLAS against scipy on the same
+    factor, bit for bit, and the lazy scipy path when numpy exports none."""
 
     def test_numpy_blas_handle_resolved(self):
         # a misspelt symbol would fall back silently, moving bits only
@@ -264,9 +298,8 @@ class TestTriangularSolves:
     def test_bitwise_equal_to_scipy(self, J, pooled):
         M, rhs = _spd_system(J, seed=J)
         M_before, rhs_before = M.copy(), rhs.copy()
-        pool = _BufferPool()
-        x_pool = spd_solve(M, 1e-3, rhs, pool=pool)
-        L = _factor_head(pool, J)  # the factor the solve reads
+        pool, L = _in_pool(M)
+        x_pool = spd_solve(L, 1e-3, rhs, pool=pool)  # L now holds the factor
         x = x_pool if pooled else spd_solve(M, 1e-3, rhs)
         assert np.array_equal(x, _scipy_solves(L, rhs))
         assert np.array_equal(M, M_before) and np.array_equal(rhs, rhs_before)
@@ -274,11 +307,10 @@ class TestTriangularSolves:
     def test_strided_and_integer_rhs(self):
         J = 50
         M, _ = _spd_system(J)
-        pool = _BufferPool()
+        pool, L = _in_pool(M)
         wide = np.arange(2 * J, dtype=np.float64).reshape(J, 2)
         strided, before = wide[:, 1], wide.copy()
-        x = spd_solve(M, 0.0, strided, pool=pool)
-        L = _factor_head(pool, J)
+        x = spd_solve(L, 0.0, strided, pool=pool)
         assert np.array_equal(x, _scipy_solves(L, np.ascontiguousarray(strided)))
         assert np.array_equal(wide, before)
         ints = np.arange(J) - 7
@@ -303,59 +335,66 @@ class TestTriangularSolves:
     def test_forced_scipy_fallback_gives_the_same_bits(self, monkeypatch, J):
         M, rhs = _spd_system(J, seed=J)
         fast = spd_solve(M, 1e-3, rhs)
-        _without_native_rfp(monkeypatch)
-        pool = _BufferPool()
-        x = spd_solve(M, 1e-3, rhs, pool=pool)
-        arf = lapack.dtrttf(M.T, transr="N", uplo="L")[0]
-        arf[particles._rfp_diagonal(J)] += 1e-3
-        arf = lapack.dpftrf(J, arf, transr="N", uplo="L")[0]
-        assert np.array_equal(_factor_head(pool, J), arf)
-        assert np.array_equal(x, _scipy_solves(arf, rhs))
+        _without_native_cholesky(monkeypatch)
+        pool, L = _in_pool(M)
+        x = spd_solve(L, 1e-3, rhs, pool=pool)
+        c = lapack.dpotrf((M + 1e-3 * np.eye(J)).T, lower=1, clean=0)[0]
+        assert np.array_equal(np.triu(L), np.tril(c).T)
+        assert np.array_equal(x, _scipy_solves(L, rhs))
         assert rel_err(x, fast) <= 1e-13
 
     def test_fallback_without_scipy_says_why(self, monkeypatch):
-        _without_native_rfp(monkeypatch)
+        _without_native_cholesky(monkeypatch)
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)
-        with pytest.raises(ImportError, match="exports no dtrttf, dpftrf or dpftrs"):
+        with pytest.raises(ImportError, match="exports no dtrttf, dpotrf or dpotrs"):
             spd_solve(np.eye(2), 0.0, np.ones(2))
 
 
 class TestInPlaceCholesky:
-    """dtrttf and dpftrf into J(J+1)/2 elements: the factor of M + lam I in
-    rectangular full packed storage, the scipy fallback with the same bits,
-    and the diagonal positions that lam and the finiteness check use."""
+    """dpotrf over the upper triangle and diagonal of M: the factor of
+    M + lam I, the scipy fallback within rounding, the strict lower triangle
+    that keeps M, and the median's RFP copy, the one RFP routine left."""
 
     @pytest.mark.parametrize("J", [1, 64, 300, 301])
     def test_lower_factor_in_place_and_fallback_bits(self, monkeypatch, J):
         M, _ = _spd_system(J, seed=J + 1)
-        A, before = M + 1e-3 * np.eye(J), M.copy()
-        fast = np.empty(J * (J + 1) // 2)
-        assert particles._rfp_cholesky(M, 1e-3, fast)
-        L = np.tril(lapack.dtfttr(J, fast, transr="N", uplo="L")[0])
+        A, rhs = M + 1e-3 * np.eye(J), np.ones(J)
+        pool, fast = _in_pool(M)
+        spd_solve(fast, 1e-3, rhs, pool=pool)
+        L = np.triu(fast).T  # column-major lower: the row-major upper triangle
         assert np.allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
-        assert np.array_equal(M, before)
+        assert np.array_equal(np.tril(fast, -1), np.tril(M, -1))
         # the factor of scipy's OpenBLAS build agrees with numpy's to rounding
-        _without_native_rfp(monkeypatch)
-        slow = np.empty_like(fast)
-        assert particles._rfp_cholesky(M, 1e-3, slow)
+        _without_native_cholesky(monkeypatch)
+        pool, slow = _in_pool(M)
+        spd_solve(slow, 1e-3, rhs, pool=pool)
         assert np.allclose(slow, fast, rtol=0, atol=1e-13 * np.abs(fast).max())
+        assert np.array_equal(np.tril(slow, -1), np.tril(M, -1))
 
+    # the median partitions the RFP copy of D's upper triangle and counts J
+    # diagonal zeros in it (kernels._partitioned_median)
     @pytest.mark.parametrize("J", [*range(1, 10), 300, 301])
-    def test_rfp_diagonal_matches_a_dtrttf_marker(self, J):
+    def test_rfp_diagonal_matches_a_dtrttf_marker(self, monkeypatch, J):
         marker = np.diag(np.arange(1.0, J + 1))
-        arf = lapack.dtrttf(marker, transr="N", uplo="L")[0]
-        assert np.count_nonzero(arf) == J
-        assert np.array_equal(arf[particles._rfp_diagonal(J)], np.arange(1.0, J + 1))
+        for native in (True, False):
+            if not native:
+                monkeypatch.setattr(_blas, "_DTRTTF", None)
+            arf = np.zeros(J * (J + 1) // 2)
+            _blas.rfp_copy(marker, arf)
+            assert np.count_nonzero(arf) == J
+            assert np.array_equal(np.sort(arf[arf != 0]), np.arange(1.0, J + 1))
 
     @pytest.mark.parametrize("forced_fallback", [False, True])
     def test_indefinite_retries_then_raises(self, monkeypatch, forced_fallback):
         if forced_fallback:
-            _without_native_rfp(monkeypatch)
-        assert not particles._rfp_cholesky(np.diag([1.0, -1.0]), 0.0, np.empty(3))
+            _without_native_cholesky(monkeypatch)
+        assert not _blas.cholesky(np.diag([1.0, -1.0]))
         M = np.array([[1.0, 2.0], [2.0, 1.0]])  # trace 2: the retry lambda is tiny
+        pool, Mp = _in_pool(M)
         with pytest.warns(RuntimeWarning, match="retrying"):
             with pytest.raises(NumericalStabilityError, match="not positive definite"):
-                spd_solve(M, 1e-12, np.ones(2), pool=_BufferPool())
+                spd_solve(Mp, 1e-12, np.ones(2), pool=pool)
+        assert np.array_equal(Mp, M)  # recovered after each failed factor
 
 
 class TestImportanceWeights:

@@ -17,7 +17,9 @@ correct; the Tier-1 summary and wall time; the durations that criteria 3,
 5, 6 and 11 print (and criterion 11's step times); and the provenance:
 nproc, numpy and its BLAS with the OpenBLAS core name, the git revision
 and the digest of ``src/kfrflow``, as perfbench reports them.
-``blas_provenance`` is also the platform key of ``tests/references``.
+``blas_provenance`` is also the platform key of ``tests/references``.  It
+also holds the line count of ``src/kfrflow`` split into code, docstring,
+comment and blank lines (:func:`line_split`).
 
 With ``--base REV`` it resolves REV to a commit, or prints one line and
 exits with status 2 where git cannot.  It then runs ten pairs of the same
@@ -44,6 +46,7 @@ revision in such a copy, so ``--out`` records the checkout's HEAD itself.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import ctypes
 import io
@@ -58,6 +61,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy
@@ -121,6 +125,32 @@ def tier1() -> dict:
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     return {"summary": summary.strip("= "), "exit_code": proc.returncode,
             "wall_s": round(wall, 1), "criteria": criteria(proc.stdout)}
+
+
+def line_split(package: Path) -> dict:
+    """Lines of the modules in ``package``, each counted once: docstring
+    (module, class or function docstrings by ``ast``, blank lines inside
+    them included), code (any other token by ``tokenize``), comment (a
+    comment alone on its line) or blank."""
+    split = dict.fromkeys(("total", "code", "docstring", "comment", "blank"), 0)
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        doc, code, comment = set(), set(), set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)) and ast.get_docstring(node, False)):
+                doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT:
+                comment.add(tok.start[0])
+            elif tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                                  tokenize.DEDENT, tokenize.ENDMARKER):
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        for i in range(1, len(text.splitlines()) + 1):
+            split["total"] += 1
+            split["docstring" if i in doc else "code" if i in code
+                  else "comment" if i in comment else "blank"] += 1
+    return split
 
 
 def blas_provenance() -> dict:
@@ -253,6 +283,7 @@ def main() -> int:
         "perfbench": {"command": "perfbench/run.py --trace 0", "seconds": SECONDS,
                       "seeds": list(range(1, RUNS + 1)), "workloads": bench},
         "tier1": tests,
+        "src_lines": line_split(Path("src/kfrflow")),
         "provenance": {
             "nproc": provenance["nproc"], "python": provenance["python"],
             **blas_provenance(), "blas": provenance["blas"],
