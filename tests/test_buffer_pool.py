@@ -123,6 +123,18 @@ def test_cold_step_and_observation_peak_in_two_jxj_arrays_below_d3(target, rule)
     assert peak <= 2.4, peak
 
 
+# below d = 3 M's scratch is one strip of gradient blocks, of at most 2^17
+# and at most J(J+1)/2 elements, so that a small ensemble's stays small
+@pytest.mark.parametrize("J", [40, 300, 363, 1000])
+@pytest.mark.parametrize("d", [1, 2])
+def test_gram_scratch_below_d3_is_one_strip(J, d):
+    pool = _BufferPool()
+    x = make_rng(40).standard_normal((J, d))
+    build_workspace(x, KernelSpec(), pool)
+    assert set(pool._flat) == {"D", "q", "s", "G"}
+    assert pool._flat["G"].size <= min(kernels._S_STRIP, J * (J + 1) // 2)
+
+
 # the Newton Jacobian's D of the centres is written over the spent M in
 # "D" (12.05 J x J when it was a fresh array, 11.05 in "D")
 def test_cold_newton_step_and_observation_peak_from_d3():
